@@ -56,10 +56,8 @@ from .poly import (
     ComplexPoly,
     RootCluster,
     cluster_roots,
-    derivative,
     divide_exact,
     find_roots,
-    multiply,
     refine_multiple_root,
     structured_roots,
 )

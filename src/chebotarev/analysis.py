@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connect import is_connected
-from .errors import PathTooClose
 from .factor import Factorization, factorize
-from .poly import ComplexPoly, divide_exact, find_roots, structured_roots
-from .quadrature import QuadraturePath, path_integral, point_segment_distance
+from .poly import ComplexPoly, divide_exact, find_roots, grouped_multiset, structured_roots
+from .quadrature import QuadraturePath, check_clearance, path_integral, point_segment_distance
 
 #: Branch points are kept at least this far from any integration segment.
 ROUTE_MARGIN = 0.06
@@ -104,17 +103,6 @@ def route_path(start: complex, target: complex, obstacles, margin: float = ROUTE
     return left[:-1] + right
 
 
-def _grouped_multiset(points, tol: float) -> list:
-    """Collapse near-duplicates of a point list into (value, multiplicity)."""
-    out = []
-    for p in sorted((complex(q) for q in points), key=lambda w: (w.real, w.imag)):
-        if out and abs(p - out[-1][0]) <= tol:
-            out[-1] = (out[-1][0], out[-1][1] + 1)
-        else:
-            out.append((p, 1))
-    return out
-
-
 def hyperelliptic_integral(cset, dset, path, tol: float = 1e-9):
     """Integrate sqrt(prod(w - d_j)) / sqrt(prod(w - c_j)) along a path.
 
@@ -127,7 +115,7 @@ def hyperelliptic_integral(cset, dset, path, tol: float = 1e-9):
     """
     cpts = [complex(c) for c in cset]
     scale = 1.0 + max(abs(c) for c in cpts)
-    grouped_d = _grouped_multiset(dset, 1e-9 * scale)
+    grouped_d = grouped_multiset(dset, 1e-9 * scale)
 
     numer_roots = []
     sqrt_roots = list(cpts)
@@ -144,19 +132,15 @@ def hyperelliptic_integral(cset, dset, path, tol: float = 1e-9):
     else:
         waypoints = tuple(complex(w) for w in path)
         eps = 1e-8 * scale
-        singular = [r for r in sqrt_roots]
-        sing_start = any(abs(waypoints[0] - r) <= eps for r in singular)
-        sing_end = any(abs(waypoints[-1] - r) <= eps for r in singular)
+        sing_start = any(abs(waypoints[0] - r) <= eps for r in sqrt_roots)
+        sing_end = any(abs(waypoints[-1] - r) <= eps for r in sqrt_roots)
         qpath = QuadraturePath(waypoints, singular_start=sing_start, singular_end=sing_end)
 
     if min(abs(waypoints[0] - c) for c in cpts) > 1e-6 * scale:
         raise ValueError("path must start at one of the prescribed points")
-    for r in sqrt_roots:
-        if abs(r - waypoints[0]) <= 1e-8 * scale or abs(r - waypoints[-1]) <= 1e-8 * scale:
-            continue
-        for a, b in zip(waypoints, waypoints[1:]):
-            if point_segment_distance(r, a, b) <= 1e-3:
-                raise PathTooClose(f"path passes through branch point {r:.6g}")
+    ends = [r for r in sqrt_roots
+            if min(abs(r - waypoints[0]), abs(r - waypoints[-1])) <= 1e-8 * scale]
+    check_clearance(waypoints, sqrt_roots, ends, 1e-3)
 
     return path_integral(numer, sqrt_denom, qpath, tol=tol)
 
@@ -226,6 +210,23 @@ class ConditionReport:
         }
 
 
+def _phi(fac: Factorization, base: complex, target: complex, quad_tol: float):
+    """Phi(target) integrated from the branch point ``base``: ``(value, error)``.
+
+    The path is routed around every other branch point; a target on a branch
+    point is a singular end of the integrand.  Phi vanishes at its own base.
+    """
+    if target == base:
+        return 0j, 0.0
+    obstacles = [b for b in fac.branch_points
+                 if abs(b - base) > 1e-9 and abs(b - target) > 1e-9]
+    waypoints = route_path(base, target, obstacles)
+    scale = 1.0 + max(abs(b) for b in fac.branch_points)
+    sing_end = any(abs(target - b) <= 1e-8 * scale for b in fac.branch_points)
+    qpath = QuadraturePath(tuple(waypoints), singular_start=True, singular_end=sing_end)
+    return path_integral(fac.cofactor, fac.branch_poly, qpath, tol=quad_tol)
+
+
 def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float = 1e-6,
                                 base_index: int = 0, quad_tol: float = 1e-9) -> ConditionReport:
     """Evaluate Re Phi at every prescribed and bifurcation point.
@@ -242,18 +243,13 @@ def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float 
     base = cset[base_index % len(cset)]
     scale = 1.0 + max(abs(b) for b in fac.branch_points)
 
-    distinct_d = [v for v, _ in _grouped_multiset(dset, 1e-9 * scale)]
+    distinct_d = [v for v, _ in grouped_multiset(dset, 1e-9 * scale)]
     targets = [(p, "prescribed") for p in cset if p != base]
     targets += [(p, "bifurcation") for p in distinct_d]
 
     entries = [ConditionEntry(base, "prescribed", 0.0, 0.0)]
     for point, kind in targets:
-        obstacles = [b for b in fac.branch_points
-                     if abs(b - base) > 1e-9 and abs(b - point) > 1e-9]
-        waypoints = route_path(base, point, obstacles)
-        sing_end = any(abs(point - b) <= 1e-8 * scale for b in fac.branch_points)
-        qpath = QuadraturePath(tuple(waypoints), singular_start=True, singular_end=sing_end)
-        phi, err = path_integral(fac.cofactor, fac.branch_poly, qpath, tol=quad_tol)
+        phi, err = _phi(fac, base, point, quad_tol)
         entries.append(ConditionEntry(point, kind, float(phi.real), float(err)))
 
     max_abs = max(abs(e.re_phi) for e in entries)
@@ -269,9 +265,5 @@ def green_via_integral(T: ComplexPoly, z: complex, seed: int = 0, quad_tol: floa
     :func:`green_function`.
     """
     fac = factorize(T, seed=seed)
-    base = fac.branch_points[0]
-    obstacles = [b for b in fac.branch_points if abs(b - base) > 1e-9]
-    waypoints = route_path(base, complex(z), obstacles)
-    qpath = QuadraturePath(tuple(waypoints), singular_start=True, singular_end=False)
-    phi, err = path_integral(fac.cofactor, fac.branch_poly, qpath, tol=quad_tol)
+    phi, err = _phi(fac, fac.branch_points[0], complex(z), quad_tol)
     return abs(phi.real), float(err)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connect import UnionFind, dist_to_interval
+from .connect import dist_to_interval
 from .errors import MatchingAmbiguity, NotATree
-from .poly import ComplexPoly, cluster_roots, find_roots, structured_roots
+from .poly import ComplexPoly, UnionFind, cluster_roots, find_roots, structured_roots
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .arcs import arcs_to_csv, arcs_to_svg, build_graph, find_crossings, trace
 from .connect import complement_connected, grid_oracle, is_connected
 from .errors import ChebotarevError, DegenerateSolution, NoConvergence
 from .factor import factorize
-from .poly import ComplexPoly
+from .poly import ComplexPoly, grouped_multiset
 from .powersum import default_initial, solution_to_dict, solve, spec_from_dict
 
 EXIT_OK = 0
@@ -86,23 +86,21 @@ def cmd_solve(args) -> int:
             residual_tol=args.tol,
         ))
 
-    try:
-        solutions = [solve(spec)]
-        if args.sweep:
-            rng = np.random.default_rng(args.seed)
-            base = default_initial(spec)
-            for _ in range(args.sweep):
-                trial = base * (1.0 + 0.3 * rng.standard_normal(len(base)))
-                try:
-                    solutions.append(solve(spec, trial))
-                except ChebotarevError:
-                    continue
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except DegenerateSolution as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    starts = [None]
+    if args.sweep:
+        rng = np.random.default_rng(args.seed)
+        base = default_initial(spec)
+        starts += [base * (1.0 + 0.3 * rng.standard_normal(len(base)))
+                   for _ in range(args.sweep)]
+    solutions = []
+    errors = []
+    for start in starts:
+        try:
+            solutions.append(solve(spec, start))
+        except ChebotarevError as exc:
+            errors.append(exc)
+    if not solutions:
+        raise errors[0]
 
     distinct = []
     for sol in solutions:
@@ -143,21 +141,11 @@ def cmd_verify(args) -> int:
     report = {"manifest": asdict(manifest), "degree": T.degree}
 
     fac = factorize(T, seed=args.seed)
-    p2 = T * T - 1.0
-    rebuilt = fac.branch_poly * (fac.square_part * fac.square_part)
-    level_residual = max(
-        abs(a - b) for a, b in zip(p2.coeffs, rebuilt.coeffs)
-    ) / (1.0 + max(abs(c) for c in p2.coeffs))
-    dT = T.derivative()
-    rebuilt_d = T.degree * (fac.cofactor * fac.square_part)
-    deriv_residual = max(
-        abs(a - b) for a, b in zip(dT.coeffs, rebuilt_d.coeffs)
-    ) / (1.0 + max(abs(c) for c in dT.coeffs))
     report["factorization"] = {
         "min_arcs": fac.min_arcs,
         "branch_points": [[b.real, b.imag] for b in fac.branch_points],
-        "level_product_residual": level_residual,
-        "derivative_product_residual": deriv_residual,
+        "level_product_residual": fac.level_residual,
+        "derivative_product_residual": fac.derivative_residual,
         "passed": True,
     }
     verdict = is_connected(T, seed=args.seed)
@@ -219,17 +207,14 @@ def cmd_trace(args) -> int:
 
     fac = factorize(T, seed=args.seed)
     cset, dset = condition_points(fac, seed=args.seed)
-    seen = []
-    for d in dset:
-        if not seen or all(abs(d - s) > 1e-6 for s in seen):
-            seen.append(d)
+    distinct_d = [d for d, _ in grouped_multiset(dset, 1e-6)]
     doubles = [q for a in arcs for q in a.conjoined_through]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "arcs.csv").write_text(arcs_to_csv(arcs))
     (out / "continuum.svg").write_text(
-        arcs_to_svg(arcs, c_points=cset, d_points=seen, z_points=doubles)
+        arcs_to_svg(arcs, c_points=cset, d_points=distinct_d, z_points=doubles)
     )
     summary = {
         "manifest": asdict(manifest),

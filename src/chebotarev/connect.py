@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import ComplexPoly, find_roots
+from .poly import ComplexPoly, UnionFind, find_roots
 
 #: Lipschitz safety factor for the grid membership threshold.
 LIPSCHITZ_FACTOR = 1.5
@@ -83,27 +83,6 @@ def is_connected(T: ComplexPoly, tol: float = None, seed: int = 0) -> Connectivi
         if margin >= tol:
             ok = False
     return ConnectivityVerdict(ok, tuple(witnesses))
-
-
-class UnionFind:
-    """Path-compressing union-find over integer labels."""
-
-    def __init__(self, size):
-        self.parent = list(range(size))
-        self.count = size
-
-    def find(self, i):
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.count -= 1
 
 
 @dataclass

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentFactorization, PathTooClose, RemainderTooLarge
+from .errors import InconsistentFactorization, RemainderTooLarge
 from .poly import ComplexPoly, divide_exact, structured_roots
-from .quadrature import QuadraturePath, path_integral, point_segment_distance
+from .quadrature import QuadraturePath, check_clearance, path_integral
 
 #: Clustering radii tried on the roots of T^2 - 1, smallest first.  Triple
 #: roots smear over roughly (eps * coefficient scale)**(1/3) in double
@@ -40,7 +40,9 @@ class Factorization:
 
     ``branch_poly`` is monic with ``2 * min_arcs`` pairwise distinct zeros
     (``branch_points``); ``square_part`` carries the leading coefficient of
-    the input; ``cofactor`` is monic of degree ``min_arcs - 1``.
+    the input; ``cofactor`` is monic of degree ``min_arcs - 1``.  The two
+    residuals are the relative coefficient residuals of the rebuilt products
+    ``B * U^2`` against ``T^2 - 1`` and ``n R U`` against ``T'``.
     """
 
     min_arcs: int
@@ -48,6 +50,8 @@ class Factorization:
     square_part: ComplexPoly
     cofactor: ComplexPoly
     branch_points: tuple
+    level_residual: float
+    derivative_residual: float
 
 
 def factorize(T: ComplexPoly, seed: int = 0) -> Factorization:
@@ -135,20 +139,24 @@ def _factorize_with_radius(T: ComplexPoly, seed: int, cluster_tol: float) -> Fac
                     f"cofactor does not vanish at multiple zero {c.center:.6g}"
                 )
 
-    _check_reproduction(p2, branch_poly * (square_part * square_part), "T^2 - 1")
-    _check_reproduction(dT, n * (cofactor * square_part), "T'")
+    level_residual = _check_reproduction(p2, branch_poly * (square_part * square_part), "T^2 - 1")
+    derivative_residual = _check_reproduction(dT, n * (cofactor * square_part), "T'")
 
-    return Factorization(ell, branch_poly, square_part, cofactor, branch_points)
+    return Factorization(ell, branch_poly, square_part, cofactor, branch_points,
+                         level_residual, derivative_residual)
 
 
-def _check_reproduction(target: ComplexPoly, rebuilt: ComplexPoly, label: str):
+def _check_reproduction(target: ComplexPoly, rebuilt: ComplexPoly, label: str) -> float:
+    """Relative residual ``max |target - rebuilt| / (1 + max |target|)`` of the coefficients."""
     diff = target - rebuilt
-    bound = RESIDUAL_TOL * (1.0 + max(abs(c) for c in target.coeffs))
+    size = 1.0 + max(abs(c) for c in target.coeffs)
+    bound = RESIDUAL_TOL * size
     worst = max(abs(c) for c in diff.coeffs)
     if worst > bound:
         raise InconsistentFactorization(
             f"{label} reproduction residual {worst:.3e} exceeds {bound:.3e}"
         )
+    return worst / size
 
 
 def verify_cosh_representation(T: ComplexPoly, fac: Factorization, z: complex,
@@ -173,12 +181,7 @@ def verify_cosh_representation(T: ComplexPoly, fac: Factorization, z: complex,
         raise ValueError("path must start at a zero of the branch polynomial")
     start_root = fac.branch_points[nearest]
 
-    for b in fac.branch_points:
-        if b == start_root:
-            continue
-        for a, c in zip(waypoints, waypoints[1:]):
-            if point_segment_distance(b, a, c) <= 0.05:
-                raise PathTooClose(f"path passes within 0.05 of branch point {b:.6g}")
+    check_clearance(waypoints, fac.branch_points, (start_root,), 0.05)
 
     qpath = QuadraturePath(waypoints, singular_start=True)
     phi, _ = path_integral(fac.cofactor, fac.branch_poly, qpath, tol=quad_tol)

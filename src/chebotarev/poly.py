@@ -72,10 +72,7 @@ class ComplexPoly:
     def __call__(self, z):
         """Evaluate by Horner's scheme; accepts scalars or numpy arrays."""
         if isinstance(z, np.ndarray):
-            r = np.full(z.shape, self.coeffs[-1], dtype=complex)
-            for c in self.coeffs[-2::-1]:
-                r = r * z + c
-            return r
+            return _horner_arr(self.coeffs, z)
         w = self.coeffs[-1]
         for c in self.coeffs[-2::-1]:
             w = w * z + c
@@ -134,15 +131,6 @@ class ComplexPoly:
         return self._coerce(other) + (-self)
 
 
-def multiply(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
-    """Coefficient convolution; degree adds."""
-    return p * q
-
-
-def derivative(p: ComplexPoly) -> ComplexPoly:
-    return p.derivative()
-
-
 def divide_exact(p: ComplexPoly, q: ComplexPoly, tol: float = 1e-9) -> ComplexPoly:
     """Divide ``p`` by ``q`` assuming the division is exact up to rounding.
 
@@ -174,7 +162,7 @@ def divide_exact(p: ComplexPoly, q: ComplexPoly, tol: float = 1e-9) -> ComplexPo
     return ComplexPoly(tuple(out))
 
 
-def _horner_arr(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _horner_arr(coeffs, z: np.ndarray) -> np.ndarray:
     r = np.full(z.shape, coeffs[-1], dtype=complex)
     for c in coeffs[-2::-1]:
         r = r * z + c
@@ -248,6 +236,38 @@ def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = 500) -> list:
     return [complex(v) for v in z]
 
 
+class UnionFind:
+    """Path-compressing union-find over integer labels."""
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+        self.count = size
+
+    def find(self, i):
+        p = self.parent
+        while p[i] != i:
+            p[i] = p[p[i]]
+            i = p[i]
+        return i
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+            self.count -= 1
+
+
+def grouped_multiset(points, tol: float) -> list:
+    """Collapse near-duplicates of a point list into (value, multiplicity)."""
+    out = []
+    for p in sorted((complex(q) for q in points), key=lambda w: (w.real, w.imag)):
+        if out and abs(p - out[-1][0]) <= tol:
+            out[-1] = (out[-1][0], out[-1][1] + 1)
+        else:
+            out.append((p, 1))
+    return out
+
+
 @dataclass(frozen=True)
 class RootCluster:
     """A group of raw root approximations treated as one multiple root."""
@@ -276,24 +296,15 @@ def cluster_roots(roots, scale: float = None, tol: float = CLUSTER_TOL) -> list:
         scale = 1.0 + max(abs(r) for r in pts)
     radius = tol * scale
 
-    parent = list(range(len(pts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    uf = UnionFind(len(pts))
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if abs(pts[i] - pts[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+                uf.union(i, j)
 
     groups = {}
     for i in range(len(pts)):
-        groups.setdefault(find(i), []).append(pts[i])
+        groups.setdefault(uf.find(i), []).append(pts[i])
     clusters = []
     for members in groups.values():
         members.sort(key=lambda w: (w.real, w.imag))

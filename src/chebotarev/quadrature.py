@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchJump
+from .errors import BranchJump, PathTooClose
 from .poly import ComplexPoly
 
 _GL_CACHE = {}
@@ -70,79 +70,57 @@ class BranchState:
         return v
 
 
-def _leg_quadrature(g, panels, order):
-    """Integrate the stateful integrand ``g(t, state)`` over [0, 1].
+#: Hand-off grid on which a leg's square root is continued to its far end.
+#: A singular leg skips the zero at ``s = 0``.
+_HANDOFF = np.linspace(0.0, 1.0, 65)
 
-    A fresh branch state is threaded through the nodes in path order, so
-    every refinement level re-walks its own continuation.
+
+def _leg(numer, sqrt_denom, a, b, singular, anchor, tol, max_level, order):
+    """Integrate ``numer(w) / sqrt(sqrt_denom(w))`` over the leg from ``a`` to ``b``.
+
+    Gauss-Legendre panels are halved until two levels agree to ``tol``; a
+    fresh branch state anchored at ``anchor`` is threaded through the nodes
+    in path order, so every level re-walks its own continuation.  A
+    ``singular`` leg starts at a zero of ``sqrt_denom`` and is integrated via
+    ``w = a + s**2 (b - a)``; its branch is threaded freshly from the first
+    node and the caller aligns the overall sign using the hand-off value.
+    Returns ``(value, error_estimate, square root continued to b)``.
     """
+    delta = b - a
     gl_t, gl_w = _gl_rule(order)
-    state = {"sqrt": None}
-    total = 0j
-    width = 1.0 / panels
-    for p in range(panels):
-        t0 = p * width
-        vals = np.empty(len(gl_t), dtype=complex)
-        for i, t in enumerate(gl_t):
-            vals[i] = g(t0 + width * t, state)
-        total += width * np.dot(gl_w, vals)
-    return total
-
-
-def _adaptive_leg(g, tol, max_level, order):
     prev = None
     value = None
     err = np.inf
     for level in range(max_level + 1):
+        width = 1.0 / 2**level
+        state = BranchState(sqrt_denom, anchor)
+        total = 0j
         try:
-            value = _leg_quadrature(g, 2**level, order)
+            for p in range(2**level):
+                t0 = p * width
+                vals = np.empty(len(gl_t), dtype=complex)
+                for i, t in enumerate(gl_t):
+                    s = t0 + width * t
+                    if singular:
+                        w = a + s * s * delta
+                        vals[i] = numer(w) * 2.0 * s * delta / state.value(w)
+                    else:
+                        w = a + s * delta
+                        vals[i] = numer(w) * delta / state.value(w)
+                total += width * np.dot(gl_w, vals)
         except BranchJump:
             if level == max_level:
                 raise
             continue
+        value = total
         if prev is not None:
             err = abs(value - prev)
             if err < tol:
-                return value, err
+                break
         prev = value
-    return value, err
-
-
-def _straight_leg(numer, sqrt_denom, a, b, anchor, tol, max_level, order):
-    delta = b - a
-
-    def g(t, state):
-        w = a + t * delta
-        if state["sqrt"] is None:
-            state["sqrt"] = BranchState(sqrt_denom, anchor)
-        return numer(w) * delta / state["sqrt"].value(w)
-
-    value, err = _adaptive_leg(g, tol, max_level, order)
-    # extend the continuation to the exact leg end for the hand-off
     tracker = BranchState(sqrt_denom, anchor)
-    for t in np.linspace(0.0, 1.0, 65):
-        carry = tracker.value(a + t * delta)
-    return value, err, carry
-
-
-def _singular_leg(numer, sqrt_denom, e, b, tol, max_level, order):
-    """Integrate from the singular endpoint ``e`` to ``b`` via w = e + s^2 (b-e).
-
-    The branch is threaded freshly from the first sample; the caller aligns
-    the overall sign using the hand-off value at ``b``.
-    """
-    delta = b - e
-
-    def g(s, state):
-        w = e + s * s * delta
-        if state["sqrt"] is None:
-            state["sqrt"] = BranchState(sqrt_denom)
-        return numer(w) * 2.0 * s * delta / state["sqrt"].value(w)
-
-    value, err = _adaptive_leg(g, tol, max_level, order)
-    tracker = BranchState(sqrt_denom)
-    for s in np.linspace(1.0 / 64.0, 1.0, 64):
-        carry = tracker.value(e + s * s * delta)
+    for s in _HANDOFF[1:] if singular else _HANDOFF:
+        carry = tracker.value(a + s * s * delta if singular else a + s * delta)
     return value, err, carry
 
 
@@ -169,20 +147,18 @@ def path_integral(numer: ComplexPoly, sqrt_denom: ComplexPoly, path: QuadratureP
         first = i == 0
         last = i == len(segments) - 1
         if first and path.singular_start:
-            value, err, carry = _singular_leg(numer, sqrt_denom, a, b, tol, max_level, order)
-            total += value
-            toterr += err
+            value, err, carry = _leg(numer, sqrt_denom, a, b, True, None, tol, max_level, order)
         elif last and path.singular_end:
-            value, err, v_at_a = _singular_leg(numer, sqrt_denom, b, a, tol, max_level, order)
-            if carry is not None and abs(v_at_a - carry) > abs(v_at_a + carry):
+            value, err, v_at_a = _leg(numer, sqrt_denom, b, a, True, None, tol, max_level, order)
+            # integrated from b back to a: reverse it unless the carried branch
+            # says the sign at a is flipped
+            if carry is None or abs(v_at_a - carry) <= abs(v_at_a + carry):
                 value = -value
-            total -= value
-            toterr += err
             carry = None
         else:
-            value, err, carry = _straight_leg(numer, sqrt_denom, a, b, carry, tol, max_level, order)
-            total += value
-            toterr += err
+            value, err, carry = _leg(numer, sqrt_denom, a, b, False, carry, tol, max_level, order)
+        total += value
+        toterr += err
     return total, toterr
 
 
@@ -195,3 +171,15 @@ def point_segment_distance(p: complex, a: complex, b: complex) -> float:
     t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / denom
     t = min(1.0, max(0.0, t))
     return abs(p - (a + t * ab))
+
+
+def check_clearance(waypoints, branch_points, ends, clearance: float):
+    """Raise :class:`PathTooClose` when the polyline passes within ``clearance``
+    of a branch point other than ``ends``, the ones the path starts or ends on.
+    """
+    for r in branch_points:
+        if r in ends:
+            continue
+        for a, b in zip(waypoints, waypoints[1:]):
+            if point_segment_distance(r, a, b) <= clearance:
+                raise PathTooClose(f"path passes within {clearance:g} of branch point {r:.6g}")

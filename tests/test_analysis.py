@@ -261,3 +261,12 @@ class TestGreenConsistency:
             assert abs(g_direct - g_integral) < 1e-6
             count += 1
         assert count >= 8
+
+    def test_integral_vanishes_at_branch_points(self, solved_rect):
+        # the continuum's own branch points sit on it, where g = 0; each is a
+        # singular end of the integrand, including the base point itself
+        T = solved_rect(5).poly
+        fac = factorize(T)
+        for b in fac.branch_points:
+            g_integral, _ = green_via_integral(T, b)
+            assert g_integral < 1e-9

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from chebotarev import ComplexPoly, factorize
 from chebotarev.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -75,6 +76,20 @@ class TestSolveCommand:
         f.write_text(json.dumps(doc))
         assert run("solve", f, "--out", tmp_path) == 4
 
+    def test_sweep_runs_when_default_start_fails(self, tmp_path):
+        # from z1 = 0.7 the default start collapses (exit 4); the sweep's
+        # perturbed starts still find the continuum
+        doc = json.loads((FIXTURES / "rect_n7.json").read_text())
+        for var in doc["vars"]:
+            if (var["role"], var["index"]) == ("z", 1):
+                var["initial"] = 0.7
+        f = tmp_path / "bad_start.json"
+        f.write_text(json.dumps(doc))
+        assert run("solve", f, "--out", tmp_path) == 4
+        assert run("solve", f, "--out", tmp_path, "--sweep", "3") == 0
+        solution = json.loads((tmp_path / "solution.json").read_text())
+        assert solution["residual_inf_norm"] < 1e-10
+
 
 class TestVerifyCommand:
     def test_monomial_passes(self, tmp_path, capsys):
@@ -94,6 +109,14 @@ class TestVerifyCommand:
         assert report["connectivity"]["connected"] is False
         assert report["grid"]["component_count"] == 2
         assert report["passed"] is False
+
+    def test_residuals_come_from_factorize(self, tmp_path):
+        path = FIXTURES / "t4_alpha2.json"
+        assert run("verify", path, "--out", tmp_path, "--resolution", "64") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        fac = factorize(ComplexPoly(json.loads(path.read_text())["coeffs"]))
+        assert report["factorization"]["level_product_residual"] == fac.level_residual
+        assert report["factorization"]["derivative_product_residual"] == fac.derivative_residual
 
     def test_quartic_passes(self, tmp_path):
         assert run("verify", FIXTURES / "t4_alpha2.json", "--out", tmp_path,
