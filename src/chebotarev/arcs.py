@@ -18,7 +18,8 @@ import numpy as np
 
 from .connect import dist_to_interval
 from .errors import MatchingAmbiguity, NotATree
-from .poly import ComplexPoly, UnionFind, cluster_roots, find_roots, structured_roots
+from .poly import (ComplexPoly, UnionFind, cluster_roots, find_roots, grouped_multiset,
+                   structured_roots)
 
 
 @dataclass(frozen=True)
@@ -272,13 +273,8 @@ def find_crossings(T: ComplexPoly, seed: int = 0, tol: float = 1e-7) -> list:
         img = T(w)
         if dist_to_interval(img) < tol and abs(img) < 1.0 - 1e-6:
             hits.append(w)
-    hits.sort(key=lambda w: (w.real, w.imag))
-    out = []
-    for w in hits:
-        if out and abs(w - out[-1]) <= 1e-6 * (1.0 + abs(w)):
-            continue
-        out.append(w)
-    return out
+    radius = 1e-6 * (1.0 + max((abs(w) for w in hits), default=0.0))
+    return [w for w, _ in grouped_multiset(hits, radius)]
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,7 @@ class TestGridAgreement:
                     for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                     if 0 <= ix + dx < n and 0 <= iy + dy < n
                 ]
-                assert any(c in report.member_cells for c in neighborhood)
+                assert any(report.member.flat[c] for c in neighborhood)
 
 
 class TestEmission:

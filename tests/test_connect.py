@@ -5,6 +5,7 @@ import pytest
 
 from chebotarev import (
     ComplexPoly,
+    GridReport,
     MembershipParams,
     complement_connected,
     dist_to_interval,
@@ -75,8 +76,7 @@ class TestGridOracle:
         x0, y0, x1, y1 = report.bbox
         hx, hy = (x1 - x0) / n, (y1 - y0) / n
         h = max(hx, hy)
-        for cell in report.member_cells:
-            ix, iy = cell % n, cell // n
+        for iy, ix in zip(*np.nonzero(report.member)):
             center = complex(x0 + hx * (ix + 0.5), y0 + hy * (iy + 0.5))
             assert dist_to_interval(center) < 6 * h
 
@@ -93,7 +93,7 @@ class TestGridOracle:
         x0, y0, x1, y1 = report.bbox
         hx, hy = (x1 - x0) / n, (y1 - y0) / n
         h = max(hx, hy)
-        members = report.member_cells
+        members = report.member
         for r in find_roots(T * T - 1.0):
             ix = int((r.real - x0) / hx)
             iy = int((r.imag - y0) / hy)
@@ -105,9 +105,16 @@ class TestGridOracle:
             hits = [
                 (jx, jy) for jx, jy in near
                 if abs(complex(x0 + hx * (jx + 0.5), y0 + hy * (jy + 0.5)) - r) <= h
-                and (jx + n * jy) in members
+                and members[jy, jx]
             ]
             assert hits, f"no member cell within h of level root {r}"
+
+    def test_box_from_level_halves(self):
+        # T_24: the box comes from the zeros of T - 1 and T + 1, which lie in
+        # [-1, 1]; rooting T^2 - 1 would smear its double zeros off the axis
+        T = ComplexPoly(np.polynomial.chebyshev.cheb2poly([0] * 24 + [1]))
+        bbox = grid_oracle(T, resolution=64).bbox
+        assert np.allclose(bbox, (-1.32, -0.12, 1.32, 0.12), rtol=0, atol=1e-4)
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
@@ -146,4 +153,71 @@ class TestTextDump:
         assert len(lines) == 65
         assert all(len(row) == 64 for row in lines[1:])
         assert set("".join(lines[1:])) <= {"#", "."}
-        assert sum(row.count("#") for row in lines[1:]) == len(report.member_cells)
+        assert sum(row.count("#") for row in lines[1:]) == np.count_nonzero(report.member)
+
+
+N4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
+N8 = N4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _flood(cells, seeds, steps):
+    """The cells of ``cells`` reachable from ``seeds`` through ``steps``."""
+    seen = set(seeds) & cells
+    stack = list(seen)
+    while stack:
+        y, x = stack.pop()
+        for dy, dx in steps:
+            c = (y + dy, x + dx)
+            if c in cells and c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
+def _report(member):
+    """A GridReport for a hand-built raster, components counted by flood fill."""
+    cells = set(zip(*np.nonzero(member)))
+    count = 0
+    while cells:
+        cells -= _flood(cells, [next(iter(cells))], N8)
+        count += 1
+    n = member.shape[0]
+    return GridReport((0.0, 0.0, 1.0, 1.0), n, count, member)
+
+
+def _reference_complement_connected(member):
+    """4-neighbor fill of the non-member cells, seeded from the box boundary."""
+    ny, nx = member.shape
+    background = set(zip(*np.nonzero(~member)))
+    edge = [c for c in background if c[0] in (0, ny - 1) or c[1] in (0, nx - 1)]
+    return _flood(background, edge, N4) == background
+
+
+class TestComplementHoles:
+    def test_disconnected_cubic_merges_around_hole(self):
+        # at 64^2 the two pieces of t3(2) touch and enclose a hole
+        report = grid_oracle(t3(2.0), resolution=64)
+        assert report.component_count == 1
+        assert complement_connected(report) is False
+
+    def test_annulus_has_hole(self):
+        member = np.zeros((12, 12), dtype=bool)
+        member[2:10, 2:10] = True
+        member[4:8, 4:8] = False
+        assert complement_connected(_report(member)) is False
+
+    def test_c_shape_has_none(self):
+        member = np.zeros((12, 12), dtype=bool)
+        member[2:10, 2:10] = True
+        member[4:8, 4:10] = False
+        assert complement_connected(_report(member)) is True
+
+    def test_matches_reference_fill_on_random_rasters(self):
+        verdicts = []
+        for seed in range(240):
+            rng = np.random.default_rng(seed)
+            member = rng.random((24, 24)) < rng.uniform(0.1, 0.6)
+            expected = _reference_complement_connected(member)
+            assert complement_connected(_report(member)) is expected, seed
+            verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
