@@ -23,7 +23,7 @@ import numpy as np
 
 from .connect import is_connected
 from .factor import Factorization, factorize
-from .poly import ComplexPoly, divide_exact, find_roots, grouped_multiset, structured_roots
+from .poly import ComplexPoly, cluster_roots, divide_exact, structured_roots
 from .quadrature import QuadraturePath, check_clearance, path_integral, point_segment_distance
 
 #: Branch points are kept at least this far from any integration segment.
@@ -115,14 +115,13 @@ def hyperelliptic_integral(cset, dset, path, tol: float = 1e-9):
     """
     cpts = [complex(c) for c in cset]
     scale = 1.0 + max(abs(c) for c in cpts)
-    grouped_d = grouped_multiset(dset, 1e-9 * scale)
 
     numer_roots = []
     sqrt_roots = list(cpts)
-    for value, mult in grouped_d:
-        numer_roots.extend([value] * ((mult + 1) // 2))
-        if mult % 2 == 1:
-            sqrt_roots.append(value)
+    for cl in cluster_roots(dset, scale=scale, tol=1e-9):
+        numer_roots.extend([cl.center] * ((cl.multiplicity + 1) // 2))
+        if cl.multiplicity % 2 == 1:
+            sqrt_roots.append(cl.center)
     numer = ComplexPoly.from_roots(numer_roots, 1.0)
     sqrt_denom = ComplexPoly.from_roots(sqrt_roots, 1.0)
 
@@ -150,23 +149,10 @@ def condition_points(fac: Factorization, seed: int = 0):
 
     Returns ``(cset, dset)``: the simple zeros of T^2 - 1 and the zero
     multiset of the bifurcation polynomial ``cofactor^2 / prod(z - b_j)``,
-    where the ``b_j`` are the branch points shared with the square factor.
+    where the ``b_j`` are the zeros of odd multiplicity >= 3.
     """
-    branch = list(fac.branch_points)
-    scale = 1.0 + max(abs(b) for b in branch)
-    if fac.square_part.degree >= 1:
-        u_roots = find_roots(fac.square_part, seed=seed)
-    else:
-        u_roots = []
-    bset = []
-    cset = []
-    for a in branch:
-        if u_roots and min(abs(a - u) for u in u_roots) <= 1e-6 * scale:
-            bset.append(a)
-        else:
-            cset.append(a)
-    cset.sort(key=lambda w: (w.real, w.imag))
-
+    cset = [c.center for c in fac.clusters if c.multiplicity == 1]
+    bset = [c.center for c in fac.clusters if c.multiplicity % 2 == 1 and c.multiplicity >= 3]
     d_poly = divide_exact(fac.cofactor * fac.cofactor, ComplexPoly.from_roots(bset, 1.0))
     dset = []
     if d_poly.degree >= 1:
@@ -241,11 +227,9 @@ def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float 
     fac = factorize(T, seed=seed)
     cset, dset = condition_points(fac, seed=seed)
     base = cset[base_index % len(cset)]
-    scale = 1.0 + max(abs(b) for b in fac.branch_points)
 
-    distinct_d = [v for v, _ in grouped_multiset(dset, 1e-9 * scale)]
     targets = [(p, "prescribed") for p in cset if p != base]
-    targets += [(p, "bifurcation") for p in distinct_d]
+    targets += [(p, "bifurcation") for p in dict.fromkeys(dset)]
 
     entries = [ConditionEntry(base, "prescribed", 0.0, 0.0)]
     for point, kind in targets:

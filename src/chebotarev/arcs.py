@@ -18,8 +18,7 @@ import numpy as np
 
 from .connect import dist_to_interval
 from .errors import MatchingAmbiguity, NotATree
-from .poly import (ComplexPoly, UnionFind, cluster_roots, find_roots, grouped_multiset,
-                   structured_roots)
+from .poly import ComplexPoly, UnionFind, cluster_roots, find_roots, structured_roots
 
 
 @dataclass(frozen=True)
@@ -217,35 +216,22 @@ def junction_angles(T: ComplexPoly, vertex: complex, seed: int = 0) -> list:
     Measured by solving the level equation at two small offsets from the
     vertex level and extrapolating each incident direction to radius zero.
     Returns the sorted list of angles; successive gaps are 2*pi/kappa for a
-    zero of multiplicity kappa.
+    zero of multiplicity kappa, read off the nearest root cluster of T -+ 1.
     """
     vertex = complex(vertex)
-    p2 = T * T - 1.0
-    scale = 1.0 + abs(vertex)
-
-    # multiplicity of the vertex as a zero of T^2 - 1
-    mags = []
-    q = p2
-    factorial = 1.0
-    for j in range(p2.degree + 1):
-        mags.append(abs(q(vertex)) * scale**j / factorial)
-        q = q.derivative()
-        factorial *= j + 1
-    top = max(mags)
-    kappa = next(j for j, m in enumerate(mags) if m > 1e-6 * top)
-    if kappa < 2:
+    sign = 1.0 if T(vertex).real >= 0 else -1.0
+    near = min(structured_roots(T - sign, seed=seed), key=lambda c: abs(c.center - vertex))
+    kappa = near.multiplicity
+    if abs(near.center - vertex) > 1e-6 * (1.0 + abs(vertex)) or kappa < 2:
         raise ValueError("vertex must be a multiple zero of T^2 - 1")
-
-    t_val = T(vertex)
-    sign = 1.0 if t_val.real >= 0 else -1.0
 
     def directions(dtheta):
         level = float(np.cos(dtheta)) if sign > 0 else float(np.cos(np.pi - dtheta))
         roots = find_roots(T - level, seed=seed)
         roots.sort(key=lambda r: abs(r - vertex))
-        near = roots[:kappa]
-        radius = float(np.mean([abs(r - vertex) for r in near]))
-        return [float(np.angle(r - vertex)) for r in near], radius
+        ends = roots[:kappa]
+        radius = float(np.mean([abs(r - vertex) for r in ends]))
+        return [float(np.angle(r - vertex)) for r in ends], radius
 
     dirs_c, r_c = directions(2e-3)
     dirs_f, r_f = directions(1e-3)
@@ -273,8 +259,7 @@ def find_crossings(T: ComplexPoly, seed: int = 0, tol: float = 1e-7) -> list:
         img = T(w)
         if dist_to_interval(img) < tol and abs(img) < 1.0 - 1e-6:
             hits.append(w)
-    radius = 1e-6 * (1.0 + max((abs(w) for w in hits), default=0.0))
-    return [w for w, _ in grouped_multiset(hits, radius)]
+    return [c.center for c in cluster_roots(hits)]
 
 
 @dataclass(frozen=True)

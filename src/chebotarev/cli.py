@@ -19,7 +19,7 @@ from .arcs import arcs_to_csv, arcs_to_svg, build_graph, find_crossings, trace
 from .connect import complement_connected, grid_oracle, is_connected
 from .errors import ChebotarevError, DegenerateSolution, NoConvergence
 from .factor import factorize
-from .poly import ComplexPoly, grouped_multiset
+from .poly import ComplexPoly
 from .powersum import default_initial, solution_to_dict, solve, spec_from_dict
 
 EXIT_OK = 0
@@ -49,16 +49,22 @@ def _load_json(path):
 
 
 def _read_poly(doc) -> ComplexPoly:
-    if isinstance(doc, dict):
-        coeffs = doc["coeffs"]
-    else:
-        coeffs = doc
-    out = []
-    for c in coeffs:
-        if isinstance(c, (list, tuple)):
-            out.append(complex(float(c[0]), float(c[1])))
+    try:
+        if isinstance(doc, dict):
+            coeffs = doc["coeffs"]
         else:
-            out.append(complex(c))
+            coeffs = doc
+        if not isinstance(coeffs, list):
+            raise ValueError("malformed polynomial document: coefficients must be a list, "
+                             f"got {type(coeffs).__name__}")
+        out = []
+        for c in coeffs:
+            if isinstance(c, (list, tuple)):
+                out.append(complex(float(c[0]), float(c[1])))
+            else:
+                out.append(complex(c))
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed polynomial document: {exc}") from exc
     return ComplexPoly(out)
 
 
@@ -73,6 +79,8 @@ def cmd_solve(args) -> int:
     manifest = RunManifest("solve", args.spec, args.out, args.seed,
                            tol=args.tol, sweep=args.sweep)
     try:
+        if args.sweep < 0:
+            raise ValueError(f"--sweep must be >= 0, got {args.sweep}")
         doc = _load_json(args.spec)
         spec = spec_from_dict(doc)
     except ValueError as exc:
@@ -133,7 +141,7 @@ def cmd_verify(args) -> int:
                            tol=args.tol, resolution=args.resolution)
     try:
         T = _read_poly(_load_json(args.poly))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -197,7 +205,7 @@ def cmd_trace(args) -> int:
     manifest = RunManifest("trace", args.poly, args.out, args.seed, steps=args.steps)
     try:
         T = _read_poly(_load_json(args.poly))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -207,7 +215,7 @@ def cmd_trace(args) -> int:
 
     fac = factorize(T, seed=args.seed)
     cset, dset = condition_points(fac, seed=args.seed)
-    distinct_d = [d for d, _ in grouped_multiset(dset, 1e-6)]
+    distinct_d = list(dict.fromkeys(dset))
     doubles = [q for a in arcs for q in a.conjoined_through]
 
     out = Path(args.out)

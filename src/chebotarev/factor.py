@@ -43,6 +43,7 @@ class Factorization:
     the input; ``cofactor`` is monic of degree ``min_arcs - 1``.  The two
     residuals are the relative coefficient residuals of the rebuilt products
     ``B * U^2`` against ``T^2 - 1`` and ``n R U`` against ``T'``.
+    ``clusters`` holds the sorted root clusters of ``T - 1`` and ``T + 1``.
     """
 
     min_arcs: int
@@ -52,6 +53,7 @@ class Factorization:
     branch_points: tuple
     level_residual: float
     derivative_residual: float
+    clusters: tuple
 
 
 def factorize(T: ComplexPoly, seed: int = 0) -> Factorization:
@@ -143,7 +145,7 @@ def _factorize_with_radius(T: ComplexPoly, seed: int, cluster_tol: float) -> Fac
     derivative_residual = _check_reproduction(dT, n * (cofactor * square_part), "T'")
 
     return Factorization(ell, branch_poly, square_part, cofactor, branch_points,
-                         level_residual, derivative_residual)
+                         level_residual, derivative_residual, tuple(clusters))
 
 
 def _check_reproduction(target: ComplexPoly, rebuilt: ComplexPoly, label: str) -> float:

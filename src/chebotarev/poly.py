@@ -257,17 +257,6 @@ class UnionFind:
             self.count -= 1
 
 
-def grouped_multiset(points, tol: float) -> list:
-    """Collapse near-duplicates of a point list into (value, multiplicity)."""
-    out = []
-    for p in sorted((complex(q) for q in points), key=lambda w: (w.real, w.imag)):
-        if out and abs(p - out[-1][0]) <= tol:
-            out[-1] = (out[-1][0], out[-1][1] + 1)
-        else:
-            out.append((p, 1))
-    return out
-
-
 @dataclass(frozen=True)
 class RootCluster:
     """A group of raw root approximations treated as one multiple root."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chebotarev import (
+    ComplexPoly,
     NotATree,
     arcs_to_csv,
     arcs_to_svg,
@@ -114,6 +115,19 @@ class TestTraceQuartic:
                 assert dist_to_interval(T(s)) < 1e-8
 
 
+class TestFindCrossings:
+    @pytest.mark.parametrize("b2", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_double_critical_points_merge(self, b2, seed):
+        # (z^2 + b^2)^3 / b^6: the crossings +-ib are double zeros of T',
+        # whose smeared copies straddle other points in (real, imag) order
+        T = ComplexPoly([1.0, 0.0, 3.0 / b2, 0.0, 3.0 / b2**2, 0.0, 1.0 / b2**3])
+        hits = sorted(find_crossings(T, seed=seed), key=lambda w: w.imag)
+        b = math.sqrt(b2)
+        assert len(hits) == 2
+        assert abs(hits[0] + 1j * b) < 1e-6 and abs(hits[1] - 1j * b) < 1e-6
+
+
 class TestJunctionAngles:
     def test_straight_through_segment(self):
         angles = junction_angles(cheb2(), 0.0)
@@ -132,6 +146,16 @@ class TestJunctionAngles:
     def test_simple_zero_rejected(self):
         with pytest.raises(ValueError):
             junction_angles(cheb2(), 1.0)
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 20, 24])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_interior_extremum_of_classical_polynomial(self, n, k):
+        # cos(k pi / n) is a double zero of T_n^2 - 1: the segment runs
+        # straight through it
+        T = ComplexPoly(np.polynomial.chebyshev.cheb2poly([0] * n + [1]))
+        angles = junction_angles(T, math.cos(k * math.pi / n))
+        assert len(angles) == 2
+        assert all(abs(g - math.pi) < 1e-3 for g in _gaps(angles))
 
 
 class TestSolvedRectangleStructure:

@@ -51,6 +51,10 @@ class TestSolveCommand:
         bad.write_text(json.dumps({"n": 5, "nu": 4}))
         assert run("solve", bad, "--out", tmp_path) == 2
 
+    def test_negative_sweep_exits_2(self, tmp_path):
+        assert run("solve", FIXTURES / "rect_n5.json", "--out", tmp_path, "--sweep", "-1") == 2
+        assert not (tmp_path / "solution.json").exists()
+
     def test_unconvergeable_exits_3(self, tmp_path):
         doc = json.loads((FIXTURES / "rect_n7.json").read_text())
         doc["options"]["max_iter"] = 1
@@ -124,8 +128,11 @@ class TestVerifyCommand:
 
     def test_malformed_poly_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"wrong_key": [1, 2]}))
-        assert run("verify", bad, "--out", tmp_path) == 2
+        for doc in ({"wrong_key": [1, 2]}, 5, {"coeffs": 3}, {"coeffs": [[1]]}, [None, 1],
+                    {"coeffs": "1234"}):
+            bad.write_text(json.dumps(doc))
+            for command in ("verify", "trace"):
+                assert run(command, bad, "--out", tmp_path) == 2, (command, doc)
 
 
 class TestTraceCommand:

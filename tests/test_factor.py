@@ -39,6 +39,8 @@ def assert_factorization_consistent(T, fac, min_sep=1e-4):
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert abs(pts[i] - pts[j]) > min_sep
+    assert sum(c.multiplicity for c in fac.clusters) == 2 * T.degree
+    assert fac.branch_points == tuple(c.center for c in fac.clusters if c.multiplicity % 2 == 1)
 
 
 class TestKnownFactorizations:
