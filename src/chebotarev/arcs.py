@@ -3,13 +3,16 @@
 The inverse image of a degree-n polynomial consists of n analytic Jordan
 arcs whose endpoints are the zeros of T^2 - 1, counted with multiplicity.
 Writing the level as cos(theta), theta in [0, pi], each arc is swept by the
-n roots of T(z) - cos(theta): roots at consecutive levels are chained by a
-greedy global assignment against linearly extrapolated positions, which
-also carries chains straight through interior crossing points where plain
-nearest-neighbor matching would turn the corner.  A zero of T^2 - 1 of
-multiplicity kappa collects kappa arc ends meeting at equal angles
-2*pi/kappa; at double zeros the two incident arcs are conjoined into one
-analytic arc when their tangents are anti-parallel.
+n roots of T(z) - cos(theta).  Each level's roots are found by Aberth
+iteration warm-started at the chains' linearly extrapolated positions, so
+root i normally continues chain i; a greedy global assignment against the
+same extrapolated positions checks that pairing and decides it where two
+chains contend for one root.  Extrapolation carries chains straight through
+interior crossing points where plain nearest-neighbor matching would turn
+the corner.  A zero of T^2 - 1 of multiplicity kappa collects kappa arc
+ends meeting at equal angles 2*pi/kappa; at double zeros the two incident
+arcs are conjoined into one analytic arc when their tangents are
+anti-parallel.
 """
 
 from dataclasses import dataclass
@@ -57,29 +60,36 @@ class _Chain:
         return None
 
 
-def _greedy_assign(chains, candidates):
-    """Greedy global matching of chains to candidate roots, nearest first."""
-    preds = [c.predicted() for c in chains]
-    pairs = []
-    for i, p in enumerate(preds):
-        for j, cand in enumerate(candidates):
-            pairs.append((abs(cand - p), i, j))
-    pairs.sort(key=lambda t: (t[0], t[1], t[2]))
-    taken_chain = [False] * len(chains)
+def _greedy_assign(preds, candidates):
+    """Greedy global matching of predicted positions to candidates, nearest first.
+
+    When every row's nearest candidate (first on ties) is a different one,
+    that is already the greedy answer: each such pick is the smallest
+    remaining pair of its row and takes no column another row needs.  Only
+    otherwise are all pairs sorted by ``(dist, i, j)`` and taken in order.
+    """
+    dist = np.abs(np.asarray(candidates)[None, :] - np.asarray(preds)[:, None])
+    nearest = dist.argmin(axis=1).tolist()
+    rows = dist.tolist()
+    if len(set(nearest)) == len(nearest):
+        return [(j, row[j]) for j, row in zip(nearest, rows)]
+    pairs = sorted((d, i, j) for i, row in enumerate(rows) for j, d in enumerate(row))
+    taken_chain = [False] * len(preds)
     taken_cand = [False] * len(candidates)
-    assignment = [None] * len(chains)
-    for dist, i, j in pairs:
+    assignment = [None] * len(preds)
+    for d, i, j in pairs:
         if taken_chain[i] or taken_cand[j]:
             continue
         taken_chain[i] = True
         taken_cand[j] = True
-        assignment[i] = (j, dist)
+        assignment[i] = (j, d)
     return assignment
 
 
 def _advance(chains, T, theta_a, theta_b, seed, scale, depth=0):
     """Extend every chain from level theta_a to theta_b, refining on doubt.
 
+    The level's roots are warm-started at the chains' predicted positions.
     A large step is accepted without refinement when every contending
     candidate sits in one tight huddle: that is a level where several arcs
     pass through a common point, the choice within the huddle is immaterial,
@@ -87,16 +97,16 @@ def _advance(chains, T, theta_a, theta_b, seed, scale, depth=0):
     """
     if depth > 20:
         raise MatchingAmbiguity("level matching still ambiguous at refinement depth 20")
-    roots = find_roots(T - float(np.cos(theta_b)), seed=seed)
-    assignment = _greedy_assign(chains, roots)
+    preds = [c.predicted() for c in chains]
+    roots = find_roots(T - float(np.cos(theta_b)), seed=seed, initial=preds)
+    assignment = _greedy_assign(preds, roots)
 
     needs_refine = False
-    for chain, (j, dist) in zip(chains, assignment):
+    for chain, pred, (j, dist) in zip(chains, preds, assignment):
         prev = chain.last_step()
         allowance = 0.05 * scale if prev is None else 3.0 * prev + 0.01 * scale
         if dist <= allowance:
             continue
-        pred = chain.predicted()
         contenders = [r for r in roots if abs(r - pred) <= 1.5 * dist]
         spread = max(abs(a - b) for a in contenders for b in contenders)
         if spread <= 0.2 * dist:
@@ -151,7 +161,7 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0) -> list:
     for theta_a, theta_b in zip(grid[:-2], grid[1:-1]):
         _advance(chains, T, theta_a, theta_b, seed, scale)
 
-    assignment = _greedy_assign(chains, minus_roots)
+    assignment = _greedy_assign([c.predicted() for c in chains], minus_roots)
     for chain, (j, _) in zip(chains, assignment):
         chain.samples.append(minus_roots[j])
         chain.levels.append(float(np.pi))

@@ -21,6 +21,11 @@ CLUSTER_TOL = 1e-6
 
 _EPS = float(np.finfo(float).eps)
 
+#: Relative size of the fixed nudge that :func:`find_roots` gives every warm
+#: start, in golden-angle directions so that no symmetry survives it.
+_NUDGE = 1e-6
+_GOLDEN_ANGLE = float(np.pi * (3.0 - np.sqrt(5.0)))
+
 
 def _as_coeff_tuple(coeffs):
     cs = tuple(complex(c) for c in coeffs)
@@ -180,7 +185,7 @@ def _eval_with_bound(coeffs: np.ndarray, z: np.ndarray):
     return r, _EPS * (2.0 * e)
 
 
-def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = 500) -> list:
+def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = 500, initial=None) -> list:
     """All roots of ``p`` by Aberth-Ehrlich simultaneous iteration.
 
     Starts from a randomly perturbed circle (deterministic for a given
@@ -189,51 +194,101 @@ def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = 500) -> list:
     steps.  Multiple roots come back repeated, smeared over the usual
     ``eps**(1/multiplicity)`` disc; use :func:`cluster_roots` together with
     :func:`refine_multiple_root` to sharpen them.
+
+    ``initial``, when given, holds one finite start per root, for instance
+    the roots of a nearby polynomial; each start is nudged by a fixed
+    relative ``1e-6`` that does not depend on ``seed``, which also splits
+    coincident starts.  Root ``i`` then usually comes back near
+    ``initial[i]`` after a few sweeps.  If that run does not settle, the
+    roots are found once more from the seeded circle.  A run stops with
+    :class:`NoConvergence` at the first sweep whose iterate is not finite.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     a = np.array(p.coeffs, dtype=complex)
     a = a / a[-1]
     n = len(a) - 1
+    start = None if initial is None else _warm_start(initial, n)
     if n == 1:
         return [complex(-a[0])]
+    ad = a[1:] * np.arange(1, n + 1)
 
+    z = None
+    if start is not None:
+        try:
+            z = _aberth(a, ad, start, max_iter)
+        except NoConvergence:
+            pass
+    if z is None:
+        z = _aberth(a, ad, _circle_start(a, seed), max_iter)
+
+    pv = _horner_arr(a, z)
+    for _ in range(3):
+        dv = _horner_arr(ad, z)
+        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
+        z2 = z - pv / dv
+        pv2 = _horner_arr(a, z2)
+        better = np.abs(pv2) <= np.abs(pv)
+        z = np.where(better, z2, z)
+        pv = np.where(better, pv2, pv)  # Horner is pointwise: this is p(z)
+    return [complex(v) for v in z]
+
+
+def _warm_start(initial, n):
+    """Validated start vector from caller-given points, each nudged apart.
+
+    Point ``k`` moves by ``_NUDGE * (1 + |z_k|)`` in direction ``0.5 + k``
+    golden angles.  This splits coincident starts and breaks the symmetry
+    of real or conjugate-closed start sets, which Aberth iteration on a real
+    polynomial would otherwise keep for ever (real starts never reach a
+    complex root pair).
+    """
+    z = np.array([complex(v) for v in initial], dtype=complex)
+    if z.shape != (n,):
+        raise ValueError(f"initial needs {n} points, got {len(z)}")
+    if not np.isfinite(z).all():
+        raise ValueError("initial points must be finite")
+    turn = 0.5 + _GOLDEN_ANGLE * np.arange(n)
+    return z + _NUDGE * (1.0 + np.abs(z)) * np.exp(1j * turn)
+
+
+def _circle_start(a, seed):
+    """Randomly perturbed circle enclosing the roots, deterministic per seed."""
+    n = len(a) - 1
     rng = np.random.default_rng(seed)
     radius = 1.0 + float(np.max(np.abs(a[:-1])))
     ang = 2.0 * np.pi * (np.arange(n) + 0.37) / n + rng.uniform(-0.2, 0.2, n)
     rad = radius * (0.85 + 0.2 * rng.uniform(0.0, 1.0, n))
-    z = rad * np.exp(1j * ang)
-    ad = a[1:] * np.arange(1, n + 1)
+    return rad * np.exp(1j * ang)
 
-    settled = False
-    for _ in range(max_iter):
-        pv, bound = _eval_with_bound(a, z)
-        dv = _horner_arr(ad, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
-        den = 1.0 - w * s
-        den = np.where(np.abs(den) < 1e-300, 1e-300, den)
-        corr = w / den
-        z = z - corr
-        scale = 1.0 + np.abs(z)
-        done = (np.abs(corr) <= 1e-13 * scale) | (np.abs(pv) <= 8.0 * bound)
-        if bool(done.all()):
-            settled = True
-            break
-    if not settled:
-        raise NoConvergence(f"roots did not settle in {max_iter} sweeps; consider rescaling")
 
-    for _ in range(3):
-        pv = _horner_arr(a, z)
-        dv = _horner_arr(ad, z)
-        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
-        z2 = z - pv / dv
-        better = np.abs(_horner_arr(a, z2)) <= np.abs(pv)
-        z = np.where(better, z2, z)
-    return [complex(v) for v in z]
+def _aberth(a, ad, z, max_iter):
+    """Aberth-Ehrlich sweeps on monic ``a`` from ``z`` until every root settles.
+
+    Raises :class:`NoConvergence` at the cap, or at the first sweep whose
+    iterate is not finite (overflow spreads NaNs that never settle); the
+    floating-point warnings on the way there are silenced.
+    """
+    with np.errstate(all="ignore"):
+        for sweep in range(1, max_iter + 1):
+            pv, bound = _eval_with_bound(a, z)
+            dv = _horner_arr(ad, z)
+            dv = np.where(dv == 0, 1e-300, dv)
+            w = pv / dv
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            s = (1.0 / diff).sum(axis=1)
+            den = 1.0 - w * s
+            den = np.where(np.abs(den) < 1e-300, 1e-300, den)
+            corr = w / den
+            z = z - corr
+            if not np.isfinite(z).all():
+                raise NoConvergence(f"root iterate became non-finite at sweep {sweep}")
+            scale = 1.0 + np.abs(z)
+            done = (np.abs(corr) <= 1e-13 * scale) | (np.abs(pv) <= 8.0 * bound)
+            if bool(done.all()):
+                return z
+    raise NoConvergence(f"roots did not settle in {max_iter} sweeps; consider rescaling")
 
 
 class UnionFind:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from chebotarev import arcs as arcs_module
+from chebotarev import poly as poly_module
 from chebotarev import (
     ComplexPoly,
     NotATree,
@@ -113,6 +115,42 @@ class TestTraceQuartic:
         for arc in trace(T, steps=128):
             for s in arc.samples:
                 assert dist_to_interval(T(s)) < 1e-8
+
+
+class TestWarmStartedLevels:
+    def test_every_level_solve_is_warm_and_settles(self, monkeypatch):
+        real_find, real_circle = arcs_module.find_roots, poly_module._circle_start
+        level_solves, retries = [], []
+
+        def spy_find(p, *args, **kwargs):
+            level_solves.append(kwargs.get("initial") is not None)
+            retries.append(0)
+            return real_find(p, *args, **kwargs)
+
+        def spy_circle(a, seed):
+            if retries:
+                retries[-1] += 1
+            return real_circle(a, seed)
+
+        monkeypatch.setattr(arcs_module, "find_roots", spy_find)
+        monkeypatch.setattr(poly_module, "_circle_start", spy_circle)
+        T = ComplexPoly(np.polynomial.chebyshev.cheb2poly([0] * 24 + [1]))
+        arcs = trace(T, steps=256)
+        assert len(arcs) == 1
+        assert len(level_solves) >= 255 and all(level_solves)
+        assert not any(retries)
+
+    def test_arc_pairing_does_not_depend_on_seed(self):
+        # t4(2) has two interior crossings; cold level solves paired the arc
+        # ends through them in four ways over these seeds
+        def key(w):
+            return (round(w.real, 6) + 0.0, round(w.imag, 6) + 0.0)
+
+        pairings = set()
+        for seed in range(6):
+            arcs = trace(t4(2.0), steps=128, seed=seed)
+            pairings.add(tuple((key(a.start_point), key(a.end_point)) for a in arcs))
+        assert len(pairings) == 1
 
 
 class TestFindCrossings:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from chebotarev import (
     ComplexPoly,
+    NoConvergence,
     RemainderTooLarge,
     cluster_roots,
     divide_exact,
     find_roots,
     structured_roots,
 )
+from chebotarev import poly as poly_module
 
 
 def coeffs_close(p, q, tol=1e-12):
@@ -118,6 +121,86 @@ class TestFindRoots:
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
             find_roots(ComplexPoly([2.0]))
+
+
+def _chebyshev(n):
+    return ComplexPoly(np.polynomial.chebyshev.cheb2poly([0] * n + [1]))
+
+
+def _max_matched_gap(roots, reference):
+    """Largest distance after pairing each root with its nearest reference;
+    the pairing must be one to one."""
+    nearest = [min(range(len(reference)), key=lambda j: abs(r - reference[j])) for r in roots]
+    assert sorted(nearest) == list(range(len(reference)))
+    return max(abs(r - reference[j]) for r, j in zip(roots, nearest))
+
+
+class TestWarmStart:
+    def test_chebyshev_level_matches_cold_roots(self):
+        # started from the roots one level step away, as the tracer does
+        T = _chebyshev(24)
+        start = find_roots(T - math.cos(0.31))
+        warm = find_roots(T - math.cos(0.3), initial=start)
+        cold = find_roots(T - math.cos(0.3))
+        # root i continues start i
+        for i, s in enumerate(start):
+            assert min(range(24), key=lambda j: abs(warm[j] - s)) == i
+        # the monomial form of T_24 - c fixes its simple roots only to ~1e-9
+        # (cold solves from seeds 0 and 5 differ by 6e-10)
+        exact = [math.cos((0.3 + 2 * math.pi * k) / 24) for k in range(24)]
+        assert _max_matched_gap(warm, cold) < 5e-9
+        assert _max_matched_gap(warm, exact) < 5e-9
+
+    def test_coincident_starts_split(self):
+        p = ComplexPoly.from_roots([0.3, 0.3, -1.0])
+        warm = find_roots(p, initial=[0.3, 0.3, -1.0])
+        cold = find_roots(p)
+        # the double root is smeared over ~sqrt(eps); the simple one is sharp
+        assert _max_matched_gap(warm, cold) < 1e-7
+        assert min(abs(r + 1.0) for r in warm) < 1e-13
+        assert sum(abs(r - 0.3) < 1e-7 for r in warm) == 2
+
+    def test_does_not_depend_on_seed(self):
+        T = _chebyshev(16)
+        start = find_roots(T - math.cos(0.5))
+        runs = {tuple(find_roots(T - math.cos(0.51), seed=s, initial=start)) for s in range(4)}
+        assert len(runs) == 1
+
+    def test_real_starts_reach_complex_roots(self, monkeypatch):
+        # real starts on a real polynomial would stay real without the nudge,
+        # leaving only the retry from the seeded circle, here disabled
+        def no_circle(a, seed):
+            raise AssertionError("warm start did not settle")
+
+        monkeypatch.setattr(poly_module, "_circle_start", no_circle)
+        roots = find_roots(ComplexPoly([0.0123, 0, 1]), initial=[0.11, -0.11])
+        assert _max_matched_gap(roots, [0.0123 ** 0.5 * 1j, -(0.0123 ** 0.5) * 1j]) < 1e-13
+
+    @pytest.mark.parametrize("initial", [
+        [0.1], [0.1, 0.2], [0.1, 0.2, 0.3, 0.4],
+        [0.1, float("nan"), 0.3], [0.1, complex(0, float("inf")), 0.3],
+    ])
+    def test_bad_initial_rejected(self, initial):
+        with pytest.raises(ValueError):
+            find_roots(ComplexPoly.from_roots([1, 2, 3]), initial=initial)
+
+
+class TestNonFiniteIterate:
+    def test_stops_at_first_non_finite_sweep(self):
+        # a 32-fold zero: the iterates collapse until a quotient overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match="non-finite at sweep") as info:
+                find_roots(ComplexPoly([0] * 32 + [1]))
+        assert int(str(info.value).rsplit(" ", 1)[1]) < 500
+
+    def test_is_connected_reports_it(self):
+        from chebotarev import is_connected
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match="non-finite"):
+                is_connected(ComplexPoly([0] * 32 + [1]))
 
 
 class TestClusterRoots:
