@@ -54,6 +54,7 @@ from .errors import (
 from .factor import Factorization, factorize, verify_cosh_representation
 from .poly import (
     ComplexPoly,
+    LevelForm,
     RootCluster,
     cluster_roots,
     divide_exact,

@@ -214,17 +214,20 @@ def _phi(fac: Factorization, base: complex, target: complex, quad_tol: float):
 
 
 def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float = 1e-6,
-                                base_index: int = 0, quad_tol: float = 1e-9) -> ConditionReport:
+                                base_index: int = 0, quad_tol: float = 1e-9,
+                                fac: Factorization = None) -> ConditionReport:
     """Evaluate Re Phi at every prescribed and bifurcation point.
 
     The continuum solves the minimal-capacity problem for its prescribed
     points exactly when all these real parts vanish; the report carries the
     measured values and quadrature error estimates.  Requires a connected
-    inverse image.
+    inverse image.  ``fac``, when given, is the factorization of ``T``
+    already at hand; otherwise ``T`` is factorized here.
     """
     if not is_connected(T, seed=seed):
         raise ValueError("conditions are only defined for a connected inverse image")
-    fac = factorize(T, seed=seed)
+    if fac is None:
+        fac = factorize(T, seed=seed)
     cset, dset = condition_points(fac, seed=seed)
     base = cset[base_index % len(cset)]
 

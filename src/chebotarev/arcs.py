@@ -138,18 +138,25 @@ def _tangent_at_start(samples):
     return 1.5 * a1 - 0.5 * a2
 
 
-def trace(T: ComplexPoly, steps: int = 256, seed: int = 0) -> list:
+def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
     """Sweep the level parameter and chain the roots into analytic arcs.
 
-    Endpoint root sets are computed from refined multiplicity clusters, so
-    arcs terminate on multiple zeros at full accuracy.  Chains whose shared
-    endpoint is a double zero of T^2 - 1 are conjoined when anti-parallel.
+    Endpoint root sets are refined multiplicity clusters, so arcs terminate
+    on multiple zeros at full accuracy: those of ``fac``, the factorization
+    of ``T``, when one is given, split by the sign of ``T`` at each center,
+    and otherwise the clusters of T - 1 and T + 1 found here.  Chains whose
+    shared endpoint is a double zero of T^2 - 1 are conjoined when
+    anti-parallel.
     """
     if steps < 64:
         raise ValueError("steps must be at least 64")
     n = T.degree
-    plus_clusters = structured_roots(T - 1.0, seed=seed)
-    minus_clusters = structured_roots(T + 1.0, seed=seed)
+    if fac is None:
+        plus_clusters = structured_roots(T - 1.0, seed=seed)
+        minus_clusters = structured_roots(T + 1.0, seed=seed)
+    else:
+        plus_clusters = [c for c in fac.clusters if T(c.center).real >= 0]
+        minus_clusters = [c for c in fac.clusters if T(c.center).real < 0]
     plus_roots = _expanded(plus_clusters)
     minus_roots = _expanded(minus_clusters)
     if len(plus_roots) != n or len(minus_roots) != n:

@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
         ],
         "passed": verdict.connected,
     }
-    grid = grid_oracle(T, resolution=args.resolution, seed=args.seed)
+    grid = grid_oracle(T, resolution=args.resolution, seed=args.seed, fac=fac)
     agreement = verdict.connected == (grid.component_count == 1)
     report["grid"] = {
         "component_count": grid.component_count,
@@ -179,7 +179,7 @@ def cmd_verify(args) -> int:
     report["min_deviation"] = min_deviation(T)
 
     if verdict.connected:
-        conditions = check_chebotarev_conditions(T, seed=args.seed, threshold=tol)
+        conditions = check_chebotarev_conditions(T, seed=args.seed, threshold=tol, fac=fac)
         report["conditions"] = conditions.to_dict()
         conditions_ok = conditions.passed
     else:
@@ -209,11 +209,11 @@ def cmd_trace(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    arcs = trace(T, steps=args.steps, seed=args.seed)
+    fac = factorize(T, seed=args.seed)
+    arcs = trace(T, steps=args.steps, seed=args.seed, fac=fac)
     crossings = find_crossings(T, seed=args.seed)
     graph = build_graph(arcs, crossing_points=crossings)
 
-    fac = factorize(T, seed=args.seed)
     cset, dset = condition_points(fac, seed=args.seed)
     distinct_d = list(dict.fromkeys(dset))
     doubles = [q for a in arcs for q in a.conjoined_through]

@@ -96,12 +96,13 @@ class GridReport:
 
 
 def grid_oracle(T: ComplexPoly, params: MembershipParams = None,
-                resolution: int = 512, seed: int = 0) -> GridReport:
+                resolution: int = 512, seed: int = 0, fac=None) -> GridReport:
     """Brute-force connectivity oracle on a pixel grid.
 
-    The box is the bounding box of the zeros of T^2 - 1 inflated by 20%;
-    they are found as the zeros of T - 1 and T + 1, whose multiple roots
-    smear far less than those of the product.
+    The box is the bounding box of the zeros of T^2 - 1 inflated by 20%.
+    They are the cluster centers of ``fac``, the factorization of ``T``,
+    when one is given, and otherwise the roots of T - 1 and T + 1, whose
+    multiple roots smear far less than those of the product.
     A cell is a member when the image of its center lies within
     ``max(tol_member, LIPSCHITZ_FACTOR * h * max |T'| over the cell corners)``
     of [-1, 1]; the local Lipschitz bound keeps thin arcs from slipping
@@ -111,7 +112,10 @@ def grid_oracle(T: ComplexPoly, params: MembershipParams = None,
         raise ValueError("resolution must be at least 64")
     if params is None:
         params = MembershipParams()
-    roots = find_roots(T - 1.0, seed=seed) + find_roots(T + 1.0, seed=seed)
+    if fac is None:
+        roots = find_roots(T - 1.0, seed=seed) + find_roots(T + 1.0, seed=seed)
+    else:
+        roots = [c.center for c in fac.clusters]
     xs = [r.real for r in roots]
     ys = [r.imag for r in roots]
     cx, cy = (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2

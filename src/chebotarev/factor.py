@@ -14,6 +14,11 @@ T'(z) = n * R(z) * U(z), and away from the inverse image of [-1, 1]
 
 for any zero a of B.  The number ell is the minimal number of analytic arcs
 the inverse image of [-1, 1] under T consists of.
+
+The multiplicities are read from root clusters of T - 1 and T + 1.  A solved
+polynomial carries its level form, the zeros and multiplicities it was built
+from, and :func:`factorize` then takes them from there without root finding;
+the reproduction checks run either way.
 """
 
 from dataclasses import dataclass
@@ -59,37 +64,50 @@ class Factorization:
 def factorize(T: ComplexPoly, seed: int = 0) -> Factorization:
     """Compute the unique splitting T^2 - 1 = B * U^2 and T' = n R U.
 
-    Multiplicities come from clustering the roots of T^2 - 1; cluster
-    centers are re-polished on the appropriate derivative so the rebuilt
-    products reproduce the inputs to ~1e-12.  The clustering radius climbs
-    the ladder until the reproduction checks pass; if no rung works,
+    A polynomial that carries its :class:`~chebotarev.poly.LevelForm` (every
+    ``Solution.poly`` does) is split on those known zeros and
+    multiplicities, with no root finding.  Otherwise, or when the level form
+    fails a check, multiplicities come from clustering the roots of T^2 - 1;
+    cluster centers are re-polished on the appropriate derivative so the
+    rebuilt products reproduce the inputs to ~1e-12.  The clustering radius
+    climbs the ladder until the reproduction checks pass; if no rung works,
     :class:`InconsistentFactorization` propagates, signalling a root-finding
-    failure upstream.
+    failure upstream.  Every candidate runs the same checks.
     """
     n = T.degree
     if n < 1 or T.is_zero():
         raise ValueError("factorize needs degree >= 1")
     last_exc = None
-    for tol in CLUSTER_TOL_LADDER:
+    for clusters in _candidate_clusters(T, seed):
+        clusters.sort(key=lambda c: (c.center.real, c.center.imag))
         try:
-            return _factorize_with_radius(T, seed, tol)
+            return _split(T, clusters)
         except InconsistentFactorization as exc:
             last_exc = exc
     raise last_exc
 
 
-def _factorize_with_radius(T: ComplexPoly, seed: int, cluster_tol: float) -> Factorization:
+def _candidate_clusters(T: ComplexPoly, seed: int):
+    """Cluster lists of the zeros of T^2 - 1 to try, the level form first.
+
+    Each rung of the ladder is root-found only when the candidates before it
+    have failed.
+    """
+    if T.level is not None:
+        yield T.level.clusters()
+    for tol in CLUSTER_TOL_LADDER:
+        # T^2 - 1 factors exactly into (T - 1)(T + 1), which share no zeros;
+        # rooting the halves separately halves the degree and the coefficient
+        # scale, which shrinks the multiple-root smear considerably.
+        yield (structured_roots(T - 1.0, seed=seed, tol=tol)
+               + structured_roots(T + 1.0, seed=seed, tol=tol))
+
+
+def _split(T: ComplexPoly, clusters: list) -> Factorization:
+    """The factorization on the given sorted clusters, or InconsistentFactorization."""
     n = T.degree
     tau = T.leading
     p2 = T * T - 1.0
-    # T^2 - 1 factors exactly into (T - 1)(T + 1), which share no zeros;
-    # rooting the halves separately halves the degree and the coefficient
-    # scale, which shrinks the multiple-root smear considerably.
-    clusters = sorted(
-        structured_roots(T - 1.0, seed=seed, tol=cluster_tol)
-        + structured_roots(T + 1.0, seed=seed, tol=cluster_tol),
-        key=lambda c: (c.center.real, c.center.imag),
-    )
 
     odd = [c for c in clusters if c.multiplicity % 2 == 1]
     if len(odd) % 2 != 0:

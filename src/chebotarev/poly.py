@@ -6,7 +6,7 @@ the moderate degrees that inverse-image constructions actually produce, so
 dense arithmetic in double precision is the right tool.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,14 +39,36 @@ def _as_coeff_tuple(coeffs):
 
 
 @dataclass(frozen=True)
+class LevelForm:
+    """Known zeros of ``T - 1`` and ``T + 1``: ``T = 1 + tau prod (z - p)^m``.
+
+    ``plus`` and ``minus`` hold ``(point, multiplicity)`` pairs, the zeros of
+    ``T - 1`` and of ``T + 1``; both products have leading coefficient
+    ``tau``.  A constructed polynomial carries this form from the points it
+    was built on, so its multiplicity structure need not be root-found again.
+    """
+
+    tau: complex
+    plus: tuple
+    minus: tuple
+
+    def clusters(self):
+        """One exact :class:`RootCluster` per zero, those of ``T - 1`` first."""
+        return [RootCluster(p, m, (p,) * m) for p, m in self.plus + self.minus]
+
+
+@dataclass(frozen=True)
 class ComplexPoly:
     """Immutable dense polynomial with complex coefficients.
 
     The zero polynomial is represented as the single coefficient ``(0j,)``;
-    every other instance has a nonzero leading coefficient.
+    every other instance has a nonzero leading coefficient.  ``level``, when
+    present, is the :class:`LevelForm` the polynomial was built from; it
+    takes no part in equality, hashing or repr, and arithmetic drops it.
     """
 
     coeffs: tuple
+    level: LevelForm = field(default=None, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeff_tuple(self.coeffs))

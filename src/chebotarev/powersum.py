@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSolution, InconsistentFactorization, NoConvergence, PowerSumViolation
-from .poly import ComplexPoly
+from .poly import ComplexPoly, LevelForm
 
 ROLES = ("c", "d", "z")
 _ROLE_WEIGHT = {"c": 1.0, "d": 3.0, "z": 2.0}
@@ -427,16 +427,9 @@ def build_polynomial(config: SignConfig, points) -> tuple:
     point; every further negative-sign point is then checked to satisfy
     T = -1 to 1e-8.
     """
-    plus_roots = []
-    minus_points = []
-    for role, mult in (("c", 1), ("d", 3), ("z", 2)):
-        signs = config.signs_for(role)
-        for idx, s in enumerate(signs):
-            p = complex(points[role][idx])
-            if s == 1:
-                plus_roots.extend([p] * mult)
-            else:
-                minus_points.extend([p] * mult)
+    plus, minus = _signed_points(config, points)
+    plus_roots = [p for p, mult in plus for _ in range(mult)]
+    minus_points = [p for p, mult in minus for _ in range(mult)]
     assert minus_points, "sign balance guarantees at least one negative point"
     z_minus = minus_points[0]
     prod = 1.0 + 0j
@@ -452,6 +445,19 @@ def build_polynomial(config: SignConfig, points) -> tuple:
                 f"rebuilt polynomial misses -1 at negative-sign point {p:.6g}"
             )
     return T, tau
+
+
+def _signed_points(config: SignConfig, points) -> tuple:
+    """``(plus, minus)``: the ``(point, multiplicity)`` pairs of each sign.
+
+    Simple, triple and double points have multiplicities 1, 3 and 2; the
+    positive-sign ones are the zeros of ``T - 1``, the others those of ``T + 1``.
+    """
+    plus, minus = [], []
+    for role, mult in (("c", 1), ("d", 3), ("z", 2)):
+        for p, s in zip(points[role], config.signs_for(role)):
+            (plus if s == 1 else minus).append((complex(p), mult))
+    return tuple(plus), tuple(minus)
 
 
 def _check_distinct(values, tol=DISTINCT_TOL):
@@ -471,6 +477,11 @@ def solve(spec: ProblemSpec, initial=None) -> Solution:
     10 on rejected / accepted steps.  Raises :class:`NoConvergence` when the
     iteration cap is hit above tolerance and :class:`DegenerateSolution`
     when solved points collide.
+
+    The returned ``Solution.poly`` carries its :class:`LevelForm`: the
+    solved points with their signs and multiplicities, checked against the
+    product identity for ``T^2 - 1``.  ``factorize`` splits it on those
+    points without root finding.
     """
     x = np.asarray(default_initial(spec) if initial is None else initial, dtype=float)
     layout = unknown_layout(spec)
@@ -513,20 +524,19 @@ def solve(spec: ProblemSpec, initial=None) -> Solution:
     points = _points_by_role(spec.config, mapping)
     T, tau = build_polynomial(spec.config, points)
 
-    _verify_product_identity(spec.config, points, T, tau)
+    level = LevelForm(tau, *_signed_points(spec.config, points))
+    _verify_product_identity(level, T)
+    T = ComplexPoly(T.coeffs, level)
 
     n = spec.config.degree
     capacity = float((2.0 * abs(tau)) ** (-1.0 / n))
     return Solution(spec.config, points, tau, T, res_inf, capacity, tuple(float(v) for v in x))
 
 
-def _verify_product_identity(config, points, T, tau):
-    """T^2 - 1 must equal tau^2 times the full root product."""
-    all_roots = []
-    for role, mult in (("c", 1), ("d", 3), ("z", 2)):
-        for p in points[role]:
-            all_roots.extend([p] * mult)
-    rhs = ComplexPoly.from_roots(all_roots, tau * tau)
+def _verify_product_identity(level: LevelForm, T: ComplexPoly):
+    """T^2 - 1 must equal tau^2 times the full root product of the level form."""
+    all_roots = [p for p, mult in level.plus + level.minus for _ in range(mult)]
+    rhs = ComplexPoly.from_roots(all_roots, level.tau * level.tau)
     lhs = T * T - 1.0
     diff = lhs - rhs
     bound = 1e-8 * (1.0 + max(abs(c) for c in lhs.coeffs))

@@ -234,6 +234,19 @@ class TestConditions:
         with pytest.raises(ValueError):
             check_chebotarev_conditions(t3(2.0))
 
+    @pytest.mark.parametrize("T", [star(5), t4(2.0)], ids=["star5", "t4a2"])
+    def test_given_factorization_is_used(self, T, monkeypatch):
+        import chebotarev.analysis as analysis_module
+
+        fac = factorize(T)
+        expected = check_chebotarev_conditions(T)
+
+        def no_factorize(*args, **kwargs):
+            raise AssertionError("factorize called although fac was given")
+
+        monkeypatch.setattr(analysis_module, "factorize", no_factorize)
+        assert check_chebotarev_conditions(T, fac=fac) == expected
+
     def test_report_serializes(self):
         import json
         doc = check_chebotarev_conditions(cheb2()).to_dict()

@@ -12,6 +12,7 @@ from chebotarev import (
     arcs_to_svg,
     build_graph,
     dist_to_interval,
+    factorize,
     find_crossings,
     grid_oracle,
     junction_angles,
@@ -228,6 +229,30 @@ class TestSolvedRectangleStructure:
         for arc in trace(T, steps=128):
             for e in (arc.start_point, arc.end_point):
                 assert abs(T(e) ** 2 - 1.0) < 1e-10
+
+
+class TestTraceFromFactorization:
+    @pytest.mark.parametrize("T", [cheb2(), star(5), t4(2.0)],
+                             ids=["cheb2", "star5", "t4a2"])
+    def test_same_arcs_as_own_level_roots(self, T, monkeypatch):
+        expected = trace(T, steps=128)
+        fac = factorize(T)
+
+        def no_clusters(*args, **kwargs):
+            raise AssertionError("level roots solved although fac was given")
+
+        monkeypatch.setattr(arcs_module, "structured_roots", no_clusters)
+        assert trace(T, steps=128, fac=fac) == expected
+
+    def test_level_form_endpoints_are_the_solved_points(self, solved_rect):
+        sol = solved_rect(7)
+        points = {p for pts in sol.points.values() for p in pts}
+        arcs = trace(sol.poly, steps=128, fac=factorize(sol.poly))
+        ends = {e for a in arcs for e in (a.start_point, a.end_point)}
+        ends |= {q for a in arcs for q in a.conjoined_through}
+        assert ends == points
+        graph = build_graph(arcs, expect_tree=True)
+        assert graph.leaf_count == 4 and len(graph.edges) == 5
 
 
 class TestTraceCubicFamily:

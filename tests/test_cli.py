@@ -1,13 +1,20 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
+import chebotarev.factor as factor_module
+import chebotarev.poly as poly_module
 from chebotarev import ComplexPoly, factorize
 from chebotarev.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+#: ``report.json`` of ``verify --resolution 256`` and ``trace.json`` of
+#: ``trace --steps 128``, manifest removed, as written before ``verify`` and
+#: ``trace`` shared one factorization between their stages.
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(*argv):
@@ -226,6 +233,80 @@ class TestEveryFixtureRunsEndToEnd:
         assert run("trace", FIXTURES / name, "--out", tmp_path,
                    "--steps", "128") == 0
         assert time.perf_counter() - start < 60.0
+
+
+def _spy_everywhere(monkeypatch, real):
+    """Replace ``real`` in every chebotarev module that holds it; return the call list."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chebotarev") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, spy)
+    return calls
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    return _spy_everywhere(monkeypatch, factor_module.factorize)
+
+
+@pytest.fixture
+def root_solves(monkeypatch):
+    return _spy_everywhere(monkeypatch, poly_module.find_roots)
+
+
+def _repeated(polys):
+    seen, out = set(), []
+    for p in polys:
+        if p in seen:
+            out.append(p)
+        seen.add(p)
+    return out
+
+
+def _solved_poly_file(tmp_path, problem):
+    assert run("solve", FIXTURES / problem, "--out", tmp_path) == 0
+    solution = json.loads((tmp_path / "solution.json").read_text())
+    path = tmp_path / f"solved_{problem}"
+    path.write_text(json.dumps({"coeffs": solution["coeffs"]}))
+    return path
+
+
+class TestOneFactorizationPerRun:
+    @pytest.mark.parametrize("name", ["star5.json", "t4_alpha2.json"])
+    def test_verify_factorizes_once(self, name, tmp_path, factorize_calls, root_solves):
+        assert run("verify", FIXTURES / name, "--out", tmp_path, "--resolution", "64") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["conditions"]["passed"] is True
+        assert len(factorize_calls) == 1
+        # the conditions re-check connectivity on their own: the T' solve is
+        # the only one made twice
+        T = factorize_calls[0]
+        assert _repeated(root_solves) == [T.derivative()]
+
+    @pytest.mark.parametrize("name", ["star5.json", "t4_alpha2.json", "cheb2.json"])
+    def test_trace_factorizes_once(self, name, tmp_path, factorize_calls, root_solves):
+        assert run("trace", FIXTURES / name, "--out", tmp_path, "--steps", "64") == 0
+        assert len(factorize_calls) == 1
+        assert _repeated(root_solves) == []
+
+    @pytest.mark.parametrize("name", ["rect_n7", "star5"])
+    def test_outputs_match_frozen_documents(self, name, tmp_path):
+        if name.startswith("rect_"):
+            path = _solved_poly_file(tmp_path, f"{name}.json")
+        else:
+            path = FIXTURES / f"{name}.json"
+        assert run("verify", path, "--out", tmp_path, "--resolution", "256") == 0
+        assert run("trace", path, "--out", tmp_path, "--steps", "128") == 0
+        for command, output in (("verify", "report.json"), ("trace", "trace.json")):
+            doc = json.loads((tmp_path / output).read_text())
+            assert doc.pop("manifest")["subcommand"] == command
+            expected = json.loads((GOLDEN / f"{command}_{name}.json").read_text())
+            assert doc == expected, (command, name)
 
 
 class TestEnumerateCommand:

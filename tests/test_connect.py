@@ -15,6 +15,9 @@ from chebotarev import (
     is_connected,
 )
 
+import chebotarev.connect as connect_module
+from chebotarev import factorize
+
 from conftest import cheb2, cross, star, t3, t4, two_intervals
 
 
@@ -115,6 +118,22 @@ class TestGridOracle:
         T = ComplexPoly(np.polynomial.chebyshev.cheb2poly([0] * 24 + [1]))
         bbox = grid_oracle(T, resolution=64).bbox
         assert np.allclose(bbox, (-1.32, -0.12, 1.32, 0.12), rtol=0, atol=1e-4)
+
+    @pytest.mark.parametrize("T", [star(5), t4(2.0), t3(0.5), two_intervals()],
+                             ids=["star5", "t4a2", "t3a05", "twoseg"])
+    def test_box_from_factorization_clusters(self, T, monkeypatch):
+        # the refined cluster centres bound the same raster as the raw roots
+        expected = grid_oracle(T, resolution=256)
+        fac = factorize(T)
+
+        def no_roots(*args, **kwargs):
+            raise AssertionError("root solve although fac was given")
+
+        monkeypatch.setattr(connect_module, "find_roots", no_roots)
+        report = grid_oracle(T, resolution=256, fac=fac)
+        assert np.allclose(report.bbox, expected.bbox, rtol=0, atol=1e-9)
+        assert report.component_count == expected.component_count
+        assert np.array_equal(report.member, expected.member)
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):

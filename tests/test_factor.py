@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import chebotarev.poly as poly_module
 from chebotarev import (
     ComplexPoly,
     PathTooClose,
@@ -236,3 +237,72 @@ class TestRandomStructuredPolynomials:
             # the T-1 side plus the n simple zeros of T+1
             assert fac.min_arcs == (2 + 1 + n) // 2
             assert_factorization_consistent(T, fac)
+
+
+RECTANGLES = [(5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (9, 2)]
+RECT_IDS = ["n5", "n6", "n7", "n8", "n9s1", "n9s2"]
+
+
+@pytest.fixture
+def root_solves(monkeypatch):
+    """Counts the calls of ``poly.find_roots``, through which every root solve goes."""
+    calls = []
+    real = poly_module.find_roots
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(poly_module, "find_roots", spy)
+    return calls
+
+
+class TestLevelForm:
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_solution_carries_its_zeros(self, key, solved_rect):
+        sol = solved_rect(*key)
+        T, level = sol.poly, sol.poly.level
+        assert level is not None and level.tau == sol.tau
+        for pairs, value in ((level.plus, 1.0), (level.minus, -1.0)):
+            assert sum(m for _, m in pairs) == T.degree
+            for p, _ in pairs:
+                assert abs(T(p) - value) < 1e-9
+        points = sorted((p for pts in sol.points.values() for p in pts),
+                        key=lambda w: (w.real, w.imag))
+        assert sorted((c.center for c in level.clusters()),
+                      key=lambda w: (w.real, w.imag)) == points
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_factorize_makes_no_root_solve(self, key, solved_rect, root_solves):
+        sol = solved_rect(*key)
+        fac = factorize(sol.poly)
+        assert root_solves == []
+        assert_factorization_consistent(sol.poly, fac)
+
+        plain = factorize(ComplexPoly(sol.poly.coeffs))
+        assert len(root_solves) >= 2
+        assert fac.min_arcs == plain.min_arcs
+        assert ([c.multiplicity for c in fac.clusters]
+                == [c.multiplicity for c in plain.clusters])
+        for a, b in zip(fac.branch_points, plain.branch_points):
+            assert abs(a - b) < 1e-10
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_level_form_leaves_identity_alone(self, key, solved_rect):
+        T = solved_rect(*key).poly
+        plain = ComplexPoly(T.coeffs)
+        assert T == plain and hash(T) == hash(plain)
+        assert repr(T) == repr(plain)
+        assert (T + 0).level is None
+        assert (T * 1).level is None
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_foreign_level_form_falls_back_to_root_solves(self, key, solved_rect,
+                                                          root_solves):
+        # the next rectangle in the list; n9 system 1 and 2 share the degree
+        other = RECTANGLES[(RECTANGLES.index(key) + 1) % len(RECTANGLES)]
+        T = solved_rect(*key).poly
+        wrong = ComplexPoly(T.coeffs, solved_rect(*other).poly.level)
+        fac = factorize(wrong)
+        assert len(root_solves) >= 2
+        assert fac == factorize(ComplexPoly(T.coeffs))
