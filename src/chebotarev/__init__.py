@@ -81,6 +81,6 @@ from .powersum import (
     spec_from_dict,
     unknown_layout,
 )
-from .quadrature import BranchState, QuadraturePath, path_integral
+from .quadrature import QuadraturePath, path_integral
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connect import is_connected
+from .connect import ConnectivityVerdict, is_connected
 from .factor import Factorization, factorize
 from .poly import ComplexPoly, cluster_roots, divide_exact, structured_roots
 from .quadrature import QuadraturePath, check_clearance, path_integral, point_segment_distance
@@ -215,16 +215,19 @@ def _phi(fac: Factorization, base: complex, target: complex, quad_tol: float):
 
 def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float = 1e-6,
                                 base_index: int = 0, quad_tol: float = 1e-9,
-                                fac: Factorization = None) -> ConditionReport:
+                                fac: Factorization = None,
+                                verdict: ConnectivityVerdict = None) -> ConditionReport:
     """Evaluate Re Phi at every prescribed and bifurcation point.
 
     The continuum solves the minimal-capacity problem for its prescribed
     points exactly when all these real parts vanish; the report carries the
     measured values and quadrature error estimates.  Requires a connected
-    inverse image.  ``fac``, when given, is the factorization of ``T``
-    already at hand; otherwise ``T`` is factorized here.
+    inverse image.  ``fac`` and ``verdict``, when given, are the factorization
+    and the :func:`is_connected` verdict of ``T`` already at hand.
     """
-    if not is_connected(T, seed=seed):
+    if verdict is None:
+        verdict = is_connected(T, seed=seed)
+    if not verdict:
         raise ValueError("conditions are only defined for a connected inverse image")
     if fac is None:
         fac = factorize(T, seed=seed)

@@ -179,7 +179,8 @@ def cmd_verify(args) -> int:
     report["min_deviation"] = min_deviation(T)
 
     if verdict.connected:
-        conditions = check_chebotarev_conditions(T, seed=args.seed, threshold=tol, fac=fac)
+        conditions = check_chebotarev_conditions(T, seed=args.seed, threshold=tol, fac=fac,
+                                                 verdict=verdict)
         report["conditions"] = conditions.to_dict()
         conditions_ok = conditions.passed
     else:

@@ -192,7 +192,8 @@ def divide_exact(p: ComplexPoly, q: ComplexPoly, tol: float = 1e-9) -> ComplexPo
 def _horner_arr(coeffs, z: np.ndarray) -> np.ndarray:
     r = np.full(z.shape, coeffs[-1], dtype=complex)
     for c in coeffs[-2::-1]:
-        r = r * z + c
+        r *= z
+        r += c
     return r
 
 

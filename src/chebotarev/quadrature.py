@@ -1,10 +1,12 @@
 """Branch-continued contour integration of P(w)/sqrt(H(w)) along polylines.
 
-The integrand's square root is continued analytically along the path: at
-each sample the sign of the principal square root is chosen to minimize the
-jump from the previous sample.  Endpoint singularities (the path starting or
-ending at a simple zero of H) are removed by the substitution
-``w = e + s**2 * (b - e)``, after which Gauss-Legendre panels converge fast.
+The integrand's square root is continued analytically along the path: each
+refinement level takes the principal roots at all its nodes as one array in
+path order, flips a step's sign when the flipped root lies nearer the
+previous one, and signs each node by the cumulative product of the steps.
+Endpoint singularities (the path starting or ending at a simple zero of H)
+are removed by the substitution ``w = e + s**2 * (b - e)``, after which
+Gauss-Legendre panels converge fast.
 
 Only the real part of the resulting integral is path-independent (it is a
 Green function); the overall sign of a leg whose branch cannot be anchored
@@ -49,25 +51,22 @@ class QuadraturePath:
         object.__setattr__(self, "waypoints", pts)
 
 
-@dataclass
-class BranchState:
-    """Continuity tracker for one square root along a sampling sequence."""
+def continue_branch(v, anchor=None):
+    """Continue the principal square roots ``v`` along their sequence.
 
-    poly: ComplexPoly
-    prev: complex = None
-
-    def value(self, w):
-        v = np.sqrt(complex(self.poly(w)))
-        if self.prev is not None:
-            d_keep = abs(v - self.prev)
-            d_flip = abs(v + self.prev)
-            if d_flip < d_keep:
-                v = -v
-                d_keep, d_flip = d_flip, d_keep
-            if abs(self.prev) > 0 and d_flip - d_keep < 1e-6 * (abs(v) + abs(self.prev)):
-                raise BranchJump("square-root continuation ambiguous; refine sampling")
-        self.prev = v
-        return v
+    Step i flips the sign when ``|v_i + v_{i-1}| < |v_i - v_{i-1}|``; the sign
+    of node i is the cumulative product of the step signs.  The first root is
+    compared with ``anchor``, a continued root just before it, when there is
+    one.  Raises :class:`BranchJump` when both signs are about equally near
+    a nonzero previous root.  Returns the continued roots.
+    """
+    prev = np.concatenate(([v[0] if anchor is None else anchor], v[:-1]))
+    d_keep = np.abs(v - prev)
+    d_flip = np.abs(v + prev)
+    abs_prev = np.abs(prev)
+    if np.any((abs_prev > 0) & (np.abs(d_flip - d_keep) < 1e-6 * (np.abs(v) + abs_prev))):
+        raise BranchJump("square-root continuation ambiguous; refine sampling")
+    return np.cumprod(np.where(d_flip < d_keep, -1.0, 1.0)) * v
 
 
 #: Hand-off grid on which a leg's square root is continued to its far end.
@@ -78,49 +77,44 @@ _HANDOFF = np.linspace(0.0, 1.0, 65)
 def _leg(numer, sqrt_denom, a, b, singular, anchor, tol, max_level, order):
     """Integrate ``numer(w) / sqrt(sqrt_denom(w))`` over the leg from ``a`` to ``b``.
 
-    Gauss-Legendre panels are halved until two levels agree to ``tol``; a
-    fresh branch state anchored at ``anchor`` is threaded through the nodes
-    in path order, so every level re-walks its own continuation.  A
-    ``singular`` leg starts at a zero of ``sqrt_denom`` and is integrated via
-    ``w = a + s**2 (b - a)``; its branch is threaded freshly from the first
-    node and the caller aligns the overall sign using the hand-off value.
+    Gauss-Legendre panels are halved until two levels agree to ``tol``; each
+    level continues the square root over all its nodes, in path order, from
+    ``anchor`` (:func:`continue_branch`), and one whose continuation is
+    ambiguous is skipped, except the last.  A ``singular`` leg starts at a
+    zero of ``sqrt_denom`` and is integrated via ``w = a + s**2 (b - a)``;
+    its branch starts from the principal root at the first node and the
+    caller aligns the overall sign using the hand-off value.
     Returns ``(value, error_estimate, square root continued to b)``.
     """
     delta = b - a
     gl_t, gl_w = _gl_rule(order)
+
+    def points(s):
+        return a + s * s * delta if singular else a + s * delta
+
     prev = None
     value = None
     err = np.inf
     for level in range(max_level + 1):
-        width = 1.0 / 2**level
-        state = BranchState(sqrt_denom, anchor)
-        total = 0j
+        panels = 2**level
+        width = 1.0 / panels
+        s = (np.arange(panels)[:, None] * width + width * gl_t).ravel()
+        w = points(s)
         try:
-            for p in range(2**level):
-                t0 = p * width
-                vals = np.empty(len(gl_t), dtype=complex)
-                for i, t in enumerate(gl_t):
-                    s = t0 + width * t
-                    if singular:
-                        w = a + s * s * delta
-                        vals[i] = numer(w) * 2.0 * s * delta / state.value(w)
-                    else:
-                        w = a + s * delta
-                        vals[i] = numer(w) * delta / state.value(w)
-                total += width * np.dot(gl_w, vals)
+            root = continue_branch(np.sqrt(sqrt_denom(w)), anchor)
         except BranchJump:
             if level == max_level:
                 raise
             continue
-        value = total
+        vals = numer(w) * 2.0 * s * delta / root if singular else numer(w) * delta / root
+        value = width * np.dot(np.tile(gl_w, panels), vals)
         if prev is not None:
             err = abs(value - prev)
             if err < tol:
                 break
         prev = value
-    tracker = BranchState(sqrt_denom, anchor)
-    for s in _HANDOFF[1:] if singular else _HANDOFF:
-        carry = tracker.value(a + s * s * delta if singular else a + s * delta)
+    handoff = points(_HANDOFF[1:] if singular else _HANDOFF)
+    carry = continue_branch(np.sqrt(sqrt_denom(handoff)), anchor)[-1]
     return value, err, carry
 
 

@@ -14,6 +14,7 @@ from chebotarev import (
     green_function,
     green_via_integral,
     hyperelliptic_integral,
+    is_connected,
     min_deviation,
 )
 
@@ -131,12 +132,12 @@ class TestHyperellipticIntegral:
             QuadraturePath((1.0, 1.0))
 
     def test_branch_ambiguity_detected(self):
-        from chebotarev import BranchJump, BranchState, ComplexPoly
+        from chebotarev import BranchJump
+        from chebotarev.quadrature import continue_branch
 
-        tracker = BranchState(ComplexPoly([0, 1]))  # sqrt(w)
-        tracker.prev = 2j  # orthogonal to sqrt(4) = 2: both signs equidistant
+        # previous root 2j is orthogonal to sqrt(4) = 2: both signs equidistant
         with pytest.raises(BranchJump):
-            tracker.value(4.0)
+            continue_branch(np.sqrt(np.array([4.0 + 0j])), anchor=2j)
 
     def test_near_cut_pass_reports_large_error(self):
         # a segment grazing a branch point cannot be integrated reliably;
@@ -234,6 +235,11 @@ class TestConditions:
         with pytest.raises(ValueError):
             check_chebotarev_conditions(t3(2.0))
 
+    def test_given_disconnected_verdict_rejected(self):
+        T = t3(2.0)
+        with pytest.raises(ValueError):
+            check_chebotarev_conditions(T, verdict=is_connected(T))
+
     @pytest.mark.parametrize("T", [star(5), t4(2.0)], ids=["star5", "t4a2"])
     def test_given_factorization_is_used(self, T, monkeypatch):
         import chebotarev.analysis as analysis_module
@@ -246,6 +252,19 @@ class TestConditions:
 
         monkeypatch.setattr(analysis_module, "factorize", no_factorize)
         assert check_chebotarev_conditions(T, fac=fac) == expected
+
+    @pytest.mark.parametrize("T", [star(5), t4(2.0)], ids=["star5", "t4a2"])
+    def test_given_verdict_is_used(self, T, monkeypatch):
+        import chebotarev.analysis as analysis_module
+
+        verdict = is_connected(T)
+        expected = check_chebotarev_conditions(T)
+
+        def no_is_connected(*args, **kwargs):
+            raise AssertionError("is_connected called although verdict was given")
+
+        monkeypatch.setattr(analysis_module, "is_connected", no_is_connected)
+        assert check_chebotarev_conditions(T, verdict=verdict) == expected
 
     def test_report_serializes(self):
         import json

@@ -1,0 +1,210 @@
+"""Array branch continuation against the per-node scalar walk.
+
+``ScalarBranch`` and ``scalar_leg`` are the per-node implementation that
+``quadrature.continue_branch`` and the array ``quadrature._leg`` replaced,
+kept here as the reference: one square root per Python call, its sign chosen
+against the previous continued root.
+"""
+
+import numpy as np
+import pytest
+
+from chebotarev import BranchJump, ComplexPoly, QuadraturePath, path_integral
+from chebotarev import quadrature
+from chebotarev.quadrature import _HANDOFF, _gl_rule, continue_branch
+
+ARRAY_LEG = quadrature._leg
+
+
+class ScalarBranch:
+    """Continuity tracker for one square root along a sampling sequence."""
+
+    def __init__(self, poly, prev=None):
+        self.poly = poly
+        self.prev = prev
+
+    def value(self, w):
+        v = np.sqrt(complex(self.poly(w)))
+        if self.prev is not None:
+            d_keep = abs(v - self.prev)
+            d_flip = abs(v + self.prev)
+            if d_flip < d_keep:
+                v = -v
+                d_keep, d_flip = d_flip, d_keep
+            if abs(self.prev) > 0 and d_flip - d_keep < 1e-6 * (abs(v) + abs(self.prev)):
+                raise BranchJump("square-root continuation ambiguous; refine sampling")
+        self.prev = v
+        return v
+
+
+def scalar_leg(numer, sqrt_denom, a, b, singular, anchor, tol, max_level, order):
+    """The leg integrator node by node, with a fresh scalar walk per level."""
+    delta = b - a
+    gl_t, gl_w = _gl_rule(order)
+    prev = None
+    value = None
+    err = np.inf
+    for level in range(max_level + 1):
+        width = 1.0 / 2**level
+        state = ScalarBranch(sqrt_denom, anchor)
+        total = 0j
+        try:
+            for p in range(2**level):
+                t0 = p * width
+                vals = np.empty(len(gl_t), dtype=complex)
+                for i, t in enumerate(gl_t):
+                    s = t0 + width * t
+                    if singular:
+                        w = a + s * s * delta
+                        vals[i] = numer(w) * 2.0 * s * delta / state.value(w)
+                    else:
+                        w = a + s * delta
+                        vals[i] = numer(w) * delta / state.value(w)
+                total += width * np.dot(gl_w, vals)
+        except BranchJump:
+            if level == max_level:
+                raise
+            continue
+        value = total
+        if prev is not None:
+            err = abs(value - prev)
+            if err < tol:
+                break
+        prev = value
+    tracker = ScalarBranch(sqrt_denom, anchor)
+    for s in _HANDOFF[1:] if singular else _HANDOFF:
+        carry = tracker.value(a + s * s * delta if singular else a + s * delta)
+    return value, err, carry
+
+
+class ProductPoly:
+    """``prod(w - r)`` over ``roots``, evaluated factor by factor.
+
+    Both walks evaluate it to a few ulps, also next to a zero.  Horner's
+    scheme on the coefficients cancels there, and numpy's array loop rounds
+    complex products differently from its scalar one: near the singular end
+    of a random degree-9 leg the two coefficient evaluations were measured
+    5e-8 apart, which moved integrals by up to 6e-11.
+    """
+
+    def __init__(self, roots):
+        self.roots = roots
+
+    def __call__(self, w):
+        out = 1.0
+        for r in self.roots:
+            out = out * (w - r)
+        return out
+
+
+def _random_poly(rng, degree, zero_at_origin=False):
+    """Random monic polynomial and its zeros; with ``zero_at_origin`` it
+    vanishes exactly at 0."""
+    roots = rng.uniform(-1, 1, degree) + 1j * rng.uniform(-1, 1, degree)
+    if zero_at_origin:
+        roots[0] = 0j
+    return ProductPoly(roots), roots
+
+
+def _grazing_leg(rng, zero):
+    """A leg passing at a log-uniform distance (or exactly through) ``zero``."""
+    u = np.exp(2j * np.pi * rng.uniform())
+    half = rng.uniform(0.05, 0.5)
+    eps = 0.0 if rng.uniform() < 0.2 else 10.0 ** rng.uniform(-12, -2)
+    return zero - half * u + 1j * eps * u, zero + half * u + 1j * eps * u
+
+
+def _random_walk(rng):
+    """Sample points and an anchor for one random leg."""
+    zero_at_origin = rng.uniform() < 0.3
+    H, zeros = _random_poly(rng, int(rng.integers(2, 10)), zero_at_origin)
+    if rng.uniform() < 0.5:
+        a, b = _grazing_leg(rng, zeros[0])
+    else:
+        a, b = complex(*rng.uniform(-1.5, 1.5, 2)), complex(*rng.uniform(-1.5, 1.5, 2))
+    singular = rng.uniform() < 0.3
+    if rng.uniform() < 0.3:
+        s = _HANDOFF[1:] if singular else _HANDOFF
+    else:
+        level = int(rng.integers(0, 4))
+        gl_t, _ = _gl_rule(int(rng.choice([4, 8, 32])))
+        width = 1.0 / 2**level
+        s = (np.arange(2**level)[:, None] * width + width * gl_t).ravel()
+    w = a + s * s * (b - a) if singular else a + s * (b - a)
+    kind = rng.integers(0, 5)
+    if kind == 0:
+        anchor = None
+    elif kind == 1:
+        anchor = 0j  # a leg starting on a zero
+    elif kind == 2:  # about continuous with the first node, either sign
+        anchor = complex(rng.choice([-1, 1]) * np.sqrt(complex(H(w[0] - 1e-3 * (b - a)))))
+    elif kind == 3:  # orthogonal to the first root: both signs equidistant
+        anchor = 1j * rng.uniform(0.1, 10) * np.sqrt(complex(H(w[0])))
+    else:
+        anchor = complex(*rng.normal(size=2))
+    return H, w, anchor
+
+
+def _scalar_walk(H, w, anchor):
+    state = ScalarBranch(H, anchor)
+    return np.array([state.value(x) for x in w])
+
+
+class TestContinuationMatchesScalarWalk:
+    def test_same_signs_and_same_jumps(self):
+        rng = np.random.default_rng(20240607)
+        jumps = flips = 0
+        for _ in range(400):
+            H, w, anchor = _random_walk(rng)
+            try:
+                ref = _scalar_walk(H, w, anchor)
+            except BranchJump:
+                with pytest.raises(BranchJump):
+                    continue_branch(np.sqrt(H(w)), anchor)
+                jumps += 1
+                continue
+            principal = np.sqrt(H(w))
+            new = continue_branch(principal, anchor)
+            ref_principal = np.array([np.sqrt(complex(H(x))) for x in w])
+            assert np.array_equal(new == principal, ref == ref_principal)
+            assert np.array_equal(new == -principal, ref == -ref_principal)
+            flips += np.count_nonzero(new != principal)
+        # the sample exercises both outcomes
+        assert jumps > 20 and flips > 100
+
+    def test_path_integrals_match_scalar_legs(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        cases = []
+        for _ in range(200):
+            H, zeros = _random_poly(rng, int(rng.integers(2, 10)))
+            numer = ComplexPoly(rng.normal(size=int(rng.integers(1, 4)))
+                                + 1j * rng.normal(size=1))
+            inner = [complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(rng.integers(0, 3))]
+            start = zeros[0] if rng.uniform() < 0.5 else complex(*rng.uniform(-1.5, 1.5, 2))
+            end = zeros[-1] if rng.uniform() < 0.5 else complex(*rng.uniform(-1.5, 1.5, 2))
+            if rng.uniform() < 0.3:
+                inner = list(_grazing_leg(rng, zeros[1]))
+            path = QuadraturePath((start, *inner, end),
+                                  samples_per_segment=int(rng.choice([8, 16, 32])),
+                                  singular_start=start == zeros[0],
+                                  singular_end=end == zeros[-1])
+            cases.append((numer, H, path))
+
+        def run(leg):
+            monkeypatch.setattr(quadrature, "_leg", leg)
+            out = []
+            for numer, H, path in cases:
+                try:
+                    out.append(path_integral(numer, H, path, max_level=4))
+                except BranchJump:
+                    out.append(None)
+            return out
+
+        reference = run(scalar_leg)
+        array = run(ARRAY_LEG)
+        assert sum(r is None for r in reference) < len(cases) // 2
+        for ref, new in zip(reference, array):
+            assert (ref is None) == (new is None)
+            if ref is not None:
+                assert abs(new[0] - ref[0]) <= 1e-12 * (1 + abs(ref[0]))
+
