@@ -54,7 +54,7 @@ print(f"\n4. cosh identity at z = 2: residual {residual:.2e}")
 # 5. Green function, closed form vs quadrature
 z = 1.8 + 1.1j
 g_direct = green_function(T, z)
-g_quad, err = green_via_integral(T, z)
+g_quad, err = green_via_integral(T, z, fac=fac)
 print(f"\n5. green function at {z}: closed form {g_direct:.10f}, "
       f"quadrature {g_quad:.10f} (gap {abs(g_direct - g_quad):.1e})")
 

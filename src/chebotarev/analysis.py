@@ -247,13 +247,16 @@ def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float 
     return ConditionReport(tuple(entries), max_abs, max_err, threshold, max_abs < threshold)
 
 
-def green_via_integral(T: ComplexPoly, z: complex, seed: int = 0, quad_tol: float = 1e-9):
+def green_via_integral(T: ComplexPoly, z: complex, seed: int = 0, quad_tol: float = 1e-9,
+                       fac: Factorization = None):
     """|Re Phi(z)| by quadrature -- the integral route to the Green function.
 
     Starts from the first branch point and routes around the others.
     Returns ``(value, error_estimate)`` for cross-checking against
-    :func:`green_function`.
+    :func:`green_function`.  ``fac``, when given, is the factorization of
+    ``T`` already at hand.
     """
-    fac = factorize(T, seed=seed)
+    if fac is None:
+        fac = factorize(T, seed=seed)
     phi, err = _phi(fac, fac.branch_points[0], complex(z), quad_tol)
     return abs(phi.real), float(err)

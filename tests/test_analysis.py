@@ -300,5 +300,19 @@ class TestGreenConsistency:
         T = solved_rect(5).poly
         fac = factorize(T)
         for b in fac.branch_points:
-            g_integral, _ = green_via_integral(T, b)
+            g_integral, _ = green_via_integral(T, b, fac=fac)
             assert g_integral < 1e-9
+
+    @pytest.mark.parametrize("T", [star(5), t4(2.0)], ids=["star5", "t4a2"])
+    def test_given_factorization_is_used(self, T, monkeypatch):
+        import chebotarev.analysis as analysis_module
+
+        fac = factorize(T)
+        z = 2.5 * np.exp(0.7j)
+        expected = green_via_integral(T, z)
+
+        def no_factorize(*args, **kwargs):
+            raise AssertionError("factorize called although fac was given")
+
+        monkeypatch.setattr(analysis_module, "factorize", no_factorize)
+        assert green_via_integral(T, z, fac=fac) == expected

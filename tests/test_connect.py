@@ -17,6 +17,7 @@ from chebotarev import (
 
 import chebotarev.connect as connect_module
 from chebotarev import factorize
+from chebotarev.connect import count_components
 
 from conftest import cheb2, cross, star, t3, t4, two_intervals
 
@@ -240,3 +241,63 @@ class TestComplementHoles:
             assert complement_connected(_report(member)) is expected, seed
             verdicts.append(expected)
         assert any(verdicts) and not all(verdicts)
+
+
+def _serpentine(n):
+    """Even rows joined at alternating ends: one path through half the cells."""
+    member = np.zeros((n, n), dtype=bool)
+    member[::2] = True
+    member[1::4, -1] = True
+    member[3::4, 0] = True
+    return member
+
+
+def _spiral(n):
+    """A square spiral of one-cell-wide arms, walked inward from the corner."""
+    member = np.zeros((n, n), dtype=bool)
+    y, x, dy, dx = 0, 0, 0, 1
+    member[y, x] = True
+    turns = 0
+    while turns < 2:
+        ahead, beyond = (y + dy, x + dx), (y + 2 * dy, x + 2 * dx)
+        if (0 <= ahead[0] < n and 0 <= ahead[1] < n and not member[ahead]
+                and not (0 <= beyond[0] < n and 0 <= beyond[1] < n and member[beyond])):
+            (y, x), turns = ahead, 0
+            member[y, x] = True
+        else:
+            dy, dx, turns = dx, -dy, turns + 1
+    return member
+
+
+class TestCountComponents:
+    def test_matches_flood_fill_on_random_rasters(self):
+        counts = []
+        for seed in range(600):
+            rng = np.random.default_rng(seed)
+            ny, nx = rng.integers(1, 41, size=2)
+            if seed % 10 == 0:
+                ny = 1
+            elif seed % 10 == 1:
+                nx = 1
+            member = rng.random((ny, nx)) < rng.uniform(0.05, 0.7)
+            expected = _report(member).component_count
+            assert count_components(member) == expected, seed
+            counts.append(expected)
+        assert min(counts) == 0 and max(counts) > 50
+
+    @pytest.mark.parametrize("member,expected", [
+        (np.zeros((0, 0), dtype=bool), 0),
+        (np.zeros((512, 512), dtype=bool), 0),
+        (np.ones((512, 512), dtype=bool), 1),
+        (np.ones((1, 1), dtype=bool), 1),
+        (_serpentine(512), 1),
+        (_serpentine(512).T, 1),
+        (_spiral(512), 1),
+        # 8-neighbours: diagonal steps join the checkerboard into one piece
+        (np.add.outer(np.arange(512), np.arange(512)) % 2 == 0, 1),
+        # anti-diagonal stripes x + y = 0, 4, ..., 1020 never touch: 256 of them
+        (np.add.outer(np.arange(512), np.arange(512)) % 4 == 0, 256),
+    ], ids=["empty0", "empty", "full", "single", "serpentine", "serpentine_T",
+            "spiral", "checkerboard", "antidiagonal"])
+    def test_exact_counts(self, member, expected):
+        assert count_components(member) == expected
