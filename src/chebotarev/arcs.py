@@ -4,15 +4,20 @@ The inverse image of a degree-n polynomial consists of n analytic Jordan
 arcs whose endpoints are the zeros of T^2 - 1, counted with multiplicity.
 Writing the level as cos(theta), theta in [0, pi], each arc is swept by the
 n roots of T(z) - cos(theta).  Each level's roots are found by Aberth
-iteration warm-started at the chains' linearly extrapolated positions, so
-root i normally continues chain i; a greedy global assignment against the
-same extrapolated positions checks that pairing and decides it where two
-chains contend for one root.  Extrapolation carries chains straight through
+iteration warm-started at the chains' linearly extrapolated positions and
+returned as the iteration settled, without Newton polish, so root i
+normally continues chain i; a greedy global assignment against the same
+extrapolated positions checks that pairing and decides it where two chains
+contend for one root.  Extrapolation carries chains straight through
 interior crossing points where plain nearest-neighbor matching would turn
-the corner.  A zero of T^2 - 1 of multiplicity kappa collects kappa arc
-ends meeting at equal angles 2*pi/kappa; at double zeros the two incident
-arcs are conjoined into one analytic arc when their tangents are
-anti-parallel.
+the corner.  At such a crossing the split into n arcs, each mapped one to
+one onto [-1, 1], is not unique: which ends pair up through it follows the
+last digits of the level roots, though not the seed.  The endpoints are
+taken from a given factorization or from a solved polynomial's level form
+when either is at hand, and are root-found otherwise.  A zero of T^2 - 1
+of multiplicity kappa collects kappa arc ends meeting at equal angles
+2*pi/kappa; at double zeros the two incident arcs are conjoined into one
+analytic arc when their tangents are anti-parallel.
 """
 
 from dataclasses import dataclass
@@ -143,7 +148,8 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
 
     Endpoint root sets are refined multiplicity clusters, so arcs terminate
     on multiple zeros at full accuracy: those of ``fac``, the factorization
-    of ``T``, when one is given, split by the sign of ``T`` at each center,
+    of ``T``, when one is given, else those of ``T.level``, the level form
+    of a solved polynomial, each split by the sign of ``T`` at each center,
     and otherwise the clusters of T - 1 and T + 1 found here.  Chains whose
     shared endpoint is a double zero of T^2 - 1 are conjoined when
     anti-parallel.
@@ -151,12 +157,13 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
     if steps < 64:
         raise ValueError("steps must be at least 64")
     n = T.degree
-    if fac is None:
+    if fac is None and T.level is None:
         plus_clusters = structured_roots(T - 1.0, seed=seed)
         minus_clusters = structured_roots(T + 1.0, seed=seed)
     else:
-        plus_clusters = [c for c in fac.clusters if T(c.center).real >= 0]
-        minus_clusters = [c for c in fac.clusters if T(c.center).real < 0]
+        clusters = fac.clusters if fac is not None else T.level.clusters()
+        plus_clusters = [c for c in clusters if T(c.center).real >= 0]
+        minus_clusters = [c for c in clusters if T(c.center).real < 0]
     plus_roots = _expanded(plus_clusters)
     minus_roots = _expanded(minus_clusters)
     if len(plus_roots) != n or len(minus_roots) != n:

@@ -202,9 +202,12 @@ def _eval_with_bound(coeffs: np.ndarray, z: np.ndarray):
     r = np.full(z.shape, coeffs[-1], dtype=complex)
     e = np.abs(r)
     az = np.abs(z)
+    t = np.empty(z.shape)
     for c in coeffs[-2::-1]:
-        r = r * z + c
-        e = e * az + np.abs(r)
+        r *= z
+        r += c
+        e *= az
+        e += np.abs(r, out=t)
     return r, _EPS * (2.0 * e)
 
 
@@ -222,9 +225,13 @@ def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = 500, initial=None)
     the roots of a nearby polynomial; each start is nudged by a fixed
     relative ``1e-6`` that does not depend on ``seed``, which also splits
     coincident starts.  Root ``i`` then usually comes back near
-    ``initial[i]`` after a few sweeps.  If that run does not settle, the
-    roots are found once more from the seeded circle.  A run stops with
-    :class:`NoConvergence` at the first sweep whose iterate is not finite.
+    ``initial[i]`` after a few sweeps.  Such a warm run returns the iterate
+    it settled on without Newton polish: once the iteration has converged,
+    each Aberth correction is already a Newton step with implicit deflation
+    (Bini 1996).  Only cold runs from the circle are polished.  If the warm
+    run does not settle, the roots are found once more from the seeded
+    circle, polish included.  A run stops with :class:`NoConvergence` at the
+    first sweep whose iterate is not finite.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -236,14 +243,12 @@ def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = 500, initial=None)
         return [complex(-a[0])]
     ad = a[1:] * np.arange(1, n + 1)
 
-    z = None
     if start is not None:
         try:
-            z = _aberth(a, ad, start, max_iter)
+            return [complex(v) for v in _aberth(a, ad, start, max_iter)]
         except NoConvergence:
             pass
-    if z is None:
-        z = _aberth(a, ad, _circle_start(a, seed), max_iter)
+    z = _aberth(a, ad, _circle_start(a, seed), max_iter)
 
     pv = _horner_arr(a, z)
     for _ in range(3):

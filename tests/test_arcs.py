@@ -254,6 +254,25 @@ class TestTraceFromFactorization:
         graph = build_graph(arcs, expect_tree=True)
         assert graph.leaf_count == 4 and len(graph.edges) == 5
 
+    def test_level_form_replaces_cold_endpoint_solves(self, solved_rect, monkeypatch):
+        sol = solved_rect(7)
+        plain = trace(ComplexPoly(sol.poly.coeffs), steps=128)  # no level form
+        real_find = poly_module.find_roots
+        warm = []
+
+        def spy_find(p, *args, **kwargs):
+            warm.append(kwargs.get("initial") is not None)
+            return real_find(p, *args, **kwargs)
+
+        monkeypatch.setattr(arcs_module, "find_roots", spy_find)
+        monkeypatch.setattr(poly_module, "find_roots", spy_find)
+        arcs = trace(sol.poly, steps=128)
+        assert len(warm) >= 127 and all(warm)
+        assert len(arcs) == len(plain)
+        for a, b in zip(arcs, plain):
+            assert abs(a.start_point - b.start_point) < 1e-10
+            assert abs(a.end_point - b.end_point) < 1e-10
+
 
 class TestTraceCubicFamily:
     def test_conjoin_at_double_zero_and_crossing(self):

@@ -13,8 +13,16 @@ from chebotarev.cli import main
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 #: ``report.json`` of ``verify --resolution 256`` and ``trace.json`` of
 #: ``trace --steps 128``, manifest removed, as written before ``verify`` and
-#: ``trace`` shared one factorization between their stages.
+#: ``trace`` shared one factorization between their stages; those of the two
+#: inputs with interior crossings as written before warm level solves
+#: stopped taking Newton polish steps.
 GOLDEN = Path(__file__).resolve().parent / "golden"
+FROZEN = {
+    "rect_n7": ("verify", "trace"),
+    "star5": ("verify", "trace"),
+    "t4_alpha2": ("trace",),
+    "cross_alpha1": ("trace",),
+}
 
 
 def run(*argv):
@@ -291,19 +299,39 @@ class TestOneFactorizationPerRun:
         assert len(factorize_calls) == 1
         assert _repeated(root_solves) == []
 
-    @pytest.mark.parametrize("name", ["rect_n7", "star5"])
+    @pytest.mark.parametrize("name", list(FROZEN))
     def test_outputs_match_frozen_documents(self, name, tmp_path):
         if name.startswith("rect_"):
             path = _solved_poly_file(tmp_path, f"{name}.json")
         else:
             path = FIXTURES / f"{name}.json"
-        assert run("verify", path, "--out", tmp_path, "--resolution", "256") == 0
+        commands = FROZEN[name]
+        if "verify" in commands:
+            assert run("verify", path, "--out", tmp_path, "--resolution", "256") == 0
         assert run("trace", path, "--out", tmp_path, "--steps", "128") == 0
-        for command, output in (("verify", "report.json"), ("trace", "trace.json")):
-            doc = json.loads((tmp_path / output).read_text())
+        outputs = {"verify": "report.json", "trace": "trace.json"}
+        for command in commands:
+            doc = json.loads((tmp_path / outputs[command]).read_text())
             assert doc.pop("manifest")["subcommand"] == command
             expected = json.loads((GOLDEN / f"{command}_{name}.json").read_text())
             assert doc == expected, (command, name)
+
+    @pytest.mark.parametrize("name", ["t4_alpha2", "cross_alpha1"])
+    def test_crossing_pairing_does_not_depend_on_seed(self, name, tmp_path):
+        # the arc ends through an interior crossing pair up one way for every
+        # seed; only a double zero at the origin may print as 0 or 2e-44
+        rows = []
+        for seed in range(4):
+            out = tmp_path / str(seed)
+            assert run("trace", FIXTURES / f"{name}.json", "--out", out,
+                       "--steps", "128", "--seed", seed) == 0
+            rows.append([line.split(",") for line in
+                         (out / "arcs.csv").read_text().splitlines()[1:]])
+        for other in rows[1:]:
+            assert len(other) == len(rows[0])
+            for (aid, theta, re, im), (aid2, theta2, re2, im2) in zip(rows[0], other):
+                assert (aid, theta) == (aid2, theta2)
+                assert abs(complex(float(re), float(im)) - complex(float(re2), float(im2))) < 1e-12
 
 
 class TestEnumerateCommand:

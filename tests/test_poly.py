@@ -185,6 +185,78 @@ class TestWarmStart:
             find_roots(ComplexPoly.from_roots([1, 2, 3]), initial=initial)
 
 
+class TestPolishOnlyColdSolves:
+    """A settled warm run returns the Aberth iterate; cold runs get 3 Newton steps."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        log, settled = [], []
+        real_horner = poly_module._horner_arr
+        real_bound = poly_module._eval_with_bound
+        real_aberth = poly_module._aberth
+
+        def horner(coeffs, z):
+            log.append("horner")
+            return real_horner(coeffs, z)
+
+        def bound(coeffs, z):
+            log.append("sweep")
+            return real_bound(coeffs, z)
+
+        def aberth(*args):
+            z = real_aberth(*args)
+            settled.append([complex(v) for v in z])
+            return z
+
+        monkeypatch.setattr(poly_module, "_horner_arr", horner)
+        monkeypatch.setattr(poly_module, "_eval_with_bound", bound)
+        monkeypatch.setattr(poly_module, "_aberth", aberth)
+        return log, settled
+
+    def test_settled_warm_solve_is_not_polished(self, monkeypatch):
+        T = _chebyshev(24)
+        start = find_roots(T - math.cos(0.31))
+        log, settled = self._spy(monkeypatch)
+        roots = find_roots(T - math.cos(0.3), initial=start)
+        # one derivative evaluation per sweep, none after the last
+        sweeps = log.count("sweep")
+        assert sweeps >= 1
+        assert log == ["sweep", "horner"] * sweeps
+        assert settled == [roots]
+
+    def test_unsettled_warm_start_falls_back_and_is_polished(self, monkeypatch):
+        # starts this far out overflow Horner's scheme: the warm run stops at
+        # its first non-finite iterate and the seeded circle takes over
+        p = ComplexPoly.from_roots([0.5, -1.0, 2.0j, 1.5])
+        log, settled = self._spy(monkeypatch)
+        roots = find_roots(p, initial=[1e200, -1e200, 1e200j, -1e200j])
+        assert len(settled) == 1  # only the circle run settled
+        last_sweep = len(log) - 1 - log[::-1].index("sweep")
+        # the last sweep's derivative, then p at the settled iterate and
+        # 3 Newton steps of p' and p each
+        assert log[last_sweep + 1:] == ["horner"] * 8
+        assert _max_matched_gap(roots, [0.5, -1.0, 2.0j, 1.5]) < 1e-13
+        monkeypatch.undo()
+        assert roots == find_roots(p)
+
+
+class TestEvalWithBound:
+    @pytest.mark.parametrize("degree", [1, 2, 9, 24, 64])
+    def test_in_place_is_bit_identical(self, degree):
+        rng = np.random.default_rng(degree)
+        coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        z = 1.5 * (rng.normal(size=257) + 1j * rng.normal(size=257))
+        # the out-of-place formula the in-place loop replaced
+        r = np.full(z.shape, coeffs[-1], dtype=complex)
+        e = np.abs(r)
+        for c in coeffs[-2::-1]:
+            r = r * z + c
+            e = e * np.abs(z) + np.abs(r)
+        values, bounds = poly_module._eval_with_bound(coeffs, z)
+        assert np.array_equal(values, r)
+        assert np.array_equal(bounds, poly_module._EPS * (2.0 * e))
+
+
 class TestNonFiniteIterate:
     def test_stops_at_first_non_finite_sweep(self):
         # a 32-fold zero: the iterates collapse until a quotient overflows
