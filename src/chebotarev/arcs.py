@@ -26,7 +26,8 @@ import numpy as np
 
 from .connect import dist_to_interval
 from .errors import MatchingAmbiguity, NotATree
-from .poly import ComplexPoly, UnionFind, cluster_roots, find_roots, structured_roots
+from .poly import (ComplexPoly, UnionFind, cluster_roots, find_roots, point_key,
+                   structured_roots)
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,7 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
         )
         for p in pieces
     ]
-    arcs.sort(key=lambda a: (a.start_point.real, a.start_point.imag,
-                             a.end_point.real, a.end_point.imag))
+    arcs.sort(key=lambda a: (point_key(a.start_point), point_key(a.end_point)))
     return arcs
 
 

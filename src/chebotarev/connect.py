@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import ComplexPoly, find_roots
+from .poly import ComplexPoly, find_roots, point_key, powers
 
 #: Lipschitz safety factor for the grid membership threshold.
 LIPSCHITZ_FACTOR = 1.5
@@ -77,7 +77,7 @@ def is_connected(T: ComplexPoly, tol: float = None, seed: int = 0) -> Connectivi
     crits = find_roots(T.derivative(), seed=seed)
     witnesses = []
     ok = True
-    for c in sorted(crits, key=lambda w: (w.real, w.imag)):
+    for c in sorted(crits, key=point_key):
         image = T(c)
         margin = dist_to_interval(image)
         witnesses.append(Witness(c, image, margin))
@@ -102,21 +102,31 @@ def grid_oracle(T: ComplexPoly, params: MembershipParams = None,
 
     The box is the bounding box of the zeros of T^2 - 1 inflated by 20%.
     They are the cluster centers of ``fac``, the factorization of ``T``,
-    when one is given, and otherwise the roots of T - 1 and T + 1, whose
-    multiple roots smear far less than those of the product.
+    when one is given, else the zeros of ``T.level``, the level form a
+    solved polynomial carries, and otherwise the roots of T - 1 and T + 1,
+    whose multiple roots smear far less than those of the product.
     A cell is a member when the image of its center lies within
     ``max(tol_member, LIPSCHITZ_FACTOR * h * max |T'| over the cell corners)``
     of [-1, 1]; the local Lipschitz bound keeps thin arcs from slipping
     between samples.  :func:`count_components` counts its 8-connected pieces.
+
+    The grid is a tensor product, so ``T(x + iy) = sum_j a_j(x + i cy)
+    (i (y - cy))^j`` with the Taylor coefficients ``a_j = T^(j) / j!`` about
+    the box's centre line ``y = cy``.  One Taylor shift gives the rows
+    ``a_j`` at every column abscissa of the cell centres and corners; ``T``
+    at the centres and ``T'`` at the corners are then one matrix product
+    each with the powers of ``i (y - cy)``.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
     if params is None:
         params = MembershipParams()
-    if fac is None:
-        roots = find_roots(T - 1.0, seed=seed) + find_roots(T + 1.0, seed=seed)
-    else:
+    if fac is not None:
         roots = [c.center for c in fac.clusters]
+    elif T.level is not None:
+        roots = [c.center for c in T.level.clusters()]
+    else:
+        roots = find_roots(T - 1.0, seed=seed) + find_roots(T + 1.0, seed=seed)
     xs = [r.real for r in roots]
     ys = [r.imag for r in roots]
     cx, cy = (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2
@@ -132,15 +142,17 @@ def grid_oracle(T: ComplexPoly, params: MembershipParams = None,
     hy = (bbox[3] - bbox[1]) / ny
     h = max(hx, hy)
 
+    # Taylor rows about the centre line, for the centre and corner columns
     xc = bbox[0] + hx * (np.arange(nx) + 0.5)
     yc = bbox[1] + hy * (np.arange(ny) + 0.5)
-    centers = xc[None, :] + 1j * yc[:, None]
-    dist = dist_to_interval(T(centers))
-
     xg = bbox[0] + hx * np.arange(nx + 1)
     yg = bbox[1] + hy * np.arange(ny + 1)
-    corners = xg[None, :] + 1j * yg[:, None]
-    dmag = np.abs(T.derivative()(corners))
+    rows = _taylor_rows(T.coeffs, np.concatenate([xc, xg]) + 1j * cy)
+    at_centers, at_corners = rows[:nx], rows[nx:]
+    dist = dist_to_interval(powers(1j * (yc - cy), T.degree) @ at_centers.T)
+    # Taylor rows of T' follow from those of T: a'_j = (j + 1) a_(j+1)
+    slope_rows = at_corners[:, 1:] * np.arange(1, T.degree + 1)
+    dmag = np.abs(powers(1j * (yg - cy), T.degree - 1) @ slope_rows.T)
     cellmax = np.maximum(
         np.maximum(dmag[:-1, :-1], dmag[:-1, 1:]),
         np.maximum(dmag[1:, :-1], dmag[1:, 1:]),
@@ -148,6 +160,20 @@ def grid_oracle(T: ComplexPoly, params: MembershipParams = None,
     thresh = np.maximum(params.tol_member, LIPSCHITZ_FACTOR * h * cellmax)
     member = dist < thresh
     return GridReport(bbox, resolution, count_components(member), member)
+
+
+def _taylor_rows(coeffs, u: np.ndarray) -> np.ndarray:
+    """Row ``i`` holds the Taylor coefficients ``T^(j)(u_i) / j!``, j = 0..n.
+
+    Repeated synthetic division of the ascending ``coeffs`` by ``z - u``
+    (a Taylor shift), run for all abscissae ``u`` at once.
+    """
+    b = np.repeat(np.asarray(coeffs, dtype=complex)[:, None], len(u), axis=1)
+    n = len(b) - 1
+    for k in range(n):
+        for j in range(n - 1, k - 1, -1):
+            b[j] += u * b[j + 1]
+    return b.T
 
 
 def count_components(member: np.ndarray) -> int:

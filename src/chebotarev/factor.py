@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentFactorization, RemainderTooLarge
-from .poly import ComplexPoly, divide_exact, structured_roots
+from .poly import ComplexPoly, divide_exact, point_key, structured_roots
 from .quadrature import QuadraturePath, check_clearance, path_integral
 
 #: Clustering radii tried on the roots of T^2 - 1, smallest first.  Triple
@@ -79,7 +79,7 @@ def factorize(T: ComplexPoly, seed: int = 0) -> Factorization:
         raise ValueError("factorize needs degree >= 1")
     last_exc = None
     for clusters in _candidate_clusters(T, seed):
-        clusters.sort(key=lambda c: (c.center.real, c.center.imag))
+        clusters.sort(key=lambda c: point_key(c.center))
         try:
             return _split(T, clusters)
         except InconsistentFactorization as exc:

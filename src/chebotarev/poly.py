@@ -197,18 +197,37 @@ def _horner_arr(coeffs, z: np.ndarray) -> np.ndarray:
     return r
 
 
-def _eval_with_bound(coeffs: np.ndarray, z: np.ndarray):
-    """Horner evaluation plus a running rounding-error bound per point."""
-    r = np.full(z.shape, coeffs[-1], dtype=complex)
-    e = np.abs(r)
-    az = np.abs(z)
-    t = np.empty(z.shape)
-    for c in coeffs[-2::-1]:
-        r *= z
-        r += c
-        e *= az
-        e += np.abs(r, out=t)
-    return r, _EPS * (2.0 * e)
+def powers(z: np.ndarray, n: int) -> np.ndarray:
+    """The power table ``P[i, k] = z_i**k`` for k = 0..n, by one running product."""
+    P = np.empty((len(z), n + 1), dtype=complex)
+    P[:, 0] = 1.0
+    P[:, 1:] = z[:, None]
+    return np.cumprod(P, axis=1, out=P)
+
+
+def _hankel(a: np.ndarray) -> np.ndarray:
+    """``H[i, k] = a[i + k]``, zero past the end of ``a``."""
+    n = len(a) - 1
+    idx = np.arange(n + 1)
+    return np.concatenate([a, np.zeros(n, dtype=a.dtype)])[idx[:, None] + idx[None, :]]
+
+
+def _eval_sweep(H: np.ndarray, z: np.ndarray):
+    """``p``, ``p'`` and a rounding-error bound for ``p`` at every point of ``z``.
+
+    ``H`` is :func:`_hankel` of the coefficients of ``p``.  With the powers
+    ``Z[i, k] = z_i**k``, ``R = Z @ H`` holds every Horner partial
+    ``r_k(z) = a_k + z r_{k+1}(z)``, so ``p = r_0``, ``p' = sum z**(k-1) r_k``
+    (the Horner quotient at ``z``) and ``2 eps sum |z|**k |r_k|`` is Horner's
+    running error bound (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 5.1).  The numpy calls do not grow with the degree.
+    """
+    Z = powers(z, H.shape[0] - 1)
+    R = Z @ H
+    W = Z[:, :-1] * R[:, 1:]
+    p = R[:, 0]
+    bound = np.abs(p) + np.abs(z) * np.abs(W).sum(axis=1)
+    return p, W.sum(axis=1), _EPS * (2.0 * bound)
 
 
 def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = 500, initial=None) -> list:
@@ -216,8 +235,10 @@ def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = 500, initial=None)
 
     Starts from a randomly perturbed circle (deterministic for a given
     ``seed``), iterates until every correction falls below ``1e-13 * scale``
-    or the residual is at rounding level, then polishes with a few Newton
-    steps.  Multiple roots come back repeated, smeared over the usual
+    or the residual is within 8 times Horner's running error bound, then
+    polishes with a few Newton steps.  Each sweep is one matrix product (see
+    :func:`_aberth`); the polish evaluates by Horner's scheme.  Multiple
+    roots come back repeated, smeared over the usual
     ``eps**(1/multiplicity)`` disc; use :func:`cluster_roots` together with
     :func:`refine_multiple_root` to sharpen them.
 
@@ -241,15 +262,14 @@ def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = 500, initial=None)
     start = None if initial is None else _warm_start(initial, n)
     if n == 1:
         return [complex(-a[0])]
-    ad = a[1:] * np.arange(1, n + 1)
-
     if start is not None:
         try:
-            return [complex(v) for v in _aberth(a, ad, start, max_iter)]
+            return [complex(v) for v in _aberth(a, start, max_iter)]
         except NoConvergence:
             pass
-    z = _aberth(a, ad, _circle_start(a, seed), max_iter)
+    z = _aberth(a, _circle_start(a, seed), max_iter)
 
+    ad = a[1:] * np.arange(1, n + 1)
     pv = _horner_arr(a, z)
     for _ in range(3):
         dv = _horner_arr(ad, z)
@@ -290,17 +310,21 @@ def _circle_start(a, seed):
     return rad * np.exp(1j * ang)
 
 
-def _aberth(a, ad, z, max_iter):
+def _aberth(a, z, max_iter):
     """Aberth-Ehrlich sweeps on monic ``a`` from ``z`` until every root settles.
 
+    Each sweep evaluates ``p``, ``p'`` and Horner's error bound at all points
+    in one matrix product (:func:`_eval_sweep`) against the Hankel matrix of
+    ``a``, built once per call.  A root has settled when its correction is
+    below ``1e-13 * (1 + |z|)`` or ``|p(z)|`` is within 8 times the bound.
     Raises :class:`NoConvergence` at the cap, or at the first sweep whose
     iterate is not finite (overflow spreads NaNs that never settle); the
     floating-point warnings on the way there are silenced.
     """
+    H = _hankel(a)
     with np.errstate(all="ignore"):
         for sweep in range(1, max_iter + 1):
-            pv, bound = _eval_with_bound(a, z)
-            dv = _horner_arr(ad, z)
+            pv, dv, bound = _eval_sweep(H, z)
             dv = np.where(dv == 0, 1e-300, dv)
             w = pv / dv
             diff = z[:, None] - z[None, :]
@@ -317,6 +341,18 @@ def _aberth(a, ad, z, max_iter):
             if bool(done.all()):
                 return z
     raise NoConvergence(f"roots did not settle in {max_iter} sweeps; consider rescaling")
+
+
+def point_key(w):
+    """Sort key for a complex point: the real part, then the imaginary part.
+
+    The real part is rounded to 9 significant digits, or to 9 decimals when
+    it is below 1 in size, so points whose real parts agree to about 1e-9
+    relative -- a conjugate pair whose computed real parts differ in the
+    last bits -- are ordered by imaginary part and rounding cannot swap them.
+    """
+    x = w.real
+    return (round(x, 9) if abs(x) < 1.0 else float(f"{x:.8e}"), w.imag)
 
 
 class UnionFind:
@@ -358,8 +394,8 @@ def cluster_roots(roots, scale: float = None, tol: float = CLUSTER_TOL) -> list:
 
     Single-linkage grouping with radius ``tol * scale`` where ``scale``
     defaults to ``1 + max |root|``.  Clusters are returned sorted by center
-    (real part, then imaginary part) and carry their members sorted the same
-    way, so the output is deterministic.
+    under :func:`point_key` and carry their members sorted the same way, so
+    the output is deterministic.
     """
     pts = [complex(r) for r in roots]
     if not pts:
@@ -379,10 +415,10 @@ def cluster_roots(roots, scale: float = None, tol: float = CLUSTER_TOL) -> list:
         groups.setdefault(uf.find(i), []).append(pts[i])
     clusters = []
     for members in groups.values():
-        members.sort(key=lambda w: (w.real, w.imag))
+        members.sort(key=point_key)
         center = sum(members) / len(members)
         clusters.append(RootCluster(center, len(members), tuple(members)))
-    clusters.sort(key=lambda c: (c.center.real, c.center.imag))
+    clusters.sort(key=lambda c: point_key(c.center))
     return clusters
 
 
@@ -430,5 +466,5 @@ def structured_roots(p: ComplexPoly, seed: int = 0, tol: float = 2e-4) -> list:
             refined.append(RootCluster(center, c.multiplicity, c.raw_members))
         else:
             refined.append(c)
-    refined.sort(key=lambda c: (c.center.real, c.center.imag))
+    refined.sort(key=lambda c: point_key(c.center))
     return refined

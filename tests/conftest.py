@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from chebotarev import ComplexPoly, PointVar, ProblemSpec, SignConfig, solve
@@ -41,6 +42,16 @@ def t4(alpha):
 def two_intervals():
     """z^2 - 3; the inverse image is two disjoint real intervals."""
     return ComplexPoly([-3, 0, 1])
+
+
+def chebyshev(n):
+    """The Chebyshev polynomial T_n; the continuum is the segment [-1, 1]."""
+    return ComplexPoly(np.polynomial.chebyshev.cheb2poly([0] * n + [1]))
+
+
+#: The rectangle problems of :func:`rect_spec` as ``(n, system)``, with test ids.
+RECTANGLES = [(5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (9, 2)]
+RECT_IDS = ["n5", "n6", "n7", "n8", "n9s1", "n9s2"]
 
 
 def _rect_c_vars(beta0):

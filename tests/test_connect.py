@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +19,14 @@ from chebotarev import (
 
 import chebotarev.connect as connect_module
 from chebotarev import factorize
-from chebotarev.connect import count_components
+from chebotarev.connect import LIPSCHITZ_FACTOR, count_components
 
-from conftest import cheb2, cross, star, t3, t4, two_intervals
+from conftest import (RECT_IDS, RECTANGLES, cheb2, chebyshev, cross, star, t3, t4,
+                      two_intervals)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+COEFF_FIXTURES = sorted(f.stem for f in FIXTURES.glob("*.json")
+                        if "coeffs" in json.loads(f.read_text()))
 
 
 class TestDistToInterval:
@@ -136,6 +143,19 @@ class TestGridOracle:
         assert report.component_count == expected.component_count
         assert np.array_equal(report.member, expected.member)
 
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_box_from_level_form(self, key, solved_rect, monkeypatch):
+        T = solved_rect(*key).poly
+        expected = grid_oracle(T, resolution=256, fac=factorize(T))
+
+        def no_roots(*args, **kwargs):
+            raise AssertionError("root solve although T carries its level form")
+
+        monkeypatch.setattr(connect_module, "find_roots", no_roots)
+        report = grid_oracle(T, resolution=256)
+        assert report.bbox == expected.bbox
+        assert np.array_equal(report.member, expected.member)
+
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             grid_oracle(cheb2(), resolution=32)
@@ -143,6 +163,61 @@ class TestGridOracle:
     def test_membership_params_validation(self):
         with pytest.raises(ValueError):
             MembershipParams(tol_member=0.0)
+
+
+def _horner_member(T, report, tol_member=MembershipParams().tol_member):
+    """The membership raster from T and T' evaluated cell by cell by Horner."""
+    n = report.resolution
+    x0, y0, x1, y1 = report.bbox
+    hx, hy = (x1 - x0) / n, (y1 - y0) / n
+    xc = x0 + hx * (np.arange(n) + 0.5)
+    yc = y0 + hy * (np.arange(n) + 0.5)
+    dist = dist_to_interval(T(xc[None, :] + 1j * yc[:, None]))
+    xg = x0 + hx * np.arange(n + 1)
+    yg = y0 + hy * np.arange(n + 1)
+    dmag = np.abs(T.derivative()(xg[None, :] + 1j * yg[:, None]))
+    cellmax = np.maximum(np.maximum(dmag[:-1, :-1], dmag[:-1, 1:]),
+                         np.maximum(dmag[1:, :-1], dmag[1:, 1:]))
+    return dist < np.maximum(tol_member, LIPSCHITZ_FACTOR * max(hx, hy) * cellmax)
+
+
+FAMILY_DEGREES = range(8, 33)
+
+
+class TestMatrixRaster:
+    """The Taylor-row products give the cell-by-cell Horner raster exactly."""
+
+    @staticmethod
+    def _check(T):
+        report = grid_oracle(T, resolution=512)
+        assert np.array_equal(report.member, _horner_member(T, report))
+        return report
+
+    @pytest.mark.parametrize("name", COEFF_FIXTURES)
+    def test_fixtures(self, name):
+        coeffs = json.loads((FIXTURES / f"{name}.json").read_text())["coeffs"]
+        self._check(ComplexPoly(coeffs))
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_solved_rectangles(self, key, solved_rect):
+        self._check(solved_rect(*key).poly)
+
+    @pytest.mark.parametrize("n", FAMILY_DEGREES)
+    def test_chebyshev(self, n):
+        self._check(chebyshev(n))
+
+    @pytest.mark.parametrize("n", FAMILY_DEGREES)
+    def test_chebyshev_shifted(self, n):
+        # T_n in [-1.5, 0.5]: one piece around each minimum of T_n on
+        # [-1, 1]; for odd n from 19 on, the Lipschitz margin of the 512^2
+        # raster joins two of them
+        report = self._check(chebyshev(n) + 0.5)
+        if n <= 17 or (n % 2 == 0 and n <= 24):
+            assert report.component_count == (n + 1) // 2
+
+    @pytest.mark.parametrize("n", FAMILY_DEGREES)
+    def test_monomial(self, n):
+        self._check(star(n))
 
 
 class TestAgreement:

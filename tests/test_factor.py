@@ -4,6 +4,7 @@ import pytest
 import chebotarev.poly as poly_module
 from chebotarev import (
     ComplexPoly,
+    LevelForm,
     PathTooClose,
     dist_to_interval,
     factorize,
@@ -11,7 +12,7 @@ from chebotarev import (
     verify_cosh_representation,
 )
 
-from conftest import cheb2, cross, star, t3, t4
+from conftest import RECT_IDS, RECTANGLES, cheb2, cross, star, t3, t4
 
 
 def _max_coeff_diff(p, q):
@@ -239,10 +240,6 @@ class TestRandomStructuredPolynomials:
             assert_factorization_consistent(T, fac)
 
 
-RECTANGLES = [(5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (9, 2)]
-RECT_IDS = ["n5", "n6", "n7", "n8", "n9s1", "n9s2"]
-
-
 @pytest.fixture
 def root_solves(monkeypatch):
     """Counts the calls of ``poly.find_roots``, through which every root solve goes."""
@@ -286,6 +283,27 @@ class TestLevelForm:
                 == [c.multiplicity for c in plain.clusters])
         for a, b in zip(fac.branch_points, plain.branch_points):
             assert abs(a - b) < 1e-10
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_order_survives_ulp_changes(self, key, shift, solved_rect):
+        # one ulp on the real part of every other zero, as a conjugate pair
+        # whose real parts were computed apart would carry it
+        T = solved_rect(*key).poly
+        level = T.level
+
+        def nudge(pairs):
+            return tuple((complex(np.nextafter(p.real, shift * np.inf), p.imag)
+                          if k % 2 else p, m) for k, (p, m) in enumerate(pairs))
+
+        moved = LevelForm(level.tau, nudge(level.plus), nudge(level.minus))
+        fac = factorize(T)
+        other = factorize(ComplexPoly(T.coeffs, moved))
+        assert [c.multiplicity for c in other.clusters] == [c.multiplicity for c in fac.clusters]
+        for a, b in zip(other.clusters, fac.clusters):
+            assert abs(a.center - b.center) < 1e-15
+        for a, b in zip(other.branch_points, fac.branch_points):
+            assert abs(a - b) < 1e-15
 
     @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
     def test_level_form_leaves_identity_alone(self, key, solved_rect):
