@@ -71,15 +71,11 @@ from .powersum import (
     build_polynomial,
     default_initial,
     enumerate_sign_configs,
-    jacobian,
-    power_sums,
     reconstruct_from_levels,
     residual,
-    resolve_points,
     solution_to_dict,
     solve,
     spec_from_dict,
-    unknown_layout,
 )
 from .quadrature import QuadraturePath, path_integral
 

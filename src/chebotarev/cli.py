@@ -9,7 +9,7 @@ run can be reproduced byte for byte.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,12 +87,7 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.tol is not None:
-        from .powersum import ProblemSpec, SolverOptions
-        spec = ProblemSpec(spec.config, spec.vars, SolverOptions(
-            max_iter=spec.options.max_iter,
-            damping=spec.options.damping,
-            residual_tol=args.tol,
-        ))
+        spec = replace(spec, options=replace(spec.options, residual_tol=args.tol))
 
     starts = [None]
     if args.sweep:

@@ -17,6 +17,12 @@ polynomial is rebuilt from the positive-sign points as
 where tau is fixed by requiring T = -1 at any negative-sign point.  This
 module poses the system for a caller-declared set of free, fixed and
 symmetry-linked points and solves it by damped Gauss-Newton.
+
+Every point is real-affine in the real unknowns x, so each
+:class:`ProblemSpec` is compiled once into ``points = p0 + A @ x`` and the
+weights w (role weight times sign).  The residual is then the w-weighted
+sum of ``points**k`` and its Jacobian ``((w k) points**(k-1))^T @ A``, with
+no Python loop over the points.
 """
 
 from dataclasses import dataclass
@@ -165,7 +171,15 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A sign configuration plus the free/fixed/linked point declarations."""
+    """A sign configuration plus the free/fixed/linked point declarations.
+
+    Construction compiles the declarations into the affine point map
+    ``points = p0 + A @ x`` over the real unknowns ``x``, one row per entry
+    of ``vars``, and the weights ``w`` (role weight times sign) of the power
+    sums.  Every status and link kind is real-affine in ``x``, so link
+    chains are followed once here; cycles and dangling targets raise
+    ``ValueError``.
+    """
 
     config: SignConfig
     vars: tuple
@@ -183,40 +197,50 @@ class ProblemSpec:
         got = {v.key for v in self.vars}
         if got != expected:
             raise ValueError("variable declarations do not cover the configuration")
-        self._resolve_order()  # raises on cycles / dangling targets
+        self._compile()
         n = self.config.degree
-        m = sum(_DOF[v.status] for v in self.vars)
+        m = self.A.shape[1]
         if m > 2 * (n - 1):
             raise ValueError(f"{m} real unknowns exceed the {2 * (n - 1)} equations")
 
-    def _resolve_order(self):
-        by_key = {v.key: v for v in self.vars}
-        state = {}
+    def _compile(self):
+        row = {v.key: i for i, v in enumerate(self.vars)}
+        layout = unknown_layout(self)
+        p0 = np.array([0j if v.status == "free_complex" else v.value for v in self.vars])
+        A = np.zeros((len(self.vars), len(layout)), dtype=complex)
+        for col, (v, comp) in enumerate(layout):
+            A[row[v.key], col] = 1j if comp == "im" or v.status == "free_imag" else 1.0
+        settled = set()
 
-        def visit(key, stack):
-            if key in stack:
+        def settle(key, chain):
+            if key in chain:
                 raise ValueError(f"link cycle through {key}")
-            if state.get(key) == "done":
-                return
-            v = by_key.get(key)
-            if v is None:
+            if key not in row:
                 raise ValueError(f"link target {key} does not exist")
-            if v.status == "linked":
-                visit(v.target, stack | {key})
-            state[key] = "done"
+            v = self.vars[row[key]]
+            if v.status == "linked" and key not in settled:
+                settle(v.target, chain | {key})
+                z, a = p0[row[v.target]], A[row[v.target]]
+                if v.kind != "negate":
+                    z, a = z.conjugate(), a.conj()
+                if v.kind != "conjugate":
+                    z, a = -z, -a
+                p0[row[key]], A[row[key]] = z, a
+            settled.add(key)
 
         for v in self.vars:
-            visit(v.key, frozenset())
-        return by_key
+            settle(v.key, frozenset())
+        w = np.array([_ROLE_WEIGHT[v.role] * self.config.signs_for(v.role)[v.index - 1]
+                      for v in self.vars])
+        for name, arr in (("p0", p0), ("A", A), ("w", w)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def residual_tol(self):
         if self.options.residual_tol is not None:
             return self.options.residual_tol
         return 1e-11 * self.config.degree
-
-
-_DOF = {"fixed": 0, "free_complex": 2, "free_real": 1, "free_imag": 1, "linked": 0}
 
 
 def unknown_layout(spec: ProblemSpec) -> list:
@@ -235,118 +259,28 @@ def unknown_layout(spec: ProblemSpec) -> list:
     return layout
 
 
-def _base_transforms(spec: ProblemSpec):
-    """Map each var key to (base_key, sign, conjugate?) through its link chain."""
-    by_key = {v.key: v for v in spec.vars}
-    memo = {}
-
-    def resolve(key):
-        if key in memo:
-            return memo[key]
-        v = by_key[key]
-        if v.status != "linked":
-            memo[key] = (key, 1.0, False)
-            return memo[key]
-        base, sign, conj = resolve(v.target)
-        if v.kind == "negate":
-            sign = -sign
-        elif v.kind == "conjugate":
-            conj = not conj
-        else:  # negate_conjugate
-            sign = -sign
-            conj = not conj
-        memo[key] = (base, sign, conj)
-        return memo[key]
-
-    for v in spec.vars:
-        resolve(v.key)
-    return memo
-
-
-def _base_values(spec: ProblemSpec, x):
-    """Values of the non-linked vars given the assignment vector."""
-    x = np.asarray(x, dtype=float)
-    values = {}
-    pos = 0
-    for v in spec.vars:
-        if v.status == "fixed":
-            values[v.key] = v.value
-        elif v.status == "free_complex":
-            values[v.key] = complex(x[pos], x[pos + 1])
-            pos += 2
-        elif v.status == "free_real":
-            values[v.key] = v.value + x[pos]
-            pos += 1
-        elif v.status == "free_imag":
-            values[v.key] = v.value + 1j * x[pos]
-            pos += 1
-    if pos != len(x):
-        raise ValueError(f"assignment length {len(x)} != {pos} unknowns")
-    return values
+def _points(spec: ProblemSpec, x) -> np.ndarray:
+    return spec.p0 + spec.A @ np.asarray(x, dtype=float)
 
 
 def resolve_points(spec: ProblemSpec, x) -> dict:
     """All point values (including linked ones) for an assignment vector."""
-    base = _base_values(spec, x)
-    transforms = _base_transforms(spec)
-    points = {}
-    for v in spec.vars:
-        bkey, sign, conj = transforms[v.key]
-        val = base[bkey]
-        if conj:
-            val = val.conjugate()
-        points[v.key] = sign * val
-    return points
+    return {v.key: complex(p) for v, p in zip(spec.vars, _points(spec, x))}
 
 
 def residual(spec: ProblemSpec, x) -> np.ndarray:
     """The 2(n-1) real components of the weighted power sums, k = 1 .. n-1."""
-    points = resolve_points(spec, x)
-    n = spec.config.degree
-    ks = np.arange(1, n)
-    total = np.zeros(n - 1, dtype=complex)
-    for v in spec.vars:
-        w = _ROLE_WEIGHT[v.role] * spec.config.signs_for(v.role)[v.index - 1]
-        total += w * points[v.key] ** ks
-    out = np.empty(2 * (n - 1))
-    out[0::2] = total.real
-    out[1::2] = total.imag
-    return out
+    ks = np.arange(1, spec.config.degree)
+    # rows added in ``vars`` order, which fixes the rounding of the sums
+    total = (spec.w[:, None] * _points(spec, x)[:, None] ** ks).sum(axis=0)
+    return np.column_stack([total.real, total.imag]).ravel()
 
 
 def jacobian(spec: ProblemSpec, x) -> np.ndarray:
     """Analytic derivative of :func:`residual` w.r.t. the assignment vector."""
-    points = resolve_points(spec, x)
-    transforms = _base_transforms(spec)
-    layout = unknown_layout(spec)
-    col_of = {}
-    for col, (v, comp) in enumerate(layout):
-        col_of[(v.key, comp)] = col
-
-    n = spec.config.degree
-    ks = np.arange(1, n)
-    J = np.zeros((2 * (n - 1), len(layout)))
-    for v in spec.vars:
-        bkey, sign, conj = transforms[v.key]
-        base_var = next(u for u in spec.vars if u.key == bkey)
-        if base_var.status == "fixed":
-            continue
-        w = _ROLE_WEIGHT[v.role] * spec.config.signs_for(v.role)[v.index - 1]
-        chain = w * ks * points[v.key] ** (ks - 1)
-        if base_var.status == "free_complex":
-            dirs = [("re", 1.0 + 0j), ("im", 1j)]
-        elif base_var.status == "free_real":
-            dirs = [("t", 1.0 + 0j)]
-        else:  # free_imag
-            dirs = [("t", 1j)]
-        for comp, g in dirs:
-            dbase = g.conjugate() if conj else g
-            dval = sign * dbase
-            col = col_of[(bkey, comp)]
-            dS = chain * dval
-            J[0::2, col] += dS.real
-            J[1::2, col] += dS.imag
-    return J
+    ks = np.arange(1, spec.config.degree)
+    dS = ((spec.w[:, None] * ks) * _points(spec, x)[:, None] ** (ks - 1)).T @ spec.A
+    return np.column_stack([dS.real, dS.imag]).reshape(2 * len(ks), -1)
 
 
 def default_initial(spec: ProblemSpec) -> np.ndarray:
@@ -484,9 +418,8 @@ def solve(spec: ProblemSpec, initial=None) -> Solution:
     points without root finding.
     """
     x = np.asarray(default_initial(spec) if initial is None else initial, dtype=float)
-    layout = unknown_layout(spec)
-    if len(x) != len(layout):
-        raise ValueError(f"initial vector length {len(x)} != {len(layout)} unknowns")
+    if len(x) != spec.A.shape[1]:
+        raise ValueError(f"initial vector length {len(x)} != {spec.A.shape[1]} unknowns")
     tol = spec.residual_tol
     lam = spec.options.damping
     r = residual(spec, x)

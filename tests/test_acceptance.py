@@ -22,12 +22,12 @@ from chebotarev import (
     is_connected,
     junction_angles,
     min_deviation,
-    power_sums,
     reconstruct_from_levels,
     solve,
     structured_roots,
     trace,
 )
+from chebotarev.powersum import power_sums
 
 from conftest import cheb2, cross, rect_spec, star, t3, t4, two_intervals
 

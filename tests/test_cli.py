@@ -23,6 +23,9 @@ FROZEN = {
     "t4_alpha2": ("trace",),
     "cross_alpha1": ("trace",),
 }
+#: ``solution.json`` of ``solve`` on each rectangle fixture, manifest removed,
+#: as written before the problem spec was compiled into an affine point map.
+SOLVED = json.loads((GOLDEN / "solve_rectangles.json").read_text())
 
 
 def run(*argv):
@@ -47,11 +50,27 @@ class TestSolveCommand:
         assert run("solve", FIXTURES / "rect_n7.json", "--out", tmp_path) == 0
         assert (tmp_path / "solution.json").read_bytes() == first
 
+    @pytest.mark.parametrize("name", list(SOLVED))
+    def test_solution_matches_frozen_document(self, name, tmp_path):
+        assert run("solve", FIXTURES / f"{name}.json", "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "solution.json").read_text())
+        assert doc.pop("manifest")["subcommand"] == "solve"
+        assert doc == SOLVED[name]
+
     def test_sweep_reports_distinct_solutions(self, tmp_path, capsys):
         code = run("solve", FIXTURES / "rect_n5.json", "--out", tmp_path, "--sweep", "3")
         assert code == 0
         doc = json.loads((tmp_path / "solution.json").read_text())
         assert "sweep_distinct" in doc and len(doc["sweep_distinct"]) >= 1
+
+    def test_tol_override_reaches_the_solver(self, tmp_path):
+        assert run("solve", FIXTURES / "rect_n5.json", "--out", tmp_path, "--tol", "1e-30") == 3
+        assert not (tmp_path / "solution.json").exists()
+        assert run("solve", FIXTURES / "rect_n9_system1.json", "--out", tmp_path,
+                   "--tol", "1e-10", "--sweep", "2") == 0
+        doc = json.loads((tmp_path / "solution.json").read_text())
+        assert doc["manifest"]["tol"] == 1e-10
+        assert doc["residual_inf_norm"] < 1e-10
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -65,6 +84,15 @@ class TestSolveCommand:
         bad = tmp_path / "incomplete.json"
         bad.write_text(json.dumps({"n": 5, "nu": 4}))
         assert run("solve", bad, "--out", tmp_path) == 2
+
+    def test_dangling_link_exits_2(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "rect_n5.json").read_text())
+        doc["vars"][1]["target"] = {"role": "c", "index": 7}
+        bad = tmp_path / "dangling.json"
+        bad.write_text(json.dumps(doc))
+        assert run("solve", bad, "--out", tmp_path) == 2
+        assert "link target ('c', 7) does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "solution.json").exists()
 
     def test_negative_sweep_exits_2(self, tmp_path):
         assert run("solve", FIXTURES / "rect_n5.json", "--out", tmp_path, "--sweep", "-1") == 2

@@ -16,17 +16,14 @@ from chebotarev import (
     build_polynomial,
     enumerate_sign_configs,
     find_roots,
-    jacobian,
-    power_sums,
     reconstruct_from_levels,
     residual,
-    resolve_points,
     solution_to_dict,
     solve,
     spec_from_dict,
     structured_roots,
-    unknown_layout,
 )
+from chebotarev.powersum import jacobian, power_sums, resolve_points, unknown_layout
 
 from conftest import rect_spec, t4
 
@@ -103,6 +100,19 @@ class TestResidual:
             PointVar("d", 2, "fixed", value=-0.5),
         ]
         with pytest.raises(ValueError):
+            ProblemSpec(config, vars_)
+
+    def test_dangling_link_rejected(self):
+        config = SignConfig(5, (1, 1, -1, -1), (-1, 1), ())
+        vars_ = [
+            PointVar("c", 1, "free_imag", value=1.0),
+            PointVar("c", 2, "linked", kind="conjugate", target=("c", 7)),
+            PointVar("c", 3, "fixed", value=-1.0),
+            PointVar("c", 4, "fixed", value=-2.0),
+            PointVar("d", 1, "free_real"),
+            PointVar("d", 2, "linked", kind="negate", target=("d", 1)),
+        ]
+        with pytest.raises(ValueError, match=r"link target \('c', 7\) does not exist"):
             ProblemSpec(config, vars_)
 
 
