@@ -3,21 +3,27 @@
 The inverse image of a degree-n polynomial consists of n analytic Jordan
 arcs whose endpoints are the zeros of T^2 - 1, counted with multiplicity.
 Writing the level as cos(theta), theta in [0, pi], each arc is swept by the
-n roots of T(z) - cos(theta).  Each level's roots are found by Aberth
-iteration warm-started at the chains' linearly extrapolated positions and
-returned as the iteration settled, without Newton polish, so root i
-normally continues chain i; a greedy global assignment against the same
-extrapolated positions checks that pairing and decides it where two chains
-contend for one root.  Extrapolation carries chains straight through
-interior crossing points where plain nearest-neighbor matching would turn
-the corner.  At such a crossing the split into n arcs, each mapped one to
-one onto [-1, 1], is not unique: which ends pair up through it follows the
-last digits of the level roots, though not the seed.  The endpoints are
-taken from a given factorization or from a solved polynomial's level form
-when either is at hand, and are root-found otherwise.  A zero of T^2 - 1
-of multiplicity kappa collects kappa arc ends meeting at equal angles
-2*pi/kappa; at double zeros the two incident arcs are conjoined into one
-analytic arc when their tangents are anti-parallel.
+n roots of T(z) - cos(theta).  The levels are solved in blocks of 16 by one
+Aberth iteration (:func:`~chebotarev.poly.level_roots`): each level starts
+at the chains' positions extrapolated linearly from the last accepted
+level, and its roots come back as the iteration settled, without Newton
+polish, so root i normally continues chain i.  The block's levels are
+accepted in order; a greedy global assignment against the chains'
+extrapolated positions checks each pairing and decides it where two chains
+contend for one root.  At the first level that did not settle or whose
+match is in doubt, the tracer falls back to single-level solves, bisecting
+the step until the match is clear, and the next block starts after that
+level.  Extrapolation carries chains straight through interior crossing
+points where plain nearest-neighbor matching would turn the corner.  At
+such a crossing the split into n arcs, each mapped one to one onto
+[-1, 1], is not unique: which ends pair up through it follows the last
+digits of the level roots, though not the seed.  The endpoints are the
+zeros of T^2 - 1 from :func:`~chebotarev.factor.factorize`, given or
+computed here, which takes them from a solved polynomial's level form when
+that form passes its checks.  A zero of T^2 - 1 of multiplicity kappa
+collects kappa arc ends meeting at equal angles 2*pi/kappa; at double zeros
+the two incident arcs are conjoined into one analytic arc when their
+tangents are anti-parallel.
 """
 
 from dataclasses import dataclass
@@ -26,8 +32,9 @@ import numpy as np
 
 from .connect import dist_to_interval
 from .errors import MatchingAmbiguity, NotATree
-from .poly import (ComplexPoly, UnionFind, cluster_roots, find_roots, point_key,
-                   structured_roots)
+from .factor import factorize
+from .poly import (ComplexPoly, UnionFind, cluster_roots, find_roots, level_roots,
+                   point_key, structured_roots)
 
 
 @dataclass(frozen=True)
@@ -48,85 +55,88 @@ def _expanded(clusters):
     return out
 
 
-class _Chain:
-    __slots__ = ("samples", "levels")
-
-    def __init__(self, seed, level):
-        self.samples = [complex(seed)]
-        self.levels = [float(level)]
-
-    def predicted(self):
-        if len(self.samples) >= 2:
-            return 2.0 * self.samples[-1] - self.samples[-2]
-        return self.samples[-1]
-
-    def last_step(self):
-        if len(self.samples) >= 2:
-            return abs(self.samples[-1] - self.samples[-2])
-        return None
+#: Levels solved together in one :func:`~chebotarev.poly.level_roots` block.
+_BLOCK = 16
 
 
 def _greedy_assign(preds, candidates):
     """Greedy global matching of predicted positions to candidates, nearest first.
 
-    When every row's nearest candidate (first on ties) is a different one,
-    that is already the greedy answer: each such pick is the smallest
-    remaining pair of its row and takes no column another row needs.  Only
-    otherwise are all pairs sorted by ``(dist, i, j)`` and taken in order.
+    Returns each prediction's candidate index and distance, as arrays.  When
+    every row's nearest candidate (first on ties) is a different one, that
+    is already the greedy answer: each such pick is the smallest remaining
+    pair of its row and takes no column another row needs.  Only otherwise
+    are all pairs taken in order of ``(dist, i, j)``.
     """
-    dist = np.abs(np.asarray(candidates)[None, :] - np.asarray(preds)[:, None])
-    nearest = dist.argmin(axis=1).tolist()
-    rows = dist.tolist()
-    if len(set(nearest)) == len(nearest):
-        return [(j, row[j]) for j, row in zip(nearest, rows)]
-    pairs = sorted((d, i, j) for i, row in enumerate(rows) for j, d in enumerate(row))
-    taken_chain = [False] * len(preds)
-    taken_cand = [False] * len(candidates)
-    assignment = [None] * len(preds)
-    for d, i, j in pairs:
-        if taken_chain[i] or taken_cand[j]:
+    dist = np.abs(candidates[None, :] - preds[:, None])
+    nearest = dist.argmin(axis=1)
+    if len(set(nearest.tolist())) == len(nearest):
+        return nearest, dist[np.arange(len(preds)), nearest]
+    cols = np.empty(len(preds), dtype=int)
+    taken_row = [False] * len(preds)
+    taken_col = [False] * len(candidates)
+    left = len(preds)
+    for flat in np.argsort(dist, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, len(candidates))
+        if taken_row[i] or taken_col[j]:
             continue
-        taken_chain[i] = True
-        taken_cand[j] = True
-        assignment[i] = (j, d)
-    return assignment
+        taken_row[i] = taken_col[j] = True
+        cols[i] = j
+        left -= 1
+        if not left:
+            break
+    return cols, dist[np.arange(len(preds)), cols]
 
 
-def _advance(chains, T, theta_a, theta_b, seed, scale, depth=0):
+def _predicted(rows):
+    """Each chain's next position, extrapolated linearly from its last two samples."""
+    return 2.0 * rows[-1] - rows[-2] if len(rows) > 1 else rows[-1]
+
+
+def _match(rows, roots, scale):
+    """A level's roots in chain order, or ``None`` when the step is in doubt.
+
+    ``rows`` holds the chains' samples so far, one array per level.  Each
+    chain takes a root by :func:`_greedy_assign` against its predicted
+    position.  A match is in doubt when it lies beyond the chain's
+    allowance, three times its last step plus 0.01 of ``scale`` (0.05 of
+    ``scale`` on the first step), unless every contending candidate sits in
+    one tight huddle: that is a level where several arcs pass through a
+    common point, the choice within the huddle is immaterial, and no amount
+    of level bisection could separate the candidates anyway.
+    """
+    preds = _predicted(rows)
+    if len(rows) > 1:
+        allowance = 3.0 * np.abs(rows[-1] - rows[-2]) + 0.01 * scale
+    else:
+        allowance = np.full(len(preds), 0.05 * scale)
+    cols, dist = _greedy_assign(preds, roots)
+    for i in np.flatnonzero(dist > allowance).tolist():
+        contenders = roots[np.abs(roots - preds[i]) <= 1.5 * dist[i]]
+        spread = np.abs(contenders[:, None] - contenders[None, :]).max()
+        if spread > 0.2 * dist[i]:
+            return None
+    return roots[cols]
+
+
+def _advance(rows, levels, T, theta_a, theta_b, seed, scale, depth=0):
     """Extend every chain from level theta_a to theta_b, refining on doubt.
 
-    The level's roots are warm-started at the chains' predicted positions.
-    A large step is accepted without refinement when every contending
-    candidate sits in one tight huddle: that is a level where several arcs
-    pass through a common point, the choice within the huddle is immaterial,
-    and no amount of level bisection could separate the candidates anyway.
+    The level's roots are warm-started at the chains' predicted positions
+    and matched by :func:`_match`; a step in doubt is split in two halves.
     """
     if depth > 20:
         raise MatchingAmbiguity("level matching still ambiguous at refinement depth 20")
-    preds = [c.predicted() for c in chains]
-    roots = find_roots(T - float(np.cos(theta_b)), seed=seed, initial=preds)
-    assignment = _greedy_assign(preds, roots)
-
-    needs_refine = False
-    for chain, pred, (j, dist) in zip(chains, preds, assignment):
-        prev = chain.last_step()
-        allowance = 0.05 * scale if prev is None else 3.0 * prev + 0.01 * scale
-        if dist <= allowance:
-            continue
-        contenders = [r for r in roots if abs(r - pred) <= 1.5 * dist]
-        spread = max(abs(a - b) for a in contenders for b in contenders)
-        if spread <= 0.2 * dist:
-            continue
-        needs_refine = True
-        break
-    if needs_refine:
+    roots = np.array(find_roots(T - float(np.cos(theta_b)), seed=seed,
+                                initial=_predicted(rows)))
+    row = _match(rows, roots, scale)
+    if row is None:
         mid = 0.5 * (theta_a + theta_b)
-        _advance(chains, T, theta_a, mid, seed, scale, depth + 1)
-        _advance(chains, T, mid, theta_b, seed, scale, depth + 1)
+        _advance(rows, levels, T, theta_a, mid, seed, scale, depth + 1)
+        _advance(rows, levels, T, mid, theta_b, seed, scale, depth + 1)
         return
-    for chain, (j, _) in zip(chains, assignment):
-        chain.samples.append(roots[j])
-        chain.levels.append(float(theta_b))
+    rows.append(row)
+    levels.append(float(theta_b))
 
 
 def _tangent_at_start(samples):
@@ -147,48 +157,55 @@ def _tangent_at_start(samples):
 def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
     """Sweep the level parameter and chain the roots into analytic arcs.
 
-    Endpoint root sets are refined multiplicity clusters, so arcs terminate
-    on multiple zeros at full accuracy: those of ``fac``, the factorization
-    of ``T``, when one is given, else those of ``T.level``, the level form
-    of a solved polynomial, each split by the sign of ``T`` at each center,
-    and otherwise the clusters of T - 1 and T + 1 found here.  Chains whose
-    shared endpoint is a double zero of T^2 - 1 are conjoined when
-    anti-parallel.
+    The arcs end on the refined root clusters of ``fac``, the factorization
+    of ``T`` (computed here when not given), split by the sign of ``T`` at
+    each center, so arcs terminate on multiple zeros at full accuracy.  The
+    interior levels are solved in blocks of ``_BLOCK`` by
+    :func:`~chebotarev.poly.level_roots`: level ``m + j`` starts at the
+    chains' positions extrapolated ``j`` steps ahead from level ``m``.  The
+    block's levels are matched in order; at the first one that did not
+    settle or whose match is in doubt, that level is taken by single-level
+    solves with bisection (:func:`_advance`) and the next block starts after
+    it.  Chains whose shared endpoint is a double zero of T^2 - 1 are
+    conjoined when anti-parallel.
     """
     if steps < 64:
         raise ValueError("steps must be at least 64")
     n = T.degree
-    if fac is None and T.level is None:
-        plus_clusters = structured_roots(T - 1.0, seed=seed)
-        minus_clusters = structured_roots(T + 1.0, seed=seed)
-    else:
-        clusters = fac.clusters if fac is not None else T.level.clusters()
-        plus_clusters = [c for c in clusters if T(c.center).real >= 0]
-        minus_clusters = [c for c in clusters if T(c.center).real < 0]
+    if fac is None:
+        fac = factorize(T, seed=seed)
+    plus_clusters = [c for c in fac.clusters if T(c.center).real >= 0]
+    minus_clusters = [c for c in fac.clusters if T(c.center).real < 0]
     plus_roots = _expanded(plus_clusters)
     minus_roots = _expanded(minus_clusters)
     if len(plus_roots) != n or len(minus_roots) != n:
         raise ValueError("level sets do not have full degree; leading coefficient issue?")
     scale = 1.0 + max(abs(r) for r in plus_roots + minus_roots)
 
-    chains = [_Chain(r, 0.0) for r in plus_roots]
+    rows, levels = [np.array(plus_roots)], [0.0]
     grid = [np.pi * m / steps for m in range(steps + 1)]
-    for theta_a, theta_b in zip(grid[:-2], grid[1:-1]):
-        _advance(chains, T, theta_a, theta_b, seed, scale)
+    m = 1
+    while m < steps:
+        block = range(m, min(m + _BLOCK, steps))
+        step = rows[-1] - rows[-2] if len(rows) > 1 else 0.0
+        starts = rows[-1] + np.arange(1, len(block) + 1)[:, None] * step
+        solved = level_roots(T, np.cos([grid[k] for k in block]), starts)
+        for k, roots in zip(block, solved):
+            m = k + 1
+            row = None if roots is None else _match(rows, roots, scale)
+            if row is None:
+                _advance(rows, levels, T, grid[k - 1], grid[k], seed, scale)
+                break
+            rows.append(row)
+            levels.append(grid[k])
 
-    assignment = _greedy_assign([c.predicted() for c in chains], minus_roots)
-    for chain, (j, _) in zip(chains, assignment):
-        chain.samples.append(minus_roots[j])
-        chain.levels.append(float(np.pi))
-
-    pieces = [
-        {
-            "samples": list(c.samples),
-            "levels": list(c.levels),
-            "through": [],
-        }
-        for c in chains
-    ]
+    minus = np.array(minus_roots)
+    cols, _ = _greedy_assign(_predicted(rows), minus)
+    rows.append(minus[cols])
+    levels.append(float(np.pi))
+    chains = np.array(rows).T.tolist()
+    pieces = [{"samples": samples, "levels": list(levels), "through": []}
+              for samples in chains]
 
     doubles = [c.center for c in plus_clusters + minus_clusters if c.multiplicity == 2]
     for q in doubles:

@@ -26,6 +26,10 @@ _EPS = float(np.finfo(float).eps)
 _NUDGE = 1e-6
 _GOLDEN_ANGLE = float(np.pi * (3.0 - np.sqrt(5.0)))
 
+#: Sweep cap of the level solves of :func:`level_roots`, the default of
+#: :func:`find_roots`.
+_MAX_SWEEPS = 500
+
 
 def _as_coeff_tuple(coeffs):
     cs = tuple(complex(c) for c in coeffs)
@@ -212,7 +216,7 @@ def _hankel(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a, np.zeros(n, dtype=a.dtype)])[idx[:, None] + idx[None, :]]
 
 
-def _eval_sweep(H: np.ndarray, z: np.ndarray):
+def _eval_sweep(H: np.ndarray, z: np.ndarray, shift=None):
     """``p``, ``p'`` and a rounding-error bound for ``p`` at every point of ``z``.
 
     ``H`` is :func:`_hankel` of the coefficients of ``p``.  With the powers
@@ -221,16 +225,24 @@ def _eval_sweep(H: np.ndarray, z: np.ndarray):
     (the Horner quotient at ``z``) and ``2 eps sum |z|**k |r_k|`` is Horner's
     running error bound (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 5.1).  The numpy calls do not grow with the degree.
+
+    ``shift``, when given, holds one constant per point, added to the
+    constant coefficient of ``p`` at that point.  Only ``r_0`` depends on the
+    constant coefficient, so the shift enters column 0 of ``R`` alone and one
+    product serves polynomials that differ only there.
     """
     Z = powers(z, H.shape[0] - 1)
     R = Z @ H
+    if shift is not None:
+        R[:, 0] += shift
     W = Z[:, :-1] * R[:, 1:]
     p = R[:, 0]
     bound = np.abs(p) + np.abs(z) * np.abs(W).sum(axis=1)
     return p, W.sum(axis=1), _EPS * (2.0 * bound)
 
 
-def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = 500, initial=None) -> list:
+def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = _MAX_SWEEPS,
+               initial=None) -> list:
     """All roots of ``p`` by Aberth-Ehrlich simultaneous iteration.
 
     Starts from a randomly perturbed circle (deterministic for a given
@@ -259,15 +271,16 @@ def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = 500, initial=None)
     a = np.array(p.coeffs, dtype=complex)
     a = a / a[-1]
     n = len(a) - 1
-    start = None if initial is None else _warm_start(initial, n)
+    start = None if initial is None else _warm_start(initial, (n,))
     if n == 1:
         return [complex(-a[0])]
+    H = _hankel(a)
     if start is not None:
         try:
-            return [complex(v) for v in _aberth(a, start, max_iter)]
+            return [complex(v) for v in _aberth(H, start, max_iter)]
         except NoConvergence:
             pass
-    z = _aberth(a, _circle_start(a, seed), max_iter)
+    z = _aberth(H, _circle_start(a, seed), max_iter)
 
     ad = a[1:] * np.arange(1, n + 1)
     pv = _horner_arr(a, z)
@@ -282,8 +295,8 @@ def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = 500, initial=None)
     return [complex(v) for v in z]
 
 
-def _warm_start(initial, n):
-    """Validated start vector from caller-given points, each nudged apart.
+def _warm_start(initial, shape):
+    """Validated starts of the given shape from caller-given points, each nudged apart.
 
     Point ``k`` moves by ``_NUDGE * (1 + |z_k|)`` in direction ``0.5 + k``
     golden angles.  This splits coincident starts and breaks the symmetry
@@ -291,12 +304,12 @@ def _warm_start(initial, n):
     polynomial would otherwise keep for ever (real starts never reach a
     complex root pair).
     """
-    z = np.array([complex(v) for v in initial], dtype=complex)
-    if z.shape != (n,):
-        raise ValueError(f"initial needs {n} points, got {len(z)}")
+    z = np.array(initial, dtype=complex)
+    if z.shape != shape:
+        raise ValueError(f"starts need shape {shape}, got {z.shape}")
     if not np.isfinite(z).all():
         raise ValueError("initial points must be finite")
-    turn = 0.5 + _GOLDEN_ANGLE * np.arange(n)
+    turn = 0.5 + _GOLDEN_ANGLE * np.arange(shape[-1])
     return z + _NUDGE * (1.0 + np.abs(z)) * np.exp(1j * turn)
 
 
@@ -310,37 +323,87 @@ def _circle_start(a, seed):
     return rad * np.exp(1j * ang)
 
 
-def _aberth(a, z, max_iter):
-    """Aberth-Ehrlich sweeps on monic ``a`` from ``z`` until every root settles.
+def level_roots(T: ComplexPoly, levels, starts) -> list:
+    """Roots of ``T - c`` for every level ``c``, by one Aberth iteration over the block.
 
-    Each sweep evaluates ``p``, ``p'`` and Horner's error bound at all points
-    in one matrix product (:func:`_eval_sweep`) against the Hankel matrix of
-    ``a``, built once per call.  A root has settled when its correction is
-    below ``1e-13 * (1 + |z|)`` or ``|p(z)|`` is within 8 times the bound.
-    Raises :class:`NoConvergence` at the cap, or at the first sweep whose
-    iterate is not finite (overflow spreads NaNs that never settle); the
-    floating-point warnings on the way there are silenced.
+    ``starts`` holds one row of ``T.degree`` finite starts per level; each
+    start gets the fixed nudge of a warm :func:`find_roots` run.  The level
+    polynomials share every coefficient but the constant, so each sweep
+    evaluates all levels in one product against the Hankel matrix of monic
+    ``T``, with ``-c / tau`` added to column 0 (:func:`_eval_sweep`).  Each
+    level settles by the test of :func:`_aberth` and then leaves the block.
+    Returns one entry per level: its roots as returned by the settled
+    iteration, in start order and without Newton polish, or ``None`` where
+    the iterate hit the sweep cap or stopped being finite.
     """
-    H = _hankel(a)
+    if T.degree < 1:
+        raise ValueError("root finding needs degree >= 1")
+    a = np.array(T.coeffs, dtype=complex)
+    tau = a[-1]
+    shift = -np.asarray(levels, dtype=float) / tau
+    z = _warm_start(starts, (len(shift), T.degree))
+    try:
+        block = _aberth(_hankel(a / tau), z, _MAX_SWEEPS, shift)
+    except NoConvergence:
+        return [None] * len(z)
+    return [row if np.isfinite(row).all() else None for row in block]
+
+
+def _aberth(H, z, max_iter, shift=None):
+    """Aberth-Ehrlich sweeps from ``z`` until every root settles.
+
+    ``H`` is the Hankel matrix of a monic polynomial (:func:`_hankel`).
+    ``z`` is a start vector, or a ``(K, n)`` block of them with ``shift``
+    holding each row's change of the constant coefficient; the whole block
+    is evaluated in one matrix product per sweep (:func:`_eval_sweep`).  A
+    root has settled when its correction is below ``1e-13 * (1 + |z|)`` or
+    ``|p(z)|`` is within 8 times Horner's running error bound; a row whose
+    roots have all settled is frozen and leaves the sweeps.  A row that
+    reaches the cap, or whose iterate stops being finite (overflow spreads
+    NaNs that never settle), comes back as NaN; when no row settles,
+    :class:`NoConvergence` is raised instead, at the sweep where the last
+    row failed.  The floating-point warnings on the way are silenced.
+    """
+    block = np.array(z, dtype=complex, ndmin=2)
+    n = block.shape[1]
+    out = np.full_like(block, np.nan)
+    rows = np.arange(len(block))
+    settled = False
+    reason = f"roots did not settle in {max_iter} sweeps; consider rescaling"
     with np.errstate(all="ignore"):
         for sweep in range(1, max_iter + 1):
-            pv, dv, bound = _eval_sweep(H, z)
+            pv, dv, bound = _eval_sweep(
+                H, block.ravel(), None if shift is None else np.repeat(shift[rows], n))
             dv = np.where(dv == 0, 1e-300, dv)
-            w = pv / dv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = (1.0 / diff).sum(axis=1)
+            w = (pv / dv).reshape(-1, n)
+            diff = block[:, :, None] - block[:, None, :]
+            diff.reshape(len(block), -1)[:, ::n + 1] = np.inf
+            s = (1.0 / diff).sum(axis=2)
             den = 1.0 - w * s
             den = np.where(np.abs(den) < 1e-300, 1e-300, den)
             corr = w / den
-            z = z - corr
-            if not np.isfinite(z).all():
-                raise NoConvergence(f"root iterate became non-finite at sweep {sweep}")
-            scale = 1.0 + np.abs(z)
-            done = (np.abs(corr) <= 1e-13 * scale) | (np.abs(pv) <= 8.0 * bound)
-            if bool(done.all()):
-                return z
-    raise NoConvergence(f"roots did not settle in {max_iter} sweeps; consider rescaling")
+            block = block - corr
+            scale = 1.0 + np.abs(block)
+            done = ((np.abs(corr) <= 1e-13 * scale)
+                    | (np.abs(pv) <= 8.0 * bound).reshape(-1, n)).all(axis=1)
+            if np.isfinite(block).all():
+                if not np.count_nonzero(done):
+                    continue
+                keep = ~done
+            else:
+                reason = f"root iterate became non-finite at sweep {sweep}"
+                finite = np.isfinite(block).all(axis=1)
+                done &= finite
+                keep = finite & ~done
+            if done.any():
+                out[rows[done]] = block[done]
+                settled = True
+            if not keep.any():
+                break
+            rows, block = rows[keep], block[keep]
+    if not settled:
+        raise NoConvergence(reason)
+    return out.reshape(np.shape(z))
 
 
 def point_key(w):

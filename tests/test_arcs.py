@@ -120,26 +120,33 @@ class TestTraceQuartic:
 
 class TestWarmStartedLevels:
     def test_every_level_solve_is_warm_and_settles(self, monkeypatch):
-        real_find, real_circle = arcs_module.find_roots, poly_module._circle_start
-        level_solves, retries = [], []
+        real_levels, real_find = arcs_module.level_roots, arcs_module.find_roots
+        real_circle = poly_module._circle_start
+        settled, single, retries = [], [], []
+
+        def spy_levels(T, levels, starts):
+            solved = real_levels(T, levels, starts)
+            settled.extend(roots is not None for roots in solved)
+            return solved
 
         def spy_find(p, *args, **kwargs):
-            level_solves.append(kwargs.get("initial") is not None)
-            retries.append(0)
+            single.append(kwargs.get("initial") is not None)
             return real_find(p, *args, **kwargs)
 
         def spy_circle(a, seed):
-            if retries:
-                retries[-1] += 1
+            if settled:  # the cold endpoint solves of factorize come first
+                retries.append(seed)
             return real_circle(a, seed)
 
+        monkeypatch.setattr(arcs_module, "level_roots", spy_levels)
         monkeypatch.setattr(arcs_module, "find_roots", spy_find)
         monkeypatch.setattr(poly_module, "_circle_start", spy_circle)
         T = ComplexPoly(np.polynomial.chebyshev.cheb2poly([0] * 24 + [1]))
         arcs = trace(T, steps=256)
         assert len(arcs) == 1
-        assert len(level_solves) >= 255 and all(level_solves)
-        assert not any(retries)
+        assert len(settled) >= 255 and all(settled)
+        assert all(single)
+        assert not retries
 
     def test_arc_pairing_does_not_depend_on_seed(self):
         # t4(2) has two interior crossings; cold level solves paired the arc
@@ -257,21 +264,79 @@ class TestTraceFromFactorization:
     def test_level_form_replaces_cold_endpoint_solves(self, solved_rect, monkeypatch):
         sol = solved_rect(7)
         plain = trace(ComplexPoly(sol.poly.coeffs), steps=128)  # no level form
-        real_find = poly_module.find_roots
-        warm = []
+        real_levels, real_find = arcs_module.level_roots, poly_module.find_roots
+        real_circle = poly_module._circle_start
+        settled, warm, circles = [], [], []
+
+        def spy_levels(T, levels, starts):
+            solved = real_levels(T, levels, starts)
+            settled.extend(roots is not None for roots in solved)
+            return solved
 
         def spy_find(p, *args, **kwargs):
             warm.append(kwargs.get("initial") is not None)
             return real_find(p, *args, **kwargs)
 
+        def spy_circle(a, seed):
+            circles.append(seed)
+            return real_circle(a, seed)
+
+        monkeypatch.setattr(arcs_module, "level_roots", spy_levels)
         monkeypatch.setattr(arcs_module, "find_roots", spy_find)
         monkeypatch.setattr(poly_module, "find_roots", spy_find)
+        monkeypatch.setattr(poly_module, "_circle_start", spy_circle)
         arcs = trace(sol.poly, steps=128)
-        assert len(warm) >= 127 and all(warm)
+        assert len(settled) >= 127 and all(settled)
+        assert all(warm) and not circles
         assert len(arcs) == len(plain)
         for a, b in zip(arcs, plain):
             assert abs(a.start_point - b.start_point) < 1e-10
             assert abs(a.end_point - b.end_point) < 1e-10
+
+    def test_wrong_level_form_falls_back_to_root_solves(self, solved_rect):
+        # rect_n8's level form on rect_n7's coefficients fails factorize's
+        # checks; the endpoints then come from the roots of T -+ 1
+        T = ComplexPoly(solved_rect(7).poly.coeffs, solved_rect(8).poly.level)
+        arcs = trace(T, steps=64)
+        assert arcs == trace(T, steps=64, fac=factorize(T))
+        graph = build_graph(arcs, expect_tree=True)
+        assert graph.leaf_count == 4 and len(graph.edges) == 5
+
+    def test_does_not_depend_on_seed(self, solved_rect):
+        sol = solved_rect(7)
+        first = trace(sol.poly, steps=128, seed=0)
+        for seed in (1, 2, 3):
+            assert trace(sol.poly, steps=128, seed=seed) == first
+
+
+class TestBlockFallback:
+    @pytest.mark.parametrize("position", [0, 5])
+    def test_unsettled_level_is_taken_by_bisection(self, solved_rect, monkeypatch, position):
+        T = solved_rect(7).poly
+        expected = trace(T, steps=128)
+        real_levels, real_find = arcs_module.level_roots, arcs_module.find_roots
+        blocks, single = [], []
+
+        def failing_levels(T, levels, starts):
+            solved = real_levels(T, levels, starts)
+            blocks.append(len(levels))
+            if len(blocks) == 3:
+                solved[position] = None
+            return solved
+
+        def spy_find(p, *args, **kwargs):
+            single.append(kwargs.get("initial") is not None)
+            return real_find(p, *args, **kwargs)
+
+        monkeypatch.setattr(arcs_module, "level_roots", failing_levels)
+        monkeypatch.setattr(arcs_module, "find_roots", spy_find)
+        arcs = trace(T, steps=128)
+        assert single and all(single)
+        assert len(arcs) == len(expected)
+        for a, b in zip(arcs, expected):
+            assert (a.start_point, a.end_point) == (b.start_point, b.end_point)
+            assert a.levels == b.levels
+            assert max(abs(x - y) for x, y in zip(a.samples, b.samples)) < 1e-9
 
 
 class TestTraceCubicFamily:

@@ -185,6 +185,45 @@ class TestWarmStart:
             find_roots(ComplexPoly.from_roots([1, 2, 3]), initial=initial)
 
 
+class TestLevelRoots:
+    """One Aberth block for many levels of T - c against one solve per level."""
+
+    @staticmethod
+    def _block(T, theta0=0.4, h=0.01, count=16):
+        thetas = theta0 + h * np.arange(1, count + 1)
+        last = np.array(find_roots(T - math.cos(theta0)))
+        prev = np.array(find_roots(T - math.cos(theta0 - h), initial=last))
+        starts = last + np.arange(1, count + 1)[:, None] * (last - prev)
+        return np.cos(thetas), starts
+
+    @pytest.mark.parametrize("case, tol", [("rect_n9_system1", 1e-10), ("T16", 1e-10),
+                                           ("T24", 1e-7)])
+    def test_matches_sequential_find_roots(self, case, tol, solved_rect):
+        T = solved_rect(9, 1).poly if case.startswith("rect") else _chebyshev(int(case[1:]))
+        levels, starts = self._block(T)
+        solved = poly_module.level_roots(T, levels, starts)
+        assert len(solved) == len(levels)
+        for c, row, roots in zip(levels, starts, solved):
+            sequential = find_roots(T - c, initial=row)
+            assert _max_matched_gap(list(roots), sequential) < tol
+
+    def test_failed_level_is_none_and_others_settle(self):
+        T = _chebyshev(9)
+        levels, starts = self._block(T, count=4)
+        starts[2] = 1e200  # overflows the powers of the first sweep
+        solved = poly_module.level_roots(T, levels, starts)
+        assert solved[2] is None
+        for k in (0, 1, 3):
+            assert _max_matched_gap(list(solved[k]), find_roots(T - levels[k])) < 1e-12
+
+    def test_bad_starts_rejected(self):
+        T = _chebyshev(4)
+        with pytest.raises(ValueError):
+            poly_module.level_roots(T, [0.1, 0.2], np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            poly_module.level_roots(T, [0.1], np.full((1, 4), np.nan))
+
+
 class TestPolishOnlyColdSolves:
     """A settled warm run returns the Aberth iterate; cold runs get 3 Newton steps."""
 
@@ -199,9 +238,9 @@ class TestPolishOnlyColdSolves:
             log.append("horner")
             return real_horner(coeffs, z)
 
-        def sweep(H, z):
+        def sweep(*args):
             log.append("sweep")
-            return real_sweep(H, z)
+            return real_sweep(*args)
 
         def aberth(*args):
             z = real_aberth(*args)
