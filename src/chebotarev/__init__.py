@@ -16,7 +16,6 @@ from .analysis import (
     green_via_integral,
     hyperelliptic_integral,
     min_deviation,
-    route_path,
 )
 from .arcs import (
     Arc,
@@ -31,7 +30,6 @@ from .arcs import (
 from .connect import (
     ConnectivityVerdict,
     GridReport,
-    MembershipParams,
     Witness,
     complement_connected,
     dist_to_interval,
@@ -57,9 +55,7 @@ from .poly import (
     LevelForm,
     RootCluster,
     cluster_roots,
-    divide_exact,
     find_roots,
-    refine_multiple_root,
     structured_roots,
 )
 from .powersum import (

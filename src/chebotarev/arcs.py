@@ -11,10 +11,11 @@ polish, so root i normally continues chain i.  The block's levels are
 accepted in order; a greedy global assignment against the chains'
 extrapolated positions checks each pairing and decides it where two chains
 contend for one root.  At the first level that did not settle or whose
-match is in doubt, the tracer falls back to single-level solves, bisecting
-the step until the match is clear, and the next block starts after that
-level.  Extrapolation carries chains straight through interior crossing
-points where plain nearest-neighbor matching would turn the corner.  At
+match is in doubt, the tracer falls back to one-row ``level_roots``
+blocks, bisecting the step until every level settles and its match is
+clear, and the next block starts after that level.  Extrapolation carries
+chains straight through interior crossing points where plain
+nearest-neighbor matching would turn the corner.  At
 such a crossing the split into n arcs, each mapped one to one onto
 [-1, 1], is not unique: which ends pair up through it follows the last
 digits of the level roots, though not the seed.  The endpoints are the
@@ -33,7 +34,7 @@ import numpy as np
 from .connect import dist_to_interval
 from .errors import MatchingAmbiguity, NotATree
 from .factor import factorize
-from .poly import (ComplexPoly, UnionFind, cluster_roots, find_roots, level_roots,
+from .poly import (ComplexPoly, cluster_roots, find_roots, label_pairs, level_roots,
                    point_key, structured_roots)
 
 
@@ -119,21 +120,22 @@ def _match(rows, roots, scale):
     return roots[cols]
 
 
-def _advance(rows, levels, T, theta_a, theta_b, seed, scale, depth=0):
+def _advance(rows, levels, T, theta_a, theta_b, scale, depth=0):
     """Extend every chain from level theta_a to theta_b, refining on doubt.
 
-    The level's roots are warm-started at the chains' predicted positions
-    and matched by :func:`_match`; a step in doubt is split in two halves.
+    The level is solved as a one-row :func:`~chebotarev.poly.level_roots`
+    block started at the chains' predicted positions and matched by
+    :func:`_match`; a level that did not settle or whose match is in doubt
+    is split in two halves.
     """
     if depth > 20:
         raise MatchingAmbiguity("level matching still ambiguous at refinement depth 20")
-    roots = np.array(find_roots(T - float(np.cos(theta_b)), seed=seed,
-                                initial=_predicted(rows)))
-    row = _match(rows, roots, scale)
+    roots = level_roots(T, [np.cos(theta_b)], _predicted(rows)[None])[0]
+    row = None if roots is None else _match(rows, roots, scale)
     if row is None:
         mid = 0.5 * (theta_a + theta_b)
-        _advance(rows, levels, T, theta_a, mid, seed, scale, depth + 1)
-        _advance(rows, levels, T, mid, theta_b, seed, scale, depth + 1)
+        _advance(rows, levels, T, theta_a, mid, scale, depth + 1)
+        _advance(rows, levels, T, mid, theta_b, scale, depth + 1)
         return
     rows.append(row)
     levels.append(float(theta_b))
@@ -164,10 +166,10 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
     :func:`~chebotarev.poly.level_roots`: level ``m + j`` starts at the
     chains' positions extrapolated ``j`` steps ahead from level ``m``.  The
     block's levels are matched in order; at the first one that did not
-    settle or whose match is in doubt, that level is taken by single-level
-    solves with bisection (:func:`_advance`) and the next block starts after
-    it.  Chains whose shared endpoint is a double zero of T^2 - 1 are
-    conjoined when anti-parallel.
+    settle or whose match is in doubt, that level is taken by one-row blocks
+    with bisection (:func:`_advance`) and the next block starts after it.
+    Chains whose shared endpoint is a double zero of T^2 - 1 are conjoined
+    when anti-parallel.
     """
     if steps < 64:
         raise ValueError("steps must be at least 64")
@@ -194,7 +196,7 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
             m = k + 1
             row = None if roots is None else _match(rows, roots, scale)
             if row is None:
-                _advance(rows, levels, T, grid[k - 1], grid[k], seed, scale)
+                _advance(rows, levels, T, grid[k - 1], grid[k], scale)
                 break
             rows.append(row)
             levels.append(grid[k])
@@ -324,31 +326,21 @@ def build_graph(arcs, expect_tree: bool = False, crossing_points=(),
 
     For a solved construction the graph is a tree with the simple points as
     leaves and the triple points as degree-3 vertices; ``expect_tree`` turns
-    a violation into :class:`NotATree`.
+    a violation into :class:`NotATree`.  Connectivity comes from
+    :func:`~chebotarev.poly.label_pairs` over the edges.
     """
-    endpoints = []
-    for a in arcs:
-        endpoints.append(a.start_point)
-        endpoints.append(a.end_point)
+    endpoints = [e for a in arcs for e in (a.start_point, a.end_point)]
     clusters = cluster_roots(endpoints, tol=cluster_tol)
     centers = [c.center for c in clusters]
 
     def vertex_of(p):
         return min(range(len(centers)), key=lambda i: abs(centers[i] - p))
 
-    edges = []
-    degrees = [0] * len(centers)
-    for a in arcs:
-        vi = vertex_of(a.start_point)
-        vj = vertex_of(a.end_point)
-        edges.append((vi, vj))
-        degrees[vi] += 1
-        degrees[vj] += 1
-
-    uf = UnionFind(len(centers))
-    for vi, vj in edges:
-        uf.union(vi, vj)
-    connected = uf.count == 1 if centers else True
+    edges = [(vertex_of(a.start_point), vertex_of(a.end_point)) for a in arcs]
+    ends = np.array(edges, dtype=int).reshape(-1, 2)
+    degrees = np.bincount(ends.ravel(), minlength=len(centers)).tolist()
+    root = label_pairs(len(centers), ends[:, 0], ends[:, 1])
+    connected = not root.any()  # one component: every root is vertex 0
     is_tree = connected and len(edges) == len(centers) - 1
     if expect_tree and not is_tree:
         raise NotATree(

@@ -65,6 +65,8 @@ def _read_poly(doc) -> ComplexPoly:
                 out.append(complex(c))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed polynomial document: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise ValueError("malformed polynomial document: coefficients must be finite")
     return ComplexPoly(out)
 
 

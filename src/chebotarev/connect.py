@@ -6,7 +6,7 @@ Two independent routes to the same verdict:
   when every zero of T' maps into [-1, 1];
 * a brute-force pixel oracle -- rasterize membership on a grid over the
   bounding box of the zeros of T^2 - 1 and count its 8-connected
-  components in numpy passes that hook and shortcut a parent array.
+  components with :func:`~chebotarev.poly.label_pairs`.
 
 Tests require the two to agree on every fixture.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import ComplexPoly, find_roots, point_key, powers
+from .poly import ComplexPoly, find_roots, label_pairs, point_key, powers
 
 #: Lipschitz safety factor for the grid membership threshold.
 LIPSCHITZ_FACTOR = 1.5
@@ -180,12 +180,8 @@ def count_components(member: np.ndarray) -> int:
     """Number of 8-connected components of the boolean raster ``member``.
 
     Member cells are numbered 0..k-1 and every adjacent member pair is
-    listed once (E, N, NE, NW).  Each round hooks the larger root of every
-    pair whose roots differ onto the smaller one, then shortcuts by pointer
-    jumping until each cell points at its root (Shiloach & Vishkin 1982,
-    "An O(log n) parallel connectivity algorithm", J. Algorithms).  As
-    ``parent[x] <= x`` throughout, the forest has no cycles; the count is
-    the number of roots once every pair shares one.
+    listed once (E, N, NE, NW); :func:`~chebotarev.poly.label_pairs` labels
+    them, and the count is the number of cells that are their own root.
     """
     k = int(np.count_nonzero(member))
     label = np.zeros(member.shape, dtype=np.int32)
@@ -196,20 +192,8 @@ def count_components(member: np.ndarray) -> int:
         both = member[a] & member[b]
         i.append(label[a][both])
         j.append(label[b][both])
-    i, j = np.concatenate(i), np.concatenate(j)
-    parent = np.arange(k, dtype=np.int32)
-    while True:
-        ri, rj = parent[i], parent[j]
-        differ = ri != rj
-        if not differ.any():
-            return int(np.count_nonzero(parent == np.arange(k)))
-        i, j, ri, rj = i[differ], j[differ], ri[differ], rj[differ]
-        np.minimum.at(parent, np.maximum(ri, rj), np.minimum(ri, rj))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
+    root = label_pairs(k, np.concatenate(i), np.concatenate(j))
+    return int(np.count_nonzero(root == np.arange(k)))
 
 
 def complement_connected(report: GridReport) -> bool:

@@ -21,7 +21,7 @@ CLUSTER_TOL = 1e-6
 
 _EPS = float(np.finfo(float).eps)
 
-#: Relative size of the fixed nudge that :func:`find_roots` gives every warm
+#: Relative size of the fixed nudge that :func:`level_roots` gives every
 #: start, in golden-angle directions so that no symmetry survives it.
 _NUDGE = 1e-6
 _GOLDEN_ANGLE = float(np.pi * (3.0 - np.sqrt(5.0)))
@@ -241,46 +241,28 @@ def _eval_sweep(H: np.ndarray, z: np.ndarray, shift=None):
     return p, W.sum(axis=1), _EPS * (2.0 * bound)
 
 
-def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = _MAX_SWEEPS,
-               initial=None) -> list:
+def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = _MAX_SWEEPS) -> list:
     """All roots of ``p`` by Aberth-Ehrlich simultaneous iteration.
 
     Starts from a randomly perturbed circle (deterministic for a given
     ``seed``), iterates until every correction falls below ``1e-13 * scale``
     or the residual is within 8 times Horner's running error bound, then
-    polishes with a few Newton steps.  Each sweep is one matrix product (see
+    polishes with 3 Newton steps.  Each sweep is one matrix product (see
     :func:`_aberth`); the polish evaluates by Horner's scheme.  Multiple
     roots come back repeated, smeared over the usual
     ``eps**(1/multiplicity)`` disc; use :func:`cluster_roots` together with
-    :func:`refine_multiple_root` to sharpen them.
-
-    ``initial``, when given, holds one finite start per root, for instance
-    the roots of a nearby polynomial; each start is nudged by a fixed
-    relative ``1e-6`` that does not depend on ``seed``, which also splits
-    coincident starts.  Root ``i`` then usually comes back near
-    ``initial[i]`` after a few sweeps.  Such a warm run returns the iterate
-    it settled on without Newton polish: once the iteration has converged,
-    each Aberth correction is already a Newton step with implicit deflation
-    (Bini 1996).  Only cold runs from the circle are polished.  If the warm
-    run does not settle, the roots are found once more from the seeded
-    circle, polish included.  A run stops with :class:`NoConvergence` at the
-    first sweep whose iterate is not finite.
+    :func:`refine_multiple_root` to sharpen them.  A run stops with
+    :class:`NoConvergence` at the first sweep whose iterate is not finite.
+    Warm solves from nearby roots go through :func:`level_roots`.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     a = np.array(p.coeffs, dtype=complex)
     a = a / a[-1]
     n = len(a) - 1
-    start = None if initial is None else _warm_start(initial, (n,))
     if n == 1:
         return [complex(-a[0])]
-    H = _hankel(a)
-    if start is not None:
-        try:
-            return [complex(v) for v in _aberth(H, start, max_iter)]
-        except NoConvergence:
-            pass
-    z = _aberth(H, _circle_start(a, seed), max_iter)
+    z = _aberth(_hankel(a), _circle_start(a, seed), max_iter)
 
     ad = a[1:] * np.arange(1, n + 1)
     pv = _horner_arr(a, z)
@@ -293,24 +275,6 @@ def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = _MAX_SWEEPS,
         z = np.where(better, z2, z)
         pv = np.where(better, pv2, pv)  # Horner is pointwise: this is p(z)
     return [complex(v) for v in z]
-
-
-def _warm_start(initial, shape):
-    """Validated starts of the given shape from caller-given points, each nudged apart.
-
-    Point ``k`` moves by ``_NUDGE * (1 + |z_k|)`` in direction ``0.5 + k``
-    golden angles.  This splits coincident starts and breaks the symmetry
-    of real or conjugate-closed start sets, which Aberth iteration on a real
-    polynomial would otherwise keep for ever (real starts never reach a
-    complex root pair).
-    """
-    z = np.array(initial, dtype=complex)
-    if z.shape != shape:
-        raise ValueError(f"starts need shape {shape}, got {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("initial points must be finite")
-    turn = 0.5 + _GOLDEN_ANGLE * np.arange(shape[-1])
-    return z + _NUDGE * (1.0 + np.abs(z)) * np.exp(1j * turn)
 
 
 def _circle_start(a, seed):
@@ -326,22 +290,36 @@ def _circle_start(a, seed):
 def level_roots(T: ComplexPoly, levels, starts) -> list:
     """Roots of ``T - c`` for every level ``c``, by one Aberth iteration over the block.
 
-    ``starts`` holds one row of ``T.degree`` finite starts per level; each
-    start gets the fixed nudge of a warm :func:`find_roots` run.  The level
-    polynomials share every coefficient but the constant, so each sweep
-    evaluates all levels in one product against the Hankel matrix of monic
-    ``T``, with ``-c / tau`` added to column 0 (:func:`_eval_sweep`).  Each
-    level settles by the test of :func:`_aberth` and then leaves the block.
-    Returns one entry per level: its roots as returned by the settled
-    iteration, in start order and without Newton polish, or ``None`` where
-    the iterate hit the sweep cap or stopped being finite.
+    ``starts`` holds one row of ``T.degree`` finite starts per level, for
+    instance the roots of a nearby level.  Start ``k`` of a row moves by
+    ``_NUDGE * (1 + |z_k|)`` in direction ``0.5 + k`` golden angles.  This
+    splits coincident starts and breaks the symmetry of real or
+    conjugate-closed start sets, which Aberth iteration on a real
+    polynomial would otherwise keep for ever (real starts never reach a
+    complex root pair); root ``i`` usually comes back near start ``i``.
+
+    The level polynomials share every coefficient but the constant, so each
+    sweep evaluates all levels in one product against the Hankel matrix of
+    monic ``T``, with ``-c / tau`` added to column 0 (:func:`_eval_sweep`).
+    Each level settles by the test of :func:`_aberth` and then leaves the
+    block.  Returns one entry per level: its roots as returned by the
+    settled iteration, in start order, or ``None`` where the iterate hit the
+    sweep cap or stopped being finite.  There is no Newton polish: once the
+    iteration has converged, each Aberth correction is already a Newton
+    step with implicit deflation (Bini 1996).
     """
     if T.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     a = np.array(T.coeffs, dtype=complex)
     tau = a[-1]
     shift = -np.asarray(levels, dtype=float) / tau
-    z = _warm_start(starts, (len(shift), T.degree))
+    z = np.array(starts, dtype=complex)
+    if z.shape != (len(shift), T.degree):
+        raise ValueError(f"starts need shape {(len(shift), T.degree)}, got {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("starts must be finite")
+    turn = 0.5 + _GOLDEN_ANGLE * np.arange(T.degree)
+    z = z + _NUDGE * (1.0 + np.abs(z)) * np.exp(1j * turn)
     try:
         block = _aberth(_hankel(a / tau), z, _MAX_SWEEPS, shift)
     except NoConvergence:
@@ -418,25 +396,30 @@ def point_key(w):
     return (round(x, 9) if abs(x) < 1.0 else float(f"{x:.8e}"), w.imag)
 
 
-class UnionFind:
-    """Path-compressing union-find over integer labels."""
+def label_pairs(k: int, i, j) -> np.ndarray:
+    """The component root of every node ``0..k-1`` under the pairs ``(i[e], j[e])``.
 
-    def __init__(self, size):
-        self.parent = list(range(size))
-        self.count = size
-
-    def find(self, i):
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.count -= 1
+    Each round hooks the larger root of every pair whose roots differ onto
+    the smaller one, then shortcuts by pointer jumping until each node
+    points at its root (Shiloach & Vishkin 1982, "An O(log n) parallel
+    connectivity algorithm", J. Algorithms).  As ``parent[x] <= x``
+    throughout, the forest has no cycles, and once every pair shares a root
+    that root is the smallest node of its component.  ``i`` and ``j`` are
+    integer arrays; the labels keep their dtype.
+    """
+    parent = np.arange(k, dtype=i.dtype)
+    while True:
+        ri, rj = parent[i], parent[j]
+        differ = ri != rj
+        if not differ.any():
+            return parent
+        i, j, ri, rj = i[differ], j[differ], ri[differ], rj[differ]
+        np.minimum.at(parent, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 @dataclass(frozen=True)
@@ -456,26 +439,22 @@ def cluster_roots(roots, scale: float = None, tol: float = CLUSTER_TOL) -> list:
     """Partition root approximations into multiplicity clusters.
 
     Single-linkage grouping with radius ``tol * scale`` where ``scale``
-    defaults to ``1 + max |root|``.  Clusters are returned sorted by center
-    under :func:`point_key` and carry their members sorted the same way, so
-    the output is deterministic.
+    defaults to ``1 + max |root|``: :func:`label_pairs` over every pair
+    within the radius.  Clusters are returned sorted by center under
+    :func:`point_key` and carry their members sorted the same way, so the
+    output is deterministic.
     """
-    pts = [complex(r) for r in roots]
-    if not pts:
+    pts = np.array(roots, dtype=complex)
+    if not len(pts):
         return []
     if scale is None:
-        scale = 1.0 + max(abs(r) for r in pts)
-    radius = tol * scale
-
-    uf = UnionFind(len(pts))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) <= radius:
-                uf.union(i, j)
+        scale = 1.0 + float(np.abs(pts).max())
+    near = np.abs(pts[:, None] - pts[None, :]) <= tol * scale
+    root = label_pairs(len(pts), *np.nonzero(np.triu(near, 1)))
 
     groups = {}
-    for i in range(len(pts)):
-        groups.setdefault(uf.find(i), []).append(pts[i])
+    for p, r in zip(pts.tolist(), root.tolist()):
+        groups.setdefault(r, []).append(p)
     clusters = []
     for members in groups.values():
         members.sort(key=point_key)

@@ -188,7 +188,7 @@ class TestQuadratureClosedForms:
 
 class TestRouting:
     def test_route_clears_obstacles(self):
-        from chebotarev import route_path
+        from chebotarev.analysis import route_path
         from chebotarev.quadrature import point_segment_distance
 
         obstacles = [0.5 + 0.0j, 0.2 - 0.01j, 0.8 + 0.02j]
@@ -200,7 +200,7 @@ class TestRouting:
             assert clearance >= 0.06 - 1e-12
 
     def test_clear_segment_stays_straight(self):
-        from chebotarev import route_path
+        from chebotarev.analysis import route_path
 
         assert route_path(0.0, 1.0, [0.5 + 1j]) == [0.0, 1.0]
 

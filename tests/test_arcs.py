@@ -6,7 +6,9 @@ import pytest
 from chebotarev import arcs as arcs_module
 from chebotarev import poly as poly_module
 from chebotarev import (
+    Arc,
     ComplexPoly,
+    MatchingAmbiguity,
     NotATree,
     arcs_to_csv,
     arcs_to_svg,
@@ -120,18 +122,17 @@ class TestTraceQuartic:
 
 class TestWarmStartedLevels:
     def test_every_level_solve_is_warm_and_settles(self, monkeypatch):
-        real_levels, real_find = arcs_module.level_roots, arcs_module.find_roots
+        real_levels = arcs_module.level_roots
         real_circle = poly_module._circle_start
-        settled, single, retries = [], [], []
+        settled, retries = [], []
 
         def spy_levels(T, levels, starts):
             solved = real_levels(T, levels, starts)
             settled.extend(roots is not None for roots in solved)
             return solved
 
-        def spy_find(p, *args, **kwargs):
-            single.append(kwargs.get("initial") is not None)
-            return real_find(p, *args, **kwargs)
+        def no_find(p, *args, **kwargs):
+            raise AssertionError("trace solved a level with find_roots")
 
         def spy_circle(a, seed):
             if settled:  # the cold endpoint solves of factorize come first
@@ -139,13 +140,12 @@ class TestWarmStartedLevels:
             return real_circle(a, seed)
 
         monkeypatch.setattr(arcs_module, "level_roots", spy_levels)
-        monkeypatch.setattr(arcs_module, "find_roots", spy_find)
+        monkeypatch.setattr(arcs_module, "find_roots", no_find)
         monkeypatch.setattr(poly_module, "_circle_start", spy_circle)
         T = ComplexPoly(np.polynomial.chebyshev.cheb2poly([0] * 24 + [1]))
         arcs = trace(T, steps=256)
         assert len(arcs) == 1
         assert len(settled) >= 255 and all(settled)
-        assert all(single)
         assert not retries
 
     def test_arc_pairing_does_not_depend_on_seed(self):
@@ -266,7 +266,7 @@ class TestTraceFromFactorization:
         plain = trace(ComplexPoly(sol.poly.coeffs), steps=128)  # no level form
         real_levels, real_find = arcs_module.level_roots, poly_module.find_roots
         real_circle = poly_module._circle_start
-        settled, warm, circles = [], [], []
+        settled, finds, circles = [], [], []
 
         def spy_levels(T, levels, starts):
             solved = real_levels(T, levels, starts)
@@ -274,7 +274,7 @@ class TestTraceFromFactorization:
             return solved
 
         def spy_find(p, *args, **kwargs):
-            warm.append(kwargs.get("initial") is not None)
+            finds.append(p)
             return real_find(p, *args, **kwargs)
 
         def spy_circle(a, seed):
@@ -287,7 +287,7 @@ class TestTraceFromFactorization:
         monkeypatch.setattr(poly_module, "_circle_start", spy_circle)
         arcs = trace(sol.poly, steps=128)
         assert len(settled) >= 127 and all(settled)
-        assert all(warm) and not circles
+        assert not finds and not circles
         assert len(arcs) == len(plain)
         for a, b in zip(arcs, plain):
             assert abs(a.start_point - b.start_point) < 1e-10
@@ -314,29 +314,39 @@ class TestBlockFallback:
     def test_unsettled_level_is_taken_by_bisection(self, solved_rect, monkeypatch, position):
         T = solved_rect(7).poly
         expected = trace(T, steps=128)
-        real_levels, real_find = arcs_module.level_roots, arcs_module.find_roots
-        blocks, single = [], []
+        real_levels = arcs_module.level_roots
+        blocks = []
 
         def failing_levels(T, levels, starts):
             solved = real_levels(T, levels, starts)
-            blocks.append(len(levels))
+            blocks.append(list(levels))
             if len(blocks) == 3:
                 solved[position] = None
             return solved
 
-        def spy_find(p, *args, **kwargs):
-            single.append(kwargs.get("initial") is not None)
-            return real_find(p, *args, **kwargs)
-
         monkeypatch.setattr(arcs_module, "level_roots", failing_levels)
-        monkeypatch.setattr(arcs_module, "find_roots", spy_find)
         arcs = trace(T, steps=128)
-        assert single and all(single)
+        # the failed level is solved again on its own, as a one-row block
+        assert blocks[3] == [blocks[2][position]]
+        assert all(len(b) > 1 for b in blocks[:3] + blocks[4:])
         assert len(arcs) == len(expected)
         for a, b in zip(arcs, expected):
             assert (a.start_point, a.end_point) == (b.start_point, b.end_point)
             assert a.levels == b.levels
             assert max(abs(x - y) for x, y in zip(a.samples, b.samples)) < 1e-9
+
+    def test_level_that_never_settles_raises_at_depth_20(self, monkeypatch):
+        calls = []
+
+        def never_settles(T, levels, starts):
+            calls.append(len(levels))
+            return [None] * len(levels)
+
+        monkeypatch.setattr(arcs_module, "level_roots", never_settles)
+        with pytest.raises(MatchingAmbiguity):
+            trace(cheb2(), steps=64)
+        # the first block, then one one-row solve per bisection depth 0..20
+        assert calls == [16] + [1] * 21
 
 
 class TestTraceCubicFamily:
@@ -372,6 +382,44 @@ class TestDisconnectedTrace:
         graph = build_graph(arcs)
         assert not graph.is_tree  # two components
         assert graph.leaf_count == 4
+
+
+class TestGraphSearch:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_tree_and_connectivity_match_search(self, seed):
+        # a random tree, then (by seed) one edge more or one edge fewer
+        rng = np.random.default_rng(seed)
+        nv = int(rng.integers(3, 8))
+        places = [complex(s % 5, s // 5) for s in rng.permutation(25)[:nv].tolist()]
+        edges = [[int(rng.integers(v)), v][::int(rng.choice([1, -1]))] for v in range(1, nv)]
+        if seed % 3 == 1:
+            edges.append(rng.integers(0, nv, 2).tolist())
+        elif seed % 3 == 2:
+            edges.pop(int(rng.integers(len(edges))))
+        jitter = 1e-9 * (rng.normal(size=(len(edges), 2)) + 1j * rng.normal(size=(len(edges), 2)))
+        arcs = [Arc(samples=(places[a] + ja, places[b] + jb), levels=(0.0, math.pi),
+                    start_point=places[a] + ja, end_point=places[b] + jb)
+                for (a, b), (ja, jb) in zip(edges, jitter.tolist())]
+        # depth-first search over the vertices that some arc touches
+        used = {v for e in edges for v in e}
+        seen, todo = set(), [next(iter(used))]
+        while todo:
+            v = todo.pop()
+            if v not in seen:
+                seen.add(v)
+                todo.extend(b if a == v else a for a, b in edges if v in (a, b))
+        connected = seen == used
+        is_tree = connected and len(edges) == len(used) - 1
+        graph = build_graph(arcs)
+        assert len(graph.vertices) == len(used)
+        assert graph.is_tree is is_tree
+        assert sorted(graph.degrees) == sorted(
+            sum((a == v) + (b == v) for a, b in edges) for v in used)
+        if is_tree:
+            assert build_graph(arcs, expect_tree=True) == graph
+        else:
+            with pytest.raises(NotATree, match=f"connected={connected}"):
+                build_graph(arcs, expect_tree=True)
 
 
 class TestGridAgreement:

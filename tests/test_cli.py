@@ -177,6 +177,16 @@ class TestVerifyCommand:
             for command in ("verify", "trace"):
                 assert run(command, bad, "--out", tmp_path) == 2, (command, doc)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("command", ["verify", "trace"])
+    def test_non_finite_coefficient_exits_2(self, command, value, tmp_path, recwarn):
+        # Python's json reads NaN and Infinity; they are malformed input here
+        bad = tmp_path / "bad.json"
+        for coeffs in (f"[{value}, 0, 1]", f"[0, 0, {value}]", f"[[0, {value}], 1]"):
+            bad.write_text(f'{{"coeffs": {coeffs}}}')
+            assert run(command, bad, "--out", tmp_path) == 2, coeffs
+        assert not recwarn.list
+
 
 class TestTraceCommand:
     def test_star_outputs(self, tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 from chebotarev import (
     ComplexPoly,
     GridReport,
-    MembershipParams,
     complement_connected,
     dist_to_interval,
     find_roots,
@@ -19,7 +18,7 @@ from chebotarev import (
 
 import chebotarev.connect as connect_module
 from chebotarev import factorize
-from chebotarev.connect import LIPSCHITZ_FACTOR, count_components
+from chebotarev.connect import LIPSCHITZ_FACTOR, MembershipParams, count_components
 
 from conftest import (RECT_IDS, RECTANGLES, cheb2, chebyshev, cross, star, t3, t4,
                       two_intervals)

@@ -11,11 +11,11 @@ from chebotarev import (
     NoConvergence,
     RemainderTooLarge,
     cluster_roots,
-    divide_exact,
     find_roots,
     structured_roots,
 )
 from chebotarev import poly as poly_module
+from chebotarev.poly import divide_exact
 
 
 def coeffs_close(p, q, tol=1e-12):
@@ -135,12 +135,17 @@ def _max_matched_gap(roots, reference):
     return max(abs(r - reference[j]) for r, j in zip(roots, nearest))
 
 
+def _warm(p, start, level=0.0):
+    """One-row :func:`level_roots` solve of ``p - level`` from ``start``."""
+    return list(poly_module.level_roots(p, [level], [start])[0])
+
+
 class TestWarmStart:
     def test_chebyshev_level_matches_cold_roots(self):
         # started from the roots one level step away, as the tracer does
         T = _chebyshev(24)
         start = find_roots(T - math.cos(0.31))
-        warm = find_roots(T - math.cos(0.3), initial=start)
+        warm = _warm(T, start, math.cos(0.3))
         cold = find_roots(T - math.cos(0.3))
         # root i continues start i
         for i, s in enumerate(start):
@@ -153,27 +158,32 @@ class TestWarmStart:
 
     def test_coincident_starts_split(self):
         p = ComplexPoly.from_roots([0.3, 0.3, -1.0])
-        warm = find_roots(p, initial=[0.3, 0.3, -1.0])
+        warm = _warm(p, [0.3, 0.3, -1.0])
         cold = find_roots(p)
         # the double root is smeared over ~sqrt(eps); the simple one is sharp
         assert _max_matched_gap(warm, cold) < 1e-7
         assert min(abs(r + 1.0) for r in warm) < 1e-13
         assert sum(abs(r - 0.3) < 1e-7 for r in warm) == 2
 
-    def test_does_not_depend_on_seed(self):
+    def test_does_not_depend_on_seed(self, monkeypatch):
+        # warm solves never start from the seeded circle
         T = _chebyshev(16)
         start = find_roots(T - math.cos(0.5))
-        runs = {tuple(find_roots(T - math.cos(0.51), seed=s, initial=start)) for s in range(4)}
+
+        def no_circle(a, seed):
+            raise AssertionError("warm solve used the seeded circle")
+
+        monkeypatch.setattr(poly_module, "_circle_start", no_circle)
+        runs = {tuple(_warm(T, start, math.cos(0.51))) for _ in range(4)}
         assert len(runs) == 1
 
     def test_real_starts_reach_complex_roots(self, monkeypatch):
-        # real starts on a real polynomial would stay real without the nudge,
-        # leaving only the retry from the seeded circle, here disabled
+        # real starts on a real polynomial would stay real without the nudge
         def no_circle(a, seed):
             raise AssertionError("warm start did not settle")
 
         monkeypatch.setattr(poly_module, "_circle_start", no_circle)
-        roots = find_roots(ComplexPoly([0.0123, 0, 1]), initial=[0.11, -0.11])
+        roots = _warm(ComplexPoly([0.0123, 0, 1]), [0.11, -0.11])
         assert _max_matched_gap(roots, [0.0123 ** 0.5 * 1j, -(0.0123 ** 0.5) * 1j]) < 1e-13
 
     @pytest.mark.parametrize("initial", [
@@ -182,17 +192,17 @@ class TestWarmStart:
     ])
     def test_bad_initial_rejected(self, initial):
         with pytest.raises(ValueError):
-            find_roots(ComplexPoly.from_roots([1, 2, 3]), initial=initial)
+            _warm(ComplexPoly.from_roots([1, 2, 3]), initial)
 
 
 class TestLevelRoots:
-    """One Aberth block for many levels of T - c against one solve per level."""
+    """One Aberth block for many levels of T - c against one cold solve per level."""
 
     @staticmethod
     def _block(T, theta0=0.4, h=0.01, count=16):
         thetas = theta0 + h * np.arange(1, count + 1)
         last = np.array(find_roots(T - math.cos(theta0)))
-        prev = np.array(find_roots(T - math.cos(theta0 - h), initial=last))
+        prev = np.array(_warm(T, last, math.cos(theta0 - h)))
         starts = last + np.arange(1, count + 1)[:, None] * (last - prev)
         return np.cos(thetas), starts
 
@@ -204,8 +214,9 @@ class TestLevelRoots:
         solved = poly_module.level_roots(T, levels, starts)
         assert len(solved) == len(levels)
         for c, row, roots in zip(levels, starts, solved):
-            sequential = find_roots(T - c, initial=row)
-            assert _max_matched_gap(list(roots), sequential) < tol
+            assert _max_matched_gap(list(roots), find_roots(T - c)) < tol
+            # a block row settles where the same row solved alone does
+            assert _max_matched_gap(list(roots), _warm(T, row, c)) < tol
 
     def test_failed_level_is_none_and_others_settle(self):
         T = _chebyshev(9)
@@ -225,7 +236,7 @@ class TestLevelRoots:
 
 
 class TestPolishOnlyColdSolves:
-    """A settled warm run returns the Aberth iterate; cold runs get 3 Newton steps."""
+    """A settled warm solve returns the Aberth iterate; cold runs get 3 Newton steps."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -244,7 +255,7 @@ class TestPolishOnlyColdSolves:
 
         def aberth(*args):
             z = real_aberth(*args)
-            settled.append([complex(v) for v in z])
+            settled.append(np.ravel(z).tolist())
             return z
 
         monkeypatch.setattr(poly_module, "_horner_arr", horner)
@@ -256,26 +267,22 @@ class TestPolishOnlyColdSolves:
         T = _chebyshev(24)
         start = find_roots(T - math.cos(0.31))
         log, settled = self._spy(monkeypatch)
-        roots = find_roots(T - math.cos(0.3), initial=start)
+        roots = _warm(T, start, math.cos(0.3))
         # one evaluation per sweep, none after the last
         sweeps = log.count("sweep")
         assert sweeps >= 1
         assert log == ["sweep"] * sweeps
         assert settled == [roots]
 
-    def test_unsettled_warm_start_falls_back_and_is_polished(self, monkeypatch):
-        # starts this far out overflow the powers of the sweep: the warm run
-        # stops at its first non-finite iterate and the seeded circle takes over
+    def test_cold_solve_is_polished(self, monkeypatch):
         p = ComplexPoly.from_roots([0.5, -1.0, 2.0j, 1.5])
         log, settled = self._spy(monkeypatch)
-        roots = find_roots(p, initial=[1e200, -1e200, 1e200j, -1e200j])
-        assert len(settled) == 1  # only the circle run settled
+        roots = find_roots(p)
+        assert len(settled) == 1
         last_sweep = len(log) - 1 - log[::-1].index("sweep")
         # p at the settled iterate, then 3 Newton steps of p' and p each
         assert log[last_sweep + 1:] == ["horner"] * 7
         assert _max_matched_gap(roots, [0.5, -1.0, 2.0j, 1.5]) < 1e-13
-        monkeypatch.undo()
-        assert roots == find_roots(p)
 
 
 class TestSweepEvaluation:
@@ -369,6 +376,86 @@ class TestClusterRoots:
         p = ComplexPoly.from_roots([0.3, 0.3, 0.3, -1, 2, 1j])
         clusters = structured_roots(p)
         assert sum(c.multiplicity for c in clusters) == p.degree
+
+
+def _flood(k, neighbours):
+    """Groups of the nodes 0..k-1 by breadth-first flood over ``neighbours(i)``."""
+    left, groups = set(range(k)), set()
+    while left:
+        todo = [left.pop()]
+        group = set(todo)
+        while todo:
+            near = neighbours(todo.pop()) & left
+            left -= near
+            group |= near
+            todo.extend(near)
+        groups.add(frozenset(group))
+    return groups
+
+
+def _within(points, radius):
+    return lambda i: {j for j, w in enumerate(points) if abs(points[i] - w) <= radius}
+
+
+def _index_groups(clusters, points):
+    where = {w: k for k, w in enumerate(points)}
+    return {frozenset(where[m] for m in c.raw_members) for c in clusters}
+
+
+class TestSingleLinkage:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_points_match_flood(self, seed):
+        rng = np.random.default_rng(seed)
+        points = [complex(x, y) for x, y in rng.uniform(-1, 1, (60, 2))]
+        radius = rng.uniform(0.05, 0.3)
+        clusters = cluster_roots(points, scale=1.0, tol=radius)
+        assert _index_groups(clusters, points) == _flood(len(points), _within(points, radius))
+
+    @pytest.mark.parametrize("spacing, pieces", [(0.999, 1), (1.001, 12)])
+    def test_zigzag_chain_is_transitive(self, spacing, pieces):
+        # neighbours sit just under (or just over) the radius apart, and the
+        # chain turns by 60 degrees each step, so no point but a neighbour is
+        # within reach: only transitivity can join the whole chain
+        radius = 0.01
+        rng = np.random.default_rng(12)
+        steps = spacing * radius * np.exp(1j * np.pi / 3 * (np.arange(11) % 2))
+        points = (0.3 + 0.2j + np.concatenate([[0], np.cumsum(steps)])).tolist()
+        points = [points[k] for k in rng.permutation(len(points))]
+        clusters = cluster_roots(points, scale=1.0, tol=radius)
+        assert len(clusters) == pieces
+        assert _index_groups(clusters, points) == _flood(len(points), _within(points, radius))
+
+
+class TestLabelPairs:
+    def test_no_nodes(self):
+        none = np.array([], dtype=int)
+        assert poly_module.label_pairs(0, none, none).shape == (0,)
+
+    def test_no_pairs(self):
+        none = np.array([], dtype=int)
+        assert poly_module.label_pairs(5, none, none).tolist() == [0, 1, 2, 3, 4]
+
+    def test_keeps_index_dtype(self):
+        i, j = np.array([0, 2], dtype=np.int32), np.array([1, 3], dtype=np.int32)
+        root = poly_module.label_pairs(4, i, j)
+        assert root.dtype == np.int32 and root.tolist() == [0, 0, 2, 2]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_roots_are_smallest_members(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 80))
+        i, j = rng.integers(0, k, (2, int(rng.integers(0, 2 * k))))
+        root = poly_module.label_pairs(k, i, j)
+        groups = {}
+        for node, r in enumerate(root.tolist()):
+            groups.setdefault(r, set()).add(node)
+        assert all(r == min(g) for r, g in groups.items())
+        # same partition as a flood over the pair graph
+        adjacent = [set() for _ in range(k)]
+        for a, b in zip(i.tolist(), j.tolist()):
+            adjacent[a].add(b)
+            adjacent[b].add(a)
+        assert {frozenset(g) for g in groups.values()} == _flood(k, adjacent.__getitem__)
 
 
 class TestRefinement:
