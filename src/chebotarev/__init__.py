@@ -16,6 +16,7 @@ from .analysis import (
     green_via_integral,
     hyperelliptic_integral,
     min_deviation,
+    verify_cosh_representation,
 )
 from .arcs import (
     Arc,
@@ -49,7 +50,7 @@ from .errors import (
     PowerSumViolation,
     RemainderTooLarge,
 )
-from .factor import Factorization, factorize, verify_cosh_representation
+from .factor import Factorization, factorize
 from .poly import (
     ComplexPoly,
     LevelForm,
@@ -73,6 +74,6 @@ from .powersum import (
     solve,
     spec_from_dict,
 )
-from .quadrature import QuadraturePath, path_integral
+from .quadrature import path_integral
 
 __version__ = "0.1.0"

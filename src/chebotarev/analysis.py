@@ -14,7 +14,12 @@ inverse image S of [-1, 1]:
 
 ``Re Phi`` is single valued on the whole plane (it is the Green function),
 so integration paths only need to stay clear of branch points; they are
-routed around them automatically.
+routed around them automatically.  Every Phi here is one call of
+:func:`~chebotarev.quadrature.path_integral`, which takes the branch points
+themselves and finds the singular path ends: the conditions, the Green
+cross-check and the cosh identity ``T = +-cosh(n Phi)`` of
+:mod:`~chebotarev.factor` integrate the factorization's cofactor, and
+:func:`hyperelliptic_integral` the (c, d) form.
 """
 
 from dataclasses import dataclass
@@ -24,7 +29,7 @@ import numpy as np
 from .connect import ConnectivityVerdict, is_connected
 from .factor import Factorization, factorize
 from .poly import ComplexPoly, cluster_roots, divide_exact, structured_roots
-from .quadrature import QuadraturePath, check_clearance, path_integral, point_segment_distance
+from .quadrature import check_clearance, path_integral, point_segment_distance
 
 #: Branch points are kept at least this far from any integration segment.
 ROUTE_MARGIN = 0.06
@@ -103,15 +108,13 @@ def route_path(start: complex, target: complex, obstacles, margin: float = ROUTE
     return left[:-1] + right
 
 
-def hyperelliptic_integral(cset, dset, path, tol: float = 1e-9):
-    """Integrate sqrt(prod(w - d_j)) / sqrt(prod(w - c_j)) along a path.
+def hyperelliptic_integral(cset, dset, path):
+    """Integrate sqrt(prod(w - d_j)) / sqrt(prod(w - c_j)) along a polyline.
 
     Returns ``(value, error_estimate)``.  The integrand is rearranged as a
     polynomial numerator over one tracked square root: even-multiplicity
     ``d`` factors come out of the root entirely, odd ones join the ``c``
-    factors under it.  The path must start at a point of ``cset``; when a
-    plain waypoint list is given, endpoint singularities are flagged
-    automatically.
+    factors under it.  The path must start at a point of ``cset``.
     """
     cpts = [complex(c) for c in cset]
     scale = 1.0 + max(abs(c) for c in cpts)
@@ -122,26 +125,15 @@ def hyperelliptic_integral(cset, dset, path, tol: float = 1e-9):
         numer_roots.extend([cl.center] * ((cl.multiplicity + 1) // 2))
         if cl.multiplicity % 2 == 1:
             sqrt_roots.append(cl.center)
-    numer = ComplexPoly.from_roots(numer_roots, 1.0)
-    sqrt_denom = ComplexPoly.from_roots(sqrt_roots, 1.0)
 
-    if isinstance(path, QuadraturePath):
-        qpath = path
-        waypoints = path.waypoints
-    else:
-        waypoints = tuple(complex(w) for w in path)
-        eps = 1e-8 * scale
-        sing_start = any(abs(waypoints[0] - r) <= eps for r in sqrt_roots)
-        sing_end = any(abs(waypoints[-1] - r) <= eps for r in sqrt_roots)
-        qpath = QuadraturePath(waypoints, singular_start=sing_start, singular_end=sing_end)
-
+    waypoints = [complex(w) for w in path]
     if min(abs(waypoints[0] - c) for c in cpts) > 1e-6 * scale:
         raise ValueError("path must start at one of the prescribed points")
     ends = [r for r in sqrt_roots
             if min(abs(r - waypoints[0]), abs(r - waypoints[-1])) <= 1e-8 * scale]
     check_clearance(waypoints, sqrt_roots, ends, 1e-3)
 
-    return path_integral(numer, sqrt_denom, qpath, tol=tol)
+    return path_integral(ComplexPoly.from_roots(numer_roots, 1.0), sqrt_roots, waypoints)
 
 
 def condition_points(fac: Factorization, seed: int = 0):
@@ -196,26 +188,44 @@ class ConditionReport:
         }
 
 
-def _phi(fac: Factorization, base: complex, target: complex, quad_tol: float):
+def _phi(fac: Factorization, base: complex, target: complex):
     """Phi(target) integrated from the branch point ``base``: ``(value, error)``.
 
-    The path is routed around every other branch point; a target on a branch
-    point is a singular end of the integrand.  Phi vanishes at its own base.
+    The path is routed around every other branch point; :func:`path_integral`
+    treats a target on a branch point as a singular end.  Phi vanishes at its
+    own base.
     """
     if target == base:
         return 0j, 0.0
     obstacles = [b for b in fac.branch_points
                  if abs(b - base) > 1e-9 and abs(b - target) > 1e-9]
-    waypoints = route_path(base, target, obstacles)
+    return path_integral(fac.cofactor, fac.branch_points, route_path(base, target, obstacles))
+
+
+def verify_cosh_representation(T: ComplexPoly, fac: Factorization, z: complex, path) -> float:
+    """Residual of the cosh representation at a point off the inverse image.
+
+    Integrates ``cofactor / sqrt(branch_poly)`` from a branch point along the
+    given polyline to ``z`` and returns
+    ``min over signs of | +-cosh(n * integral) - T(z) |``.
+    The path must start at a branch point and keep every other branch point
+    at distance > 0.05, else :class:`PathTooClose` is raised.
+    """
+    waypoints = [complex(w) for w in path]
     scale = 1.0 + max(abs(b) for b in fac.branch_points)
-    sing_end = any(abs(target - b) <= 1e-8 * scale for b in fac.branch_points)
-    qpath = QuadraturePath(tuple(waypoints), singular_start=True, singular_end=sing_end)
-    return path_integral(fac.cofactor, fac.branch_poly, qpath, tol=quad_tol)
+    start = [b for b in fac.branch_points if abs(waypoints[0] - b) <= 1e-6 * scale]
+    if not start:
+        raise ValueError("path must start at a zero of the branch polynomial")
+    check_clearance(waypoints, fac.branch_points, start, 0.05)
+
+    phi, _ = path_integral(fac.cofactor, fac.branch_points, waypoints)
+    value = np.cosh(T.degree * phi)
+    target = T(z)
+    return float(min(abs(value - target), abs(-value - target)))
 
 
 def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float = 1e-6,
-                                base_index: int = 0, quad_tol: float = 1e-9,
-                                fac: Factorization = None,
+                                base_index: int = 0, fac: Factorization = None,
                                 verdict: ConnectivityVerdict = None) -> ConditionReport:
     """Evaluate Re Phi at every prescribed and bifurcation point.
 
@@ -239,7 +249,7 @@ def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float 
 
     entries = [ConditionEntry(base, "prescribed", 0.0, 0.0)]
     for point, kind in targets:
-        phi, err = _phi(fac, base, point, quad_tol)
+        phi, err = _phi(fac, base, point)
         entries.append(ConditionEntry(point, kind, float(phi.real), float(err)))
 
     max_abs = max(abs(e.re_phi) for e in entries)
@@ -247,8 +257,7 @@ def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float 
     return ConditionReport(tuple(entries), max_abs, max_err, threshold, max_abs < threshold)
 
 
-def green_via_integral(T: ComplexPoly, z: complex, seed: int = 0, quad_tol: float = 1e-9,
-                       fac: Factorization = None):
+def green_via_integral(T: ComplexPoly, z: complex, seed: int = 0, fac: Factorization = None):
     """|Re Phi(z)| by quadrature -- the integral route to the Green function.
 
     Starts from the first branch point and routes around the others.
@@ -258,5 +267,5 @@ def green_via_integral(T: ComplexPoly, z: complex, seed: int = 0, quad_tol: floa
     """
     if fac is None:
         fac = factorize(T, seed=seed)
-    phi, err = _phi(fac, fac.branch_points[0], complex(z), quad_tol)
+    phi, err = _phi(fac, fac.branch_points[0], complex(z))
     return abs(phi.real), float(err)

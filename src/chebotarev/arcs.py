@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connect import dist_to_interval
+from .connect import is_connected
 from .errors import MatchingAmbiguity, NotATree
 from .factor import factorize
 from .poly import (ComplexPoly, cluster_roots, find_roots, label_pairs, level_roots,
@@ -288,20 +288,18 @@ def junction_angles(T: ComplexPoly, vertex: complex, seed: int = 0) -> list:
     return sorted(out)
 
 
-def find_crossings(T: ComplexPoly, seed: int = 0, tol: float = 1e-7) -> list:
+def find_crossings(T: ComplexPoly, seed: int = 0) -> list:
     """Interior crossing points: critical points mapping strictly inside (-1, 1).
 
     These are places where arcs cross without branching; they are not zeros
-    of T^2 - 1 and therefore not graph vertices.
+    of T^2 - 1 and therefore not graph vertices.  They are the witnesses of
+    :func:`~chebotarev.connect.is_connected` within 1e-7 of the segment and
+    off its ends, merged by :func:`~chebotarev.poly.cluster_roots`.
     """
     if T.degree < 2:
         return []
-    crit = find_roots(T.derivative(), seed=seed)
-    hits = []
-    for w in crit:
-        img = T(w)
-        if dist_to_interval(img) < tol and abs(img) < 1.0 - 1e-6:
-            hits.append(w)
+    hits = [w.point for w in is_connected(T, seed=seed).witnesses
+            if w.margin < 1e-7 and abs(w.image) < 1.0 - 1e-6]
     return [c.center for c in cluster_roots(hits)]
 
 
@@ -320,23 +318,19 @@ class ContinuumGraph:
         return sum(1 for d in self.degrees if d == 1)
 
 
-def build_graph(arcs, expect_tree: bool = False, crossing_points=(),
-                cluster_tol: float = 1e-6) -> ContinuumGraph:
+def build_graph(arcs, expect_tree: bool = False, crossing_points=()) -> ContinuumGraph:
     """Cluster arc endpoints into vertices and assemble the incidence graph.
 
-    For a solved construction the graph is a tree with the simple points as
-    leaves and the triple points as degree-3 vertices; ``expect_tree`` turns
-    a violation into :class:`NotATree`.  Connectivity comes from
+    Each endpoint is the vertex of the :func:`~chebotarev.poly.cluster_roots`
+    cluster that holds it.  For a solved construction the graph is a tree
+    with the simple points as leaves and the triple points as degree-3
+    vertices; ``expect_tree`` turns a violation into :class:`NotATree`.  Connectivity comes from
     :func:`~chebotarev.poly.label_pairs` over the edges.
     """
-    endpoints = [e for a in arcs for e in (a.start_point, a.end_point)]
-    clusters = cluster_roots(endpoints, tol=cluster_tol)
+    clusters = cluster_roots([e for a in arcs for e in (a.start_point, a.end_point)])
     centers = [c.center for c in clusters]
-
-    def vertex_of(p):
-        return min(range(len(centers)), key=lambda i: abs(centers[i] - p))
-
-    edges = [(vertex_of(a.start_point), vertex_of(a.end_point)) for a in arcs]
+    vertex = {p: i for i, c in enumerate(clusters) for p in c.raw_members}
+    edges = [(vertex[a.start_point], vertex[a.end_point]) for a in arcs]
     ends = np.array(edges, dtype=int).reshape(-1, 2)
     degrees = np.bincount(ends.ravel(), minlength=len(centers)).tolist()
     root = label_pairs(len(centers), ends[:, 0], ends[:, 1])

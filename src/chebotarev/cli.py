@@ -70,6 +70,11 @@ def _read_poly(doc) -> ComplexPoly:
     return ComplexPoly(out)
 
 
+def _check_tol(tol):
+    if tol is not None and not 0.0 < tol < np.inf:
+        raise ValueError(f"--tol must be positive and finite, got {tol}")
+
+
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -83,6 +88,7 @@ def cmd_solve(args) -> int:
     try:
         if args.sweep < 0:
             raise ValueError(f"--sweep must be >= 0, got {args.sweep}")
+        _check_tol(args.tol)
         doc = _load_json(args.spec)
         spec = spec_from_dict(doc)
     except ValueError as exc:
@@ -137,6 +143,7 @@ def cmd_verify(args) -> int:
     manifest = RunManifest("verify", args.poly, args.out, args.seed,
                            tol=args.tol, resolution=args.resolution)
     try:
+        _check_tol(args.tol)
         T = _read_poly(_load_json(args.poly))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

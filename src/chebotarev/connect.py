@@ -101,10 +101,11 @@ def grid_oracle(T: ComplexPoly, params: MembershipParams = None,
     """Brute-force connectivity oracle on a pixel grid.
 
     The box is the bounding box of the zeros of T^2 - 1 inflated by 20%.
-    They are the cluster centers of ``fac``, the factorization of ``T``,
-    when one is given, else the zeros of ``T.level``, the level form a
-    solved polynomial carries, and otherwise the roots of T - 1 and T + 1,
-    whose multiple roots smear far less than those of the product.
+    They are the cluster centers of ``fac``, the checked factorization of
+    ``T``, when one is given, and otherwise the roots of T - 1 and T + 1,
+    whose multiple roots smear far less than those of the product.  A level
+    form ``T`` carries is not read here: :func:`~chebotarev.factor.factorize`
+    checks it before ``fac`` holds its zeros.
     A cell is a member when the image of its center lies within
     ``max(tol_member, LIPSCHITZ_FACTOR * h * max |T'| over the cell corners)``
     of [-1, 1]; the local Lipschitz bound keeps thin arcs from slipping
@@ -123,8 +124,6 @@ def grid_oracle(T: ComplexPoly, params: MembershipParams = None,
         params = MembershipParams()
     if fac is not None:
         roots = [c.center for c in fac.clusters]
-    elif T.level is not None:
-        roots = [c.center for c in T.level.clusters()]
     else:
         roots = find_roots(T - 1.0, seed=seed) + find_roots(T + 1.0, seed=seed)
     xs = [r.real for r in roots]

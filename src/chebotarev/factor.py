@@ -14,6 +14,8 @@ T'(z) = n * R(z) * U(z), and away from the inverse image of [-1, 1]
 
 for any zero a of B.  The number ell is the minimal number of analytic arcs
 the inverse image of [-1, 1] under T consists of.
+:func:`~chebotarev.analysis.verify_cosh_representation` checks this
+identity by quadrature.
 
 The multiplicities are read from root clusters of T - 1 and T + 1.  A solved
 polynomial carries its level form, the zeros and multiplicities it was built
@@ -23,11 +25,8 @@ the reproduction checks run either way.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InconsistentFactorization, RemainderTooLarge
-from .poly import ComplexPoly, divide_exact, point_key, structured_roots
-from .quadrature import QuadraturePath, check_clearance, path_integral
+from .poly import ComplexPoly, cluster_roots, divide_exact, point_key, structured_roots
 
 #: Clustering radii tried on the roots of T^2 - 1, smallest first.  Triple
 #: roots smear over roughly (eps * coefficient scale)**(1/3) in double
@@ -121,10 +120,8 @@ def _split(T: ComplexPoly, clusters: list) -> Factorization:
     # clusters within one level are separated by construction; only a
     # numerically coincident pair across the two levels (impossible for a
     # true polynomial, since the levels differ by 2) indicates breakage
-    for i in range(len(branch_points)):
-        for j in range(i + 1, len(branch_points)):
-            if abs(branch_points[i] - branch_points[j]) <= 1e-9 * scale:
-                raise InconsistentFactorization("branch points are not pairwise distinct")
+    if len(cluster_roots(branch_points, scale=scale, tol=1e-9)) < len(branch_points):
+        raise InconsistentFactorization("branch points are not pairwise distinct")
 
     branch_poly = ComplexPoly.from_roots(branch_points, 1.0)
     u_roots = []
@@ -177,35 +174,3 @@ def _check_reproduction(target: ComplexPoly, rebuilt: ComplexPoly, label: str) -
             f"{label} reproduction residual {worst:.3e} exceeds {bound:.3e}"
         )
     return worst / size
-
-
-def verify_cosh_representation(T: ComplexPoly, fac: Factorization, z: complex,
-                               path, quad_tol: float = 1e-9) -> float:
-    """Residual of the cosh representation at a point off the inverse image.
-
-    Integrates ``cofactor / sqrt(branch_poly)`` from a branch point along the
-    given polyline to ``z`` and returns
-    ``min over signs of | +-cosh(n * integral) - T(z) |``.
-    The path must start at a branch point and keep every other branch point
-    at distance > 0.05, else :class:`PathTooClose` is raised.
-    """
-    if isinstance(path, QuadraturePath):
-        waypoints = path.waypoints
-    else:
-        waypoints = tuple(complex(w) for w in path)
-    start = waypoints[0]
-    dists = [abs(start - b) for b in fac.branch_points]
-    nearest = int(np.argmin(dists))
-    scale = 1.0 + max(abs(b) for b in fac.branch_points)
-    if dists[nearest] > 1e-6 * scale:
-        raise ValueError("path must start at a zero of the branch polynomial")
-    start_root = fac.branch_points[nearest]
-
-    check_clearance(waypoints, fac.branch_points, (start_root,), 0.05)
-
-    qpath = QuadraturePath(waypoints, singular_start=True)
-    phi, _ = path_integral(fac.cofactor, fac.branch_poly, qpath, tol=quad_tol)
-    n = T.degree
-    target = T(z)
-    value = np.cosh(n * phi)
-    return float(min(abs(value - target), abs(-value - target)))

@@ -449,15 +449,16 @@ def cluster_roots(roots, scale: float = None, tol: float = CLUSTER_TOL) -> list:
         return []
     if scale is None:
         scale = 1.0 + float(np.abs(pts).max())
-    near = np.abs(pts[:, None] - pts[None, :]) <= tol * scale
-    root = label_pairs(len(pts), *np.nonzero(np.triu(near, 1)))
+    i, j = np.nonzero(np.triu(np.abs(pts[:, None] - pts[None, :]) <= tol * scale, 1))
+    root = label_pairs(len(pts), i, j).tolist() if len(i) else range(len(pts))
 
     groups = {}
-    for p, r in zip(pts.tolist(), root.tolist()):
+    for p, r in zip(pts.tolist(), root):
         groups.setdefault(r, []).append(p)
     clusters = []
     for members in groups.values():
-        members.sort(key=point_key)
+        if len(members) > 1:
+            members.sort(key=point_key)
         center = sum(members) / len(members)
         clusters.append(RootCluster(center, len(members), tuple(members)))
     clusters.sort(key=lambda c: point_key(c.center))

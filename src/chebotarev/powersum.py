@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSolution, InconsistentFactorization, NoConvergence, PowerSumViolation
-from .poly import ComplexPoly, LevelForm
+from .poly import ComplexPoly, LevelForm, cluster_roots
 
 ROLES = ("c", "d", "z")
 _ROLE_WEIGHT = {"c": 1.0, "d": 3.0, "z": 2.0}
@@ -394,14 +394,11 @@ def _signed_points(config: SignConfig, points) -> tuple:
     return tuple(plus), tuple(minus)
 
 
-def _check_distinct(values, tol=DISTINCT_TOL):
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[j]) <= tol:
-                raise DegenerateSolution(
-                    f"points {vals[i]:.8g} and {vals[j]:.8g} collided"
-                )
+def _check_distinct(values):
+    for cl in cluster_roots(list(values), scale=1.0, tol=DISTINCT_TOL):
+        if cl.multiplicity > 1:
+            a, b = cl.raw_members[:2]
+            raise DegenerateSolution(f"points {a:.8g} and {b:.8g} collided")
 
 
 def solve(spec: ProblemSpec, initial=None) -> Solution:
@@ -409,8 +406,9 @@ def solve(spec: ProblemSpec, initial=None) -> Solution:
 
     Levenberg damping starts at ``options.damping`` and moves by factors of
     10 on rejected / accepted steps.  Raises :class:`NoConvergence` when the
-    iteration cap is hit above tolerance and :class:`DegenerateSolution`
-    when solved points collide.
+    iteration cap is hit above tolerance or the residual is not finite,
+    :class:`DegenerateSolution` when solved points collide, and
+    ``ValueError`` for a non-finite starting vector.
 
     The returned ``Solution.poly`` carries its :class:`LevelForm`: the
     solved points with their signs and multiplicities, checked against the
@@ -420,6 +418,8 @@ def solve(spec: ProblemSpec, initial=None) -> Solution:
     x = np.asarray(default_initial(spec) if initial is None else initial, dtype=float)
     if len(x) != spec.A.shape[1]:
         raise ValueError(f"initial vector length {len(x)} != {spec.A.shape[1]} unknowns")
+    if not np.isfinite(x).all():
+        raise ValueError("initial vector must be finite")
     tol = spec.residual_tol
     lam = spec.options.damping
     r = residual(spec, x)
@@ -449,7 +449,7 @@ def solve(spec: ProblemSpec, initial=None) -> Solution:
             break
 
     res_inf = float(np.max(np.abs(r))) if len(r) else 0.0
-    if res_inf >= tol:
+    if not res_inf < tol:  # a NaN residual never converges
         raise NoConvergence(f"residual {res_inf:.3e} above tolerance {tol:.3e}")
 
     mapping = resolve_points(spec, x)
@@ -541,9 +541,17 @@ def reconstruct_from_levels(z_plus, z_minus, tol: float = 1e-9) -> tuple:
 
 
 def _read_complex(v):
-    if isinstance(v, (list, tuple)):
-        return complex(float(v[0]), float(v[1]))
-    return complex(v)
+    z = complex(float(v[0]), float(v[1])) if isinstance(v, (list, tuple)) else complex(v)
+    if not np.isfinite(z):
+        raise ValueError(f"malformed problem document: non-finite value {v!r}")
+    return z
+
+
+def _read_finite(v):
+    x = float(v)
+    if not np.isfinite(x):
+        raise ValueError(f"malformed problem document: non-finite option {v!r}")
+    return x
 
 
 def _write_complex(v):
@@ -576,10 +584,10 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
             ))
         opts = doc.get("options", {})
         options = SolverOptions(
-            max_iter=int(opts.get("max_iter", 200)),
-            damping=float(opts.get("damping", 1e-3)),
+            max_iter=int(_read_finite(opts.get("max_iter", 200))),
+            damping=_read_finite(opts.get("damping", 1e-3)),
             residual_tol=(None if opts.get("residual_tol") is None
-                          else float(opts["residual_tol"])),
+                          else _read_finite(opts["residual_tol"])),
         )
         return ProblemSpec(config, tuple(vars_), options)
     except (KeyError, TypeError, IndexError) as exc:

@@ -1,12 +1,17 @@
-"""Branch-continued contour integration of P(w)/sqrt(H(w)) along polylines.
+"""Branch-continued contour integration of P(w)/sqrt(prod(w - r_j)) along polylines.
+
+:func:`path_integral` is the one integrator of the hyperelliptic integral
+Phi.  It takes the zeros ``r_j`` of the square-root argument themselves and
+evaluates their product factor by factor, which keeps full relative
+accuracy next to a zero, where Horner's scheme on the coefficients cancels.
 
 The integrand's square root is continued analytically along the path: each
 refinement level takes the principal roots at all its nodes as one array in
 path order, flips a step's sign when the flipped root lies nearer the
 previous one, and signs each node by the cumulative product of the steps.
-Endpoint singularities (the path starting or ending at a simple zero of H)
-are removed by the substitution ``w = e + s**2 * (b - e)``, after which
-Gauss-Legendre panels converge fast.
+A path end within ``SINGULAR_TOL * (1 + max |r_j|)`` of a zero is a
+square-root singularity, removed by the substitution
+``w = e + s**2 * (b - e)``, after which Gauss-Legendre panels converge fast.
 
 Only the real part of the resulting integral is path-independent (it is a
 Green function); the overall sign of a leg whose branch cannot be anchored
@@ -14,41 +19,31 @@ is therefore immaterial to every consumer in this package, and all of them
 compare ``|Re|`` or minimize over a global sign.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BranchJump, PathTooClose
 from .poly import ComplexPoly
 
-_GL_CACHE = {}
+#: Refinement stops when two levels agree to this absolute tolerance.
+TOL = 1e-9
+
+#: Panels are halved at most this many times per leg.
+MAX_LEVEL = 10
+
+#: A path end this close to a zero, relative to ``1 + max |zero|``, is singular.
+SINGULAR_TOL = 1e-8
+
+#: 32-point Gauss-Legendre nodes and weights, mapped to the unit interval.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 
 
-def _gl_rule(order):
-    """Gauss-Legendre nodes and weights mapped to the unit interval."""
-    if order not in _GL_CACHE:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (0.5 * (nodes + 1.0), 0.5 * weights)
-    return _GL_CACHE[order]
-
-
-@dataclass(frozen=True)
-class QuadraturePath:
-    """A polyline contour with optional square-root endpoint handling."""
-
-    waypoints: tuple
-    samples_per_segment: int = 32
-    singular_start: bool = False
-    singular_end: bool = False
-
-    def __post_init__(self):
-        pts = tuple(complex(w) for w in self.waypoints)
-        if len(pts) < 2:
-            raise ValueError("a path needs at least two waypoints")
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise ValueError("consecutive waypoints must be distinct")
-        object.__setattr__(self, "waypoints", pts)
+def _product(zeros, w):
+    """``prod(w - r)`` over ``zeros``, factor by factor, for scalar or array ``w``."""
+    out = 1.0
+    for r in zeros:
+        out = out * (w - r)
+    return out
 
 
 def continue_branch(v, anchor=None):
@@ -74,20 +69,19 @@ def continue_branch(v, anchor=None):
 _HANDOFF = np.linspace(0.0, 1.0, 65)
 
 
-def _leg(numer, sqrt_denom, a, b, singular, anchor, tol, max_level, order):
-    """Integrate ``numer(w) / sqrt(sqrt_denom(w))`` over the leg from ``a`` to ``b``.
+def _leg(numer, zeros, a, b, singular, anchor):
+    """Integrate ``numer(w) / sqrt(_product(zeros, w))`` from ``a`` to ``b``.
 
-    Gauss-Legendre panels are halved until two levels agree to ``tol``; each
-    level continues the square root over all its nodes, in path order, from
-    ``anchor`` (:func:`continue_branch`), and one whose continuation is
-    ambiguous is skipped, except the last.  A ``singular`` leg starts at a
-    zero of ``sqrt_denom`` and is integrated via ``w = a + s**2 (b - a)``;
-    its branch starts from the principal root at the first node and the
-    caller aligns the overall sign using the hand-off value.
-    Returns ``(value, error_estimate, square root continued to b)``.
+    Gauss-Legendre panels are halved until two levels agree to ``TOL``, at
+    most ``MAX_LEVEL`` times; each level continues the square root over all
+    its nodes, in path order, from ``anchor`` (:func:`continue_branch`), and
+    one whose continuation is ambiguous is skipped, except the last.  A
+    ``singular`` leg starts at a zero and is integrated via
+    ``w = a + s**2 (b - a)``; its branch starts from the principal root at
+    the first node and the caller aligns the overall sign using the hand-off
+    value.  Returns ``(value, error_estimate, square root continued to b)``.
     """
     delta = b - a
-    gl_t, gl_w = _gl_rule(order)
 
     def points(s):
         return a + s * s * delta if singular else a + s * delta
@@ -95,62 +89,67 @@ def _leg(numer, sqrt_denom, a, b, singular, anchor, tol, max_level, order):
     prev = None
     value = None
     err = np.inf
-    for level in range(max_level + 1):
+    for level in range(MAX_LEVEL + 1):
         panels = 2**level
         width = 1.0 / panels
-        s = (np.arange(panels)[:, None] * width + width * gl_t).ravel()
+        s = (np.arange(panels)[:, None] * width + width * _GL_NODES).ravel()
         w = points(s)
         try:
-            root = continue_branch(np.sqrt(sqrt_denom(w)), anchor)
+            root = continue_branch(np.sqrt(_product(zeros, w)), anchor)
         except BranchJump:
-            if level == max_level:
+            if level == MAX_LEVEL:
                 raise
             continue
         vals = numer(w) * 2.0 * s * delta / root if singular else numer(w) * delta / root
-        value = width * np.dot(np.tile(gl_w, panels), vals)
+        value = width * np.dot(np.tile(_GL_WEIGHTS, panels), vals)
         if prev is not None:
             err = abs(value - prev)
-            if err < tol:
+            if err < TOL:
                 break
         prev = value
     handoff = points(_HANDOFF[1:] if singular else _HANDOFF)
-    carry = continue_branch(np.sqrt(sqrt_denom(handoff)), anchor)[-1]
+    carry = continue_branch(np.sqrt(_product(zeros, handoff)), anchor)[-1]
     return value, err, carry
 
 
-def path_integral(numer: ComplexPoly, sqrt_denom: ComplexPoly, path: QuadraturePath,
-                  tol: float = 1e-9, max_level: int = 10):
-    """Integrate ``numer(w) / sqrt(sqrt_denom(w))`` along the path.
+def path_integral(numer: ComplexPoly, zeros, waypoints):
+    """Integrate ``numer(w) / sqrt(prod(w - r))``, ``r`` over ``zeros``, along a polyline.
 
     Returns ``(value, error_estimate)`` where the estimate is the sum of the
-    last refinement differences over all legs.  ``singular_start`` /
-    ``singular_end`` mark path endpoints sitting on zeros of ``sqrt_denom``
-    (or of the numerator), where the square-root substitution is applied.
+    last refinement differences over all legs.  A first or last waypoint
+    within ``SINGULAR_TOL * (1 + max |r|)`` of a zero is a square-root
+    singularity and gets the substitution; a path of two singular ends is
+    split at its midpoint.  Raises ``ValueError`` for fewer than two
+    waypoints or two equal consecutive ones.
     """
-    pts = list(path.waypoints)
-    if len(pts) == 2 and path.singular_start and path.singular_end:
-        mid = 0.5 * (pts[0] + pts[1])
-        pts = [pts[0], mid, pts[1]]
+    pts = [complex(w) for w in waypoints]
+    if len(pts) < 2:
+        raise ValueError("a path needs at least two waypoints")
+    if any(a == b for a, b in zip(pts, pts[1:])):
+        raise ValueError("consecutive waypoints must be distinct")
+    zeros = tuple(complex(r) for r in zeros)
+    eps = SINGULAR_TOL * (1.0 + max((abs(r) for r in zeros), default=0.0))
+    start_on_zero = any(abs(pts[0] - r) <= eps for r in zeros)
+    end_on_zero = any(abs(pts[-1] - r) <= eps for r in zeros)
+    if len(pts) == 2 and start_on_zero and end_on_zero:
+        pts.insert(1, 0.5 * (pts[0] + pts[1]))
 
-    order = max(4, int(path.samples_per_segment))
     segments = list(zip(pts, pts[1:]))
     total = 0j
     toterr = 0.0
     carry = None
     for i, (a, b) in enumerate(segments):
-        first = i == 0
-        last = i == len(segments) - 1
-        if first and path.singular_start:
-            value, err, carry = _leg(numer, sqrt_denom, a, b, True, None, tol, max_level, order)
-        elif last and path.singular_end:
-            value, err, v_at_a = _leg(numer, sqrt_denom, b, a, True, None, tol, max_level, order)
+        if i == 0 and start_on_zero:
+            value, err, carry = _leg(numer, zeros, a, b, True, None)
+        elif i == len(segments) - 1 and end_on_zero:
+            value, err, v_at_a = _leg(numer, zeros, b, a, True, None)
             # integrated from b back to a: reverse it unless the carried branch
             # says the sign at a is flipped
             if carry is None or abs(v_at_a - carry) <= abs(v_at_a + carry):
                 value = -value
             carry = None
         else:
-            value, err, carry = _leg(numer, sqrt_denom, a, b, False, carry, tol, max_level, order)
+            value, err, carry = _leg(numer, zeros, a, b, False, carry)
         total += value
         toterr += err
     return total, toterr

@@ -5,7 +5,6 @@ import pytest
 
 from chebotarev import (
     ComplexPoly,
-    QuadraturePath,
     capacity,
     check_chebotarev_conditions,
     condition_points,
@@ -129,7 +128,7 @@ class TestHyperellipticIntegral:
 
     def test_duplicate_waypoints_rejected(self):
         with pytest.raises(ValueError):
-            QuadraturePath((1.0, 1.0))
+            hyperelliptic_integral([-1.0, 1.0], [], [1.0, 1.0])
 
     def test_branch_ambiguity_detected(self):
         from chebotarev import BranchJump
@@ -139,16 +138,13 @@ class TestHyperellipticIntegral:
         with pytest.raises(BranchJump):
             continue_branch(np.sqrt(np.array([4.0 + 0j])), anchor=2j)
 
-    def test_near_cut_pass_reports_large_error(self):
+    def test_near_cut_pass_reports_large_error(self, monkeypatch):
         # a segment grazing a branch point cannot be integrated reliably;
         # the error estimate must say so
-        from chebotarev import ComplexPoly, path_integral
+        from chebotarev import path_integral, quadrature
 
-        H = ComplexPoly([-1, 0, 1])
-        one = ComplexPoly([1.0])
-        _, err = path_integral(one, H,
-                               QuadraturePath((0.5 + 1e-9j, 1.5 + 1e-9j)),
-                               max_level=4)
+        monkeypatch.setattr(quadrature, "MAX_LEVEL", 4)
+        _, err = path_integral(ComplexPoly([1.0]), [-1.0, 1.0], [0.5 + 1e-9j, 1.5 + 1e-9j])
         assert err > 1e-6
 
 
@@ -156,20 +152,18 @@ class TestQuadratureClosedForms:
     @pytest.mark.parametrize("x", [1.5, 2.0, 3.0, 7.0])
     def test_inverse_cosh_integral(self, x):
         # integral of 1/sqrt(w^2-1) from 1 to x equals arccosh(x)
-        from chebotarev import ComplexPoly, path_integral
+        from chebotarev import path_integral
 
-        H = ComplexPoly([-1, 0, 1])
-        one = ComplexPoly([1.0])
-        val, err = path_integral(one, H, QuadraturePath((1.0, x), singular_start=True))
+        val, err = path_integral(ComplexPoly([1.0]), [-1.0, 1.0], [1.0, x])
         assert err < 1e-8
         assert abs(abs(val.real) - math.acosh(x)) < 1e-9
 
     def test_real_part_is_path_independent(self):
         # Re Phi is a Green function: any route clear of branch points gives
         # the same value, even on opposite sides of the continuum
-        from chebotarev import ComplexPoly, path_integral
+        from chebotarev import path_integral
 
-        H = ComplexPoly([-1] + [0] * 9 + [1])  # branch points on the unit circle
+        zeros = np.exp(2j * np.pi * np.arange(10) / 10)  # branch points on the unit circle
         numer = ComplexPoly([0, 0, 0, 0, 1.0])
         target = 1.8 + 1.3j
         routes = [
@@ -179,8 +173,7 @@ class TestQuadratureClosedForms:
         ]
         values = []
         for waypoints in routes:
-            val, err = path_integral(numer, H,
-                                     QuadraturePath(waypoints, singular_start=True))
+            val, err = path_integral(numer, zeros, waypoints)
             assert err < 1e-8
             values.append(abs(val.real))
         assert max(values) - min(values) < 1e-8
@@ -316,3 +309,28 @@ class TestGreenConsistency:
 
         monkeypatch.setattr(analysis_module, "factorize", no_factorize)
         assert green_via_integral(T, z, fac=fac) == expected
+
+
+class TestProductFormAccuracy:
+    """Re Phi on solved rectangles, with the branch product taken factor by
+    factor: the coefficient form lost ~1e-12 to cancellation next to the
+    singular ends (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 5.1)."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_conditions_vanish_to_rounding(self, n, solved_rect):
+        T = solved_rect(n).poly
+        fac = factorize(T)
+        worst = max(check_chebotarev_conditions(T, base_index=b, fac=fac).max_abs_re
+                    for b in range(4))
+        assert worst < 5e-13
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_green_integral_matches_closed_form(self, n, solved_rect):
+        sol = solved_rect(n)
+        fac = factorize(sol.poly)
+        r = 2.5 + max(abs(p) for pts in sol.points.values() for p in pts)
+        for k in range(24):
+            z = r * np.exp(2j * np.pi * (k + 0.2) / 24) * (0.5 + 0.05 * k)
+            g_integral, _ = green_via_integral(sol.poly, z, fac=fac)
+            assert abs(green_function(sol.poly, z) - g_integral) < 1e-12, k

@@ -98,6 +98,32 @@ class TestSolveCommand:
         assert run("solve", FIXTURES / "rect_n5.json", "--out", tmp_path, "--sweep", "-1") == 2
         assert not (tmp_path / "solution.json").exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["vars"][0].update(initial=[1.0, math.nan]),
+        lambda doc: doc["vars"][0].update(value=[math.inf, 0.0]),
+        lambda doc: doc["vars"][4].update(initial=math.nan),
+        lambda doc: doc["options"].update(max_iter=math.inf),
+        lambda doc: doc["options"].update(damping=math.nan),
+        lambda doc: doc["options"].update(residual_tol=math.nan),
+    ], ids=["initial", "value", "real-initial", "max_iter", "damping", "residual_tol"])
+    def test_non_finite_spec_exits_2(self, edit, tmp_path, recwarn):
+        # Python's json reads and writes NaN and Infinity; they are
+        # malformed input here, not a solution full of NaN
+        doc = json.loads((FIXTURES / "rect_n5.json").read_text())
+        edit(doc)
+        bad = tmp_path / "non_finite.json"
+        bad.write_text(json.dumps(doc))
+        assert run("solve", bad, "--out", tmp_path) == 2
+        assert not (tmp_path / "solution.json").exists()
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
+    @pytest.mark.parametrize("command, fixture", [("solve", "rect_n5.json"),
+                                                  ("verify", "star5.json")])
+    def test_bad_tol_exits_2(self, command, fixture, tol, tmp_path):
+        assert run(command, FIXTURES / fixture, "--out", tmp_path, "--tol", tol) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_unconvergeable_exits_3(self, tmp_path):
         doc = json.loads((FIXTURES / "rect_n7.json").read_text())
         doc["options"]["max_iter"] = 1

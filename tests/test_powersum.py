@@ -244,6 +244,17 @@ class TestSolve:
         with pytest.raises(NoConvergence):
             solve(tight, [0.9, 0.1, 0.9])
 
+    def test_non_finite_start_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            solve(rect_spec(5), [1.0, np.nan])
+
+    def test_nan_tolerance_never_converges(self):
+        # every comparison with NaN is false: the residual test must not pass
+        spec = rect_spec(5)
+        loose = ProblemSpec(spec.config, spec.vars, SolverOptions(residual_tol=math.nan))
+        with pytest.raises(NoConvergence):
+            solve(loose)
+
     def test_point_collision_raises(self):
         # every point pinned at the origin: all power sums vanish, so the
         # residual is already zero, but the point set is degenerate
@@ -385,6 +396,19 @@ class TestWireFormat:
     def test_malformed_document_raises_value_error(self):
         with pytest.raises(ValueError):
             spec_from_dict({"n": 5, "nu": 4})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, value):
+        for field, entry in (("value", [value, 0.0]), ("initial", [1.0, value])):
+            doc = json.loads((FIXTURES / "rect_n5.json").read_text())
+            doc["vars"][0][field] = entry
+            with pytest.raises(ValueError, match="non-finite"):
+                spec_from_dict(doc)
+        for option in ("max_iter", "damping", "residual_tol"):
+            doc = json.loads((FIXTURES / "rect_n5.json").read_text())
+            doc["options"][option] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                spec_from_dict(doc)
 
     def test_solution_dict_shape(self):
         sol = solve(rect_spec(5))

@@ -9,9 +9,9 @@ against the previous continued root.
 import numpy as np
 import pytest
 
-from chebotarev import BranchJump, ComplexPoly, QuadraturePath, path_integral
+from chebotarev import BranchJump, ComplexPoly, path_integral
 from chebotarev import quadrature
-from chebotarev.quadrature import _HANDOFF, _gl_rule, continue_branch
+from chebotarev.quadrature import _GL_NODES, _GL_WEIGHTS, _HANDOFF, continue_branch
 
 ARRAY_LEG = quadrature._leg
 
@@ -37,14 +37,15 @@ class ScalarBranch:
         return v
 
 
-def scalar_leg(numer, sqrt_denom, a, b, singular, anchor, tol, max_level, order):
+def scalar_leg(numer, zeros, a, b, singular, anchor):
     """The leg integrator node by node, with a fresh scalar walk per level."""
+    sqrt_denom = ProductPoly(zeros)
     delta = b - a
-    gl_t, gl_w = _gl_rule(order)
+    gl_t, gl_w = _GL_NODES, _GL_WEIGHTS
     prev = None
     value = None
     err = np.inf
-    for level in range(max_level + 1):
+    for level in range(quadrature.MAX_LEVEL + 1):
         width = 1.0 / 2**level
         state = ScalarBranch(sqrt_denom, anchor)
         total = 0j
@@ -62,13 +63,13 @@ def scalar_leg(numer, sqrt_denom, a, b, singular, anchor, tol, max_level, order)
                         vals[i] = numer(w) * delta / state.value(w)
                 total += width * np.dot(gl_w, vals)
         except BranchJump:
-            if level == max_level:
+            if level == quadrature.MAX_LEVEL:
                 raise
             continue
         value = total
         if prev is not None:
             err = abs(value - prev)
-            if err < tol:
+            if err < quadrature.TOL:
                 break
         prev = value
     tracker = ScalarBranch(sqrt_denom, anchor)
@@ -80,11 +81,12 @@ def scalar_leg(numer, sqrt_denom, a, b, singular, anchor, tol, max_level, order)
 class ProductPoly:
     """``prod(w - r)`` over ``roots``, evaluated factor by factor.
 
-    Both walks evaluate it to a few ulps, also next to a zero.  Horner's
-    scheme on the coefficients cancels there, and numpy's array loop rounds
-    complex products differently from its scalar one: near the singular end
-    of a random degree-9 leg the two coefficient evaluations were measured
-    5e-8 apart, which moved integrals by up to 6e-11.
+    Both walks evaluate it to a few ulps, also next to a zero, as
+    ``path_integral`` does.  Horner's scheme on the coefficients cancels
+    there, and numpy's array loop rounds complex products differently from
+    its scalar one: near the singular end of a random degree-9 leg the two
+    coefficient evaluations were measured 5e-8 apart, which moved integrals
+    by up to 6e-11.
     """
 
     def __init__(self, roots):
@@ -127,7 +129,7 @@ def _random_walk(rng):
         s = _HANDOFF[1:] if singular else _HANDOFF
     else:
         level = int(rng.integers(0, 4))
-        gl_t, _ = _gl_rule(int(rng.choice([4, 8, 32])))
+        gl_t = 0.5 * (np.polynomial.legendre.leggauss(int(rng.choice([4, 8, 32])))[0] + 1.0)
         width = 1.0 / 2**level
         s = (np.arange(2**level)[:, None] * width + width * gl_t).ravel()
     w = a + s * s * (b - a) if singular else a + s * (b - a)
@@ -176,7 +178,7 @@ class TestContinuationMatchesScalarWalk:
         rng = np.random.default_rng(7)
         cases = []
         for _ in range(200):
-            H, zeros = _random_poly(rng, int(rng.integers(2, 10)))
+            _, zeros = _random_poly(rng, int(rng.integers(2, 10)))
             numer = ComplexPoly(rng.normal(size=int(rng.integers(1, 4)))
                                 + 1j * rng.normal(size=1))
             inner = [complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(rng.integers(0, 3))]
@@ -184,18 +186,16 @@ class TestContinuationMatchesScalarWalk:
             end = zeros[-1] if rng.uniform() < 0.5 else complex(*rng.uniform(-1.5, 1.5, 2))
             if rng.uniform() < 0.3:
                 inner = list(_grazing_leg(rng, zeros[1]))
-            path = QuadraturePath((start, *inner, end),
-                                  samples_per_segment=int(rng.choice([8, 16, 32])),
-                                  singular_start=start == zeros[0],
-                                  singular_end=end == zeros[-1])
-            cases.append((numer, H, path))
+            cases.append((numer, zeros, (start, *inner, end)))
+
+        monkeypatch.setattr(quadrature, "MAX_LEVEL", 4)
 
         def run(leg):
             monkeypatch.setattr(quadrature, "_leg", leg)
             out = []
-            for numer, H, path in cases:
+            for numer, zeros, path in cases:
                 try:
-                    out.append(path_integral(numer, H, path, max_level=4))
+                    out.append(path_integral(numer, zeros, path))
                 except BranchJump:
                     out.append(None)
             return out
@@ -208,3 +208,38 @@ class TestContinuationMatchesScalarWalk:
             if ref is not None:
                 assert abs(new[0] - ref[0]) <= 1e-12 * (1 + abs(ref[0]))
 
+
+
+class TestPathEnds:
+    @staticmethod
+    def _first_leg(monkeypatch, start):
+        """``path_integral`` of 1/sqrt(w^2 - 1) from ``start`` to 2, and
+        whether its first leg was singular."""
+        flags = []
+
+        def spy(numer, zeros, a, b, singular, anchor):
+            flags.append(singular)
+            return ARRAY_LEG(numer, zeros, a, b, singular, anchor)
+
+        monkeypatch.setattr(quadrature, "_leg", spy)
+        value, err = path_integral(ComplexPoly([1.0]), [-1.0, 1.0], [start, 2.0])
+        return flags[0], value, err
+
+    def test_start_next_to_a_zero_is_singular(self, monkeypatch):
+        singular, value, err = self._first_leg(monkeypatch, 1.0 + 1e-9)
+        assert singular
+        assert err < 1e-8
+        assert abs(abs(value.real) - (np.arccosh(2.0) - np.arccosh(1.0 + 1e-9))) < 1e-8
+
+    def test_start_further_off_is_regular(self, monkeypatch):
+        singular, value, err = self._first_leg(monkeypatch, 1.0 + 1e-6)
+        assert not singular
+        # plain panels converge slowly this close to the zero; the error
+        # estimate covers the true error
+        assert abs(abs(value.real) - (np.arccosh(2.0) - np.arccosh(1.0 + 1e-6))) < err
+
+    @pytest.mark.parametrize("waypoints", [[1.0], [1.0, 2.0, 2.0], [1.0, 1.0]],
+                             ids=["single", "repeated", "repeated-pair"])
+    def test_degenerate_paths_rejected(self, waypoints):
+        with pytest.raises(ValueError):
+            path_integral(ComplexPoly([1.0]), [-1.0, 1.0], waypoints)
