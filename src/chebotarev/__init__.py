@@ -57,6 +57,7 @@ from .poly import (
     RootCluster,
     cluster_roots,
     find_roots,
+    level_polynomial,
     structured_roots,
 )
 from .powersum import (
@@ -65,10 +66,8 @@ from .powersum import (
     SignConfig,
     Solution,
     SolverOptions,
-    build_polynomial,
     default_initial,
     enumerate_sign_configs,
-    reconstruct_from_levels,
     residual,
     solution_to_dict,
     solve,

@@ -28,8 +28,8 @@ import numpy as np
 
 from .connect import ConnectivityVerdict, is_connected
 from .factor import Factorization, factorize
-from .poly import ComplexPoly, cluster_roots, divide_exact, structured_roots
-from .quadrature import check_clearance, path_integral, point_segment_distance
+from .poly import ComplexPoly, cluster_roots, divide_exact, point_key, structured_roots
+from .quadrature import SINGULAR_TOL, check_clearance, path_integral, point_segment_distance
 
 #: Branch points are kept at least this far from any integration segment.
 ROUTE_MARGIN = 0.06
@@ -127,10 +127,10 @@ def hyperelliptic_integral(cset, dset, path):
             sqrt_roots.append(cl.center)
 
     waypoints = [complex(w) for w in path]
-    if min(abs(waypoints[0] - c) for c in cpts) > 1e-6 * scale:
+    if min(abs(waypoints[0] - c) for c in cpts) > SINGULAR_TOL * scale:
         raise ValueError("path must start at one of the prescribed points")
     ends = [r for r in sqrt_roots
-            if min(abs(r - waypoints[0]), abs(r - waypoints[-1])) <= 1e-8 * scale]
+            if min(abs(r - waypoints[0]), abs(r - waypoints[-1])) <= SINGULAR_TOL * scale]
     check_clearance(waypoints, sqrt_roots, ends, 1e-3)
 
     return path_integral(ComplexPoly.from_roots(numer_roots, 1.0), sqrt_roots, waypoints)
@@ -140,17 +140,24 @@ def condition_points(fac: Factorization, seed: int = 0):
     """Split the factorization data into prescribed and bifurcation points.
 
     Returns ``(cset, dset)``: the simple zeros of T^2 - 1 and the zero
-    multiset of the bifurcation polynomial ``cofactor^2 / prod(z - b_j)``,
-    where the ``b_j`` are the zeros of odd multiplicity >= 3.
+    multiset, sorted by :func:`~chebotarev.poly.point_key`, of the
+    bifurcation polynomial ``cofactor^2 / prod(z - b_j)``, where the ``b_j``
+    are the zeros of odd multiplicity >= 3.  A zero of T^2 - 1 of
+    multiplicity ``k >= 3`` is a ``(k - 1) // 2``-fold zero of the cofactor,
+    so it enters ``dset`` ``k - 2`` times straight from ``fac.clusters``;
+    only the quotient ``Q`` of the cofactor by those zeros is root-found, and
+    each zero of ``Q`` enters twice.  On a level-form factorization of a
+    solved configuration ``Q`` is constant and nothing is root-found.
     """
     cset = [c.center for c in fac.clusters if c.multiplicity == 1]
-    bset = [c.center for c in fac.clusters if c.multiplicity % 2 == 1 and c.multiplicity >= 3]
-    d_poly = divide_exact(fac.cofactor * fac.cofactor, ComplexPoly.from_roots(bset, 1.0))
-    dset = []
-    if d_poly.degree >= 1:
-        for cl in structured_roots(d_poly, seed=seed):
-            dset.extend([cl.center] * cl.multiplicity)
-    return cset, dset
+    known = [c for c in fac.clusters if c.multiplicity >= 3]
+    dset = [c.center for c in known for _ in range(c.multiplicity - 2)]
+    q = divide_exact(fac.cofactor, ComplexPoly.from_roots(
+        [c.center for c in known for _ in range((c.multiplicity - 1) // 2)], 1.0))
+    if q.degree >= 1:
+        for cl in structured_roots(q, seed=seed):
+            dset.extend([cl.center] * (2 * cl.multiplicity))
+    return cset, sorted(dset, key=point_key)
 
 
 @dataclass(frozen=True)
@@ -213,7 +220,7 @@ def verify_cosh_representation(T: ComplexPoly, fac: Factorization, z: complex, p
     """
     waypoints = [complex(w) for w in path]
     scale = 1.0 + max(abs(b) for b in fac.branch_points)
-    start = [b for b in fac.branch_points if abs(waypoints[0] - b) <= 1e-6 * scale]
+    start = [b for b in fac.branch_points if abs(waypoints[0] - b) <= SINGULAR_TOL * scale]
     if not start:
         raise ValueError("path must start at a zero of the branch polynomial")
     check_clearance(waypoints, fac.branch_points, start, 0.05)

@@ -20,6 +20,9 @@ from .poly import ComplexPoly, find_roots, label_pairs, point_key, powers
 #: Lipschitz safety factor for the grid membership threshold.
 LIPSCHITZ_FACTOR = 1.5
 
+#: Smallest image-plane distance to [-1, 1] that still makes a grid cell a member.
+TOL_MEMBER = 1e-9
+
 
 def dist_to_interval(w):
     """Euclidean distance from ``w`` to the segment [-1, 1] of the real axis.
@@ -32,17 +35,6 @@ def dist_to_interval(w):
     w = complex(w)
     x = max(abs(w.real) - 1.0, 0.0)
     return float(np.hypot(x, w.imag))
-
-
-@dataclass(frozen=True)
-class MembershipParams:
-    """Image-plane tolerance for declaring a point a member of the set."""
-
-    tol_member: float = 1e-9
-
-    def __post_init__(self):
-        if self.tol_member <= 0:
-            raise ValueError("tol_member must be positive")
 
 
 @dataclass(frozen=True)
@@ -96,8 +88,7 @@ class GridReport:
     member: np.ndarray     # bool (ny, nx), indexed [iy, ix]
 
 
-def grid_oracle(T: ComplexPoly, params: MembershipParams = None,
-                resolution: int = 512, seed: int = 0, fac=None) -> GridReport:
+def grid_oracle(T: ComplexPoly, resolution: int = 512, seed: int = 0, fac=None) -> GridReport:
     """Brute-force connectivity oracle on a pixel grid.
 
     The box is the bounding box of the zeros of T^2 - 1 inflated by 20%.
@@ -107,7 +98,7 @@ def grid_oracle(T: ComplexPoly, params: MembershipParams = None,
     form ``T`` carries is not read here: :func:`~chebotarev.factor.factorize`
     checks it before ``fac`` holds its zeros.
     A cell is a member when the image of its center lies within
-    ``max(tol_member, LIPSCHITZ_FACTOR * h * max |T'| over the cell corners)``
+    ``max(TOL_MEMBER, LIPSCHITZ_FACTOR * h * max |T'| over the cell corners)``
     of [-1, 1]; the local Lipschitz bound keeps thin arcs from slipping
     between samples.  :func:`count_components` counts its 8-connected pieces.
 
@@ -120,8 +111,6 @@ def grid_oracle(T: ComplexPoly, params: MembershipParams = None,
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
-    if params is None:
-        params = MembershipParams()
     if fac is not None:
         roots = [c.center for c in fac.clusters]
     else:
@@ -156,7 +145,7 @@ def grid_oracle(T: ComplexPoly, params: MembershipParams = None,
         np.maximum(dmag[:-1, :-1], dmag[:-1, 1:]),
         np.maximum(dmag[1:, :-1], dmag[1:, 1:]),
     )
-    thresh = np.maximum(params.tol_member, LIPSCHITZ_FACTOR * h * cellmax)
+    thresh = np.maximum(TOL_MEMBER, LIPSCHITZ_FACTOR * h * cellmax)
     member = dist < thresh
     return GridReport(bbox, resolution, count_components(member), member)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, RemainderTooLarge
+from .errors import NoConvergence, PowerSumViolation, RemainderTooLarge
 
 MAX_DEGREE = 64
 
@@ -48,8 +48,8 @@ class LevelForm:
 
     ``plus`` and ``minus`` hold ``(point, multiplicity)`` pairs, the zeros of
     ``T - 1`` and of ``T + 1``; both products have leading coefficient
-    ``tau``.  A constructed polynomial carries this form from the points it
-    was built on, so its multiplicity structure need not be root-found again.
+    ``tau``.  :func:`level_polynomial` attaches it to the polynomial it
+    builds, so the multiplicity structure need not be root-found again.
     """
 
     tau: complex
@@ -160,6 +160,39 @@ class ComplexPoly:
 
     def __rsub__(self, other):
         return self._coerce(other) + (-self)
+
+
+def level_polynomial(plus, minus) -> ComplexPoly:
+    """``T = 1 + tau prod (z - p)^m`` over ``plus``, checked against ``minus``.
+
+    ``plus`` and ``minus`` hold ``(point, multiplicity)`` pairs, the zeros of
+    ``T - 1`` and of ``T + 1``.  ``tau = -2 / prod (q - p)^m`` puts the first
+    minus point ``q`` on ``T = -1``; then ``tau prod plus + 2`` must equal
+    ``tau prod minus`` coefficient by coefficient to ``1e-8 (1 + max |coeff|)``,
+    which holds exactly when the two zero multisets have equal power sums of
+    orders 1 .. n-1.  Raises :class:`PowerSumViolation` otherwise, and
+    ``ValueError`` when ``q`` is also a plus point.  Returns ``T`` carrying its
+    :class:`LevelForm`.
+    """
+    plus = tuple((complex(p), m) for p, m in plus)
+    minus = tuple((complex(q), m) for q, m in minus)
+    plus_roots = [p for p, m in plus for _ in range(m)]
+    minus_roots = [q for q, m in minus for _ in range(m)]
+    if not minus_roots:
+        raise ValueError("T + 1 needs at least one zero")
+    prod = 1.0 + 0j
+    for r in plus_roots:
+        prod *= minus_roots[0] - r
+    if prod == 0:
+        raise ValueError(f"the level sets share the point {minus_roots[0]:.6g}")
+    tau = -2.0 / prod
+    plus_side = ComplexPoly.from_roots(plus_roots, tau)
+    minus_side = ComplexPoly.from_roots(minus_roots, tau)
+    worst = max(abs(c) for c in (plus_side + 2.0 - minus_side).coeffs)
+    bound = 1e-8 * (1.0 + max(abs(c) for c in minus_side.coeffs))
+    if not worst <= bound:
+        raise PowerSumViolation(f"level products differ by {worst:.3e} (bound {bound:.3e})")
+    return ComplexPoly((plus_side + 1.0).coeffs, LevelForm(tau, plus, minus))
 
 
 def divide_exact(p: ComplexPoly, q: ComplexPoly, tol: float = 1e-9) -> ComplexPoly:

@@ -14,7 +14,9 @@ polynomial is rebuilt from the positive-sign points as
     T(z) = 1 + tau * prod_{alpha_j=+1}(z - c_j)
                  * prod_{gamma_j=+1}(z - d_j)^3 * prod_{beta_j=+1}(z - z_j)^2
 
-where tau is fixed by requiring T = -1 at any negative-sign point.  This
+where tau is fixed by requiring T = -1 at the first negative-sign point;
+:func:`~chebotarev.poly.level_polynomial` builds it and checks that
+``T + 1`` is tau times the product over the negative-sign points.  This
 module poses the system for a caller-declared set of free, fixed and
 symmetry-linked points and solves it by damped Gauss-Newton.
 
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSolution, InconsistentFactorization, NoConvergence, PowerSumViolation
-from .poly import ComplexPoly, LevelForm, cluster_roots
+from .errors import DegenerateSolution, NoConvergence
+from .poly import ComplexPoly, cluster_roots, level_polynomial
 
 ROLES = ("c", "d", "z")
 _ROLE_WEIGHT = {"c": 1.0, "d": 3.0, "z": 2.0}
@@ -353,34 +355,6 @@ def _points_by_role(config, mapping):
     }
 
 
-def build_polynomial(config: SignConfig, points) -> tuple:
-    """Rebuild (T, tau) from solved points.
-
-    ``points`` maps each role to its values in index order.  ``tau`` comes
-    from evaluating the positive-sign product at the first negative-sign
-    point; every further negative-sign point is then checked to satisfy
-    T = -1 to 1e-8.
-    """
-    plus, minus = _signed_points(config, points)
-    plus_roots = [p for p, mult in plus for _ in range(mult)]
-    minus_points = [p for p, mult in minus for _ in range(mult)]
-    assert minus_points, "sign balance guarantees at least one negative point"
-    z_minus = minus_points[0]
-    prod = 1.0 + 0j
-    for r in plus_roots:
-        prod *= z_minus - r
-    tau = -2.0 / prod
-    T = ComplexPoly.from_roots(plus_roots, tau) + 1.0
-
-    scale = 1.0 + max(abs(p) for p in minus_points + plus_roots)
-    for p in minus_points:
-        if abs(T(p) + 1.0) > 1e-8 * scale ** T.degree:
-            raise PowerSumViolation(
-                f"rebuilt polynomial misses -1 at negative-sign point {p:.6g}"
-            )
-    return T, tau
-
-
 def _signed_points(config: SignConfig, points) -> tuple:
     """``(plus, minus)``: the ``(point, multiplicity)`` pairs of each sign.
 
@@ -407,13 +381,14 @@ def solve(spec: ProblemSpec, initial=None) -> Solution:
     Levenberg damping starts at ``options.damping`` and moves by factors of
     10 on rejected / accepted steps.  Raises :class:`NoConvergence` when the
     iteration cap is hit above tolerance or the residual is not finite,
-    :class:`DegenerateSolution` when solved points collide, and
+    :class:`DegenerateSolution` when solved points collide,
+    :class:`PowerSumViolation` when the level products disagree, and
     ``ValueError`` for a non-finite starting vector.
 
-    The returned ``Solution.poly`` carries its :class:`LevelForm`: the
-    solved points with their signs and multiplicities, checked against the
-    product identity for ``T^2 - 1``.  ``factorize`` splits it on those
-    points without root finding.
+    The returned ``Solution.poly`` is :func:`level_polynomial` of the solved
+    points with their signs and multiplicities, so it carries its
+    :class:`LevelForm`; ``factorize`` splits it on those points without root
+    finding.
     """
     x = np.asarray(default_initial(spec) if initial is None else initial, dtype=float)
     if len(x) != spec.A.shape[1]:
@@ -455,29 +430,12 @@ def solve(spec: ProblemSpec, initial=None) -> Solution:
     mapping = resolve_points(spec, x)
     _check_distinct(mapping.values())
     points = _points_by_role(spec.config, mapping)
-    T, tau = build_polynomial(spec.config, points)
-
-    level = LevelForm(tau, *_signed_points(spec.config, points))
-    _verify_product_identity(level, T)
-    T = ComplexPoly(T.coeffs, level)
+    T = level_polynomial(*_signed_points(spec.config, points))
+    tau = T.level.tau
 
     n = spec.config.degree
     capacity = float((2.0 * abs(tau)) ** (-1.0 / n))
     return Solution(spec.config, points, tau, T, res_inf, capacity, tuple(float(v) for v in x))
-
-
-def _verify_product_identity(level: LevelForm, T: ComplexPoly):
-    """T^2 - 1 must equal tau^2 times the full root product of the level form."""
-    all_roots = [p for p, mult in level.plus + level.minus for _ in range(mult)]
-    rhs = ComplexPoly.from_roots(all_roots, level.tau * level.tau)
-    lhs = T * T - 1.0
-    diff = lhs - rhs
-    bound = 1e-8 * (1.0 + max(abs(c) for c in lhs.coeffs))
-    worst = max(abs(c) for c in diff.coeffs)
-    if worst > bound:
-        raise InconsistentFactorization(
-            f"solution product identity residual {worst:.3e} exceeds {bound:.3e}"
-        )
 
 
 def power_sums(points, kmax: int) -> np.ndarray:
@@ -487,53 +445,6 @@ def power_sums(points, kmax: int) -> np.ndarray:
     if len(pts) == 0:
         return np.zeros(kmax, dtype=complex)
     return (pts[None, :] ** ks[:, None]).sum(axis=1)
-
-
-def reconstruct_from_levels(z_plus, z_minus, tol: float = 1e-9) -> tuple:
-    """Rebuild (T, tau) from the root multisets of T - 1 and T + 1.
-
-    Both lists must have equal length n and satisfy the power-sum identities
-    ``sum (z+)^k = sum (z-)^k`` for k = 1 .. n-1; otherwise
-    :class:`PowerSumViolation` is raised.  The two expansions are checked to
-    agree coefficientwise except for the constant term differing by 2.
-    """
-    zp = [complex(v) for v in z_plus]
-    zm = [complex(v) for v in z_minus]
-    n = len(zp)
-    if n == 0 or len(zm) != n:
-        raise ValueError("level sets must be nonempty and of equal length")
-    for a in zp:
-        for b in zm:
-            if a == b:
-                raise ValueError(f"level sets share the point {a:.6g}")
-
-    if n > 1:
-        sp = power_sums(zp, n - 1)
-        sm = power_sums(zm, n - 1)
-        big = 1.0 + max(abs(v) for v in zp + zm)
-        for k in range(1, n):
-            bound = tol * n * big ** k
-            if abs(sp[k - 1] - sm[k - 1]) > bound:
-                raise PowerSumViolation(
-                    f"power sum k={k} differs by {abs(sp[k-1]-sm[k-1]):.3e} (bound {bound:.3e})"
-                )
-
-    prod = 1.0 + 0j
-    for r in zp:
-        prod *= zm[0] - r
-    tau = -2.0 / prod
-
-    plus_side = ComplexPoly.from_roots(zp, tau)
-    minus_side = ComplexPoly.from_roots(zm, tau)
-    diff = plus_side - minus_side
-    bound = tol * (1.0 + max(abs(c) for c in plus_side.coeffs))
-    expected = [-2.0] + [0.0] * (len(diff.coeffs) - 1)
-    worst = max(abs(c - e) for c, e in zip(list(diff.coeffs) + [0.0] * n, expected + [0.0] * n))
-    if worst > 10 * bound:
-        raise PowerSumViolation(
-            f"level expansions disagree beyond the constant term by {worst:.3e}"
-        )
-    return plus_side + 1.0, tau
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Shared builders for the polynomial families and rectangle problems."""
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import chebotarev.poly as poly_module
 from chebotarev import ComplexPoly, PointVar, ProblemSpec, SignConfig, solve
 
 
@@ -126,3 +128,23 @@ def solved_rect():
         return cache[key]
 
     return get
+
+
+def spy_everywhere(monkeypatch, real):
+    """Replace ``real`` in every chebotarev module that holds it; return the call list."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chebotarev") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, spy)
+    return calls
+
+
+@pytest.fixture
+def root_solves(monkeypatch):
+    """The polynomials passed to ``poly.find_roots``, through which every cold solve goes."""
+    return spy_everywhere(monkeypatch, poly_module.find_roots)

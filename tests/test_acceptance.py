@@ -21,8 +21,8 @@ from chebotarev import (
     grid_oracle,
     is_connected,
     junction_angles,
+    level_polynomial,
     min_deviation,
-    reconstruct_from_levels,
     solve,
     structured_roots,
     trace,
@@ -272,9 +272,9 @@ def test_criterion_10_power_sum_identity(solved_rect):
 
     target = t4(2.0)
     beta = math.sqrt(1.0 + math.sqrt(17.0))
-    z_plus = [0.0, 0.0, 1.0, -1.0]
-    z_minus = [s1 * beta / 2 + s2 * 2j / beta for s1 in (1, -1) for s2 in (1, -1)]
-    rebuilt, tau = reconstruct_from_levels(z_plus, z_minus)
+    z_plus = [(0.0, 2), (1.0, 1), (-1.0, 1)]
+    z_minus = [(s1 * beta / 2 + s2 * 2j / beta, 1) for s1 in (1, -1) for s2 in (1, -1)]
+    rebuilt = level_polynomial(z_plus, z_minus)
     round_trip = max(abs(a - b) for a, b in zip(rebuilt.coeffs, target.coeffs))
 
     ok = worst < 1e-8 and round_trip < 1e-9

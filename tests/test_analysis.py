@@ -15,9 +15,11 @@ from chebotarev import (
     hyperelliptic_integral,
     is_connected,
     min_deviation,
+    verify_cosh_representation,
 )
+from chebotarev.poly import point_key
 
-from conftest import cheb2, cross, star, t3, t4
+from conftest import RECT_IDS, RECTANGLES, cheb2, cross, star, t3, t4
 
 
 class TestCapacity:
@@ -126,6 +128,16 @@ class TestHyperellipticIntegral:
         with pytest.raises(ValueError):
             hyperelliptic_integral([-1.0, 1.0], [], [0.0, 1.0])
 
+    @pytest.mark.parametrize("integrate", [
+        lambda path: hyperelliptic_integral([-1.0, 1.0], [], path),
+        lambda path: verify_cosh_representation(cheb2(), factorize(cheb2()), 2.0, path),
+    ], ids=["hyperelliptic", "cosh"])
+    def test_start_between_singular_and_regular_rejected(self, integrate):
+        # 1e-6 off the zero 1 is too far for a singular end and too near for
+        # a plain leg, so the path does not start at a zero
+        with pytest.raises(ValueError):
+            integrate([1.0 + 1e-6, 2.0])
+
     def test_duplicate_waypoints_rejected(self):
         with pytest.raises(ValueError):
             hyperelliptic_integral([-1.0, 1.0], [], [1.0, 1.0])
@@ -205,14 +217,17 @@ class TestConditions:
         assert report.max_abs_re < 1e-7
         assert len(report.entries) == 2  # two prescribed, no bifurcation
 
-    def test_monomial(self):
-        report = check_chebotarev_conditions(star(5))
+    @pytest.mark.parametrize("n", [5, 15, 16, 17])
+    def test_monomial(self, n):
+        # the (n - 1)-fold zero of the cofactor at 0 is root-found as such,
+        # not squared into a (2n - 2)-fold one
+        report = check_chebotarev_conditions(star(n))
         assert report.passed
         assert report.max_abs_re < 1e-6
         assert report.max_quad_error < 1e-8
         kinds = {e.kind for e in report.entries}
         assert kinds == {"prescribed", "bifurcation"}
-        assert len(report.entries) == 11
+        assert len(report.entries) == 2 * n + 1
 
     def test_cross(self):
         report = check_chebotarev_conditions(cross(1.0))
@@ -227,6 +242,15 @@ class TestConditions:
     def test_disconnected_input_rejected(self):
         with pytest.raises(ValueError):
             check_chebotarev_conditions(t3(2.0))
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_solved_bifurcation_points_need_no_root_solve(self, key, solved_rect, root_solves):
+        # the triple zeros of the level form are the d points, and the
+        # cofactor divided by them is constant
+        sol = solved_rect(*key)
+        cset, dset = condition_points(factorize(sol.poly))
+        assert dset == sorted(sol.points["d"], key=point_key)
+        assert root_solves == []
 
     def test_given_disconnected_verdict_rejected(self):
         T = t3(2.0)

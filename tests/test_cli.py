@@ -1,14 +1,14 @@
 import json
 import math
-import sys
 from pathlib import Path
 
 import pytest
 
 import chebotarev.factor as factor_module
-import chebotarev.poly as poly_module
 from chebotarev import ComplexPoly, factorize
 from chebotarev.cli import main
+
+from conftest import spy_everywhere
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 #: ``report.json`` of ``verify --resolution 256`` and ``trace.json`` of
@@ -307,28 +307,9 @@ class TestEveryFixtureRunsEndToEnd:
         assert time.perf_counter() - start < 60.0
 
 
-def _spy_everywhere(monkeypatch, real):
-    """Replace ``real`` in every chebotarev module that holds it; return the call list."""
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("chebotarev") and getattr(module, real.__name__, None) is real:
-            monkeypatch.setattr(module, real.__name__, spy)
-    return calls
-
-
 @pytest.fixture
 def factorize_calls(monkeypatch):
-    return _spy_everywhere(monkeypatch, factor_module.factorize)
-
-
-@pytest.fixture
-def root_solves(monkeypatch):
-    return _spy_everywhere(monkeypatch, poly_module.find_roots)
+    return spy_everywhere(monkeypatch, factor_module.factorize)
 
 
 def _repeated(polys):

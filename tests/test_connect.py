@@ -18,7 +18,7 @@ from chebotarev import (
 
 import chebotarev.connect as connect_module
 from chebotarev import factorize
-from chebotarev.connect import LIPSCHITZ_FACTOR, MembershipParams, count_components
+from chebotarev.connect import LIPSCHITZ_FACTOR, TOL_MEMBER, count_components
 
 from conftest import (RECT_IDS, RECTANGLES, cheb2, chebyshev, cross, star, t3, t4,
                       two_intervals)
@@ -159,12 +159,8 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_oracle(cheb2(), resolution=32)
 
-    def test_membership_params_validation(self):
-        with pytest.raises(ValueError):
-            MembershipParams(tol_member=0.0)
 
-
-def _horner_member(T, report, tol_member=MembershipParams().tol_member):
+def _horner_member(T, report):
     """The membership raster from T and T' evaluated cell by cell by Horner."""
     n = report.resolution
     x0, y0, x1, y1 = report.bbox
@@ -177,7 +173,7 @@ def _horner_member(T, report, tol_member=MembershipParams().tol_member):
     dmag = np.abs(T.derivative()(xg[None, :] + 1j * yg[:, None]))
     cellmax = np.maximum(np.maximum(dmag[:-1, :-1], dmag[:-1, 1:]),
                          np.maximum(dmag[1:, :-1], dmag[1:, 1:]))
-    return dist < np.maximum(tol_member, LIPSCHITZ_FACTOR * max(hx, hy) * cellmax)
+    return dist < np.maximum(TOL_MEMBER, LIPSCHITZ_FACTOR * max(hx, hy) * cellmax)
 
 
 FAMILY_DEGREES = range(8, 33)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import chebotarev.poly as poly_module
 from chebotarev import (
     ComplexPoly,
     LevelForm,
@@ -238,20 +237,6 @@ class TestRandomStructuredPolynomials:
             # the T-1 side plus the n simple zeros of T+1
             assert fac.min_arcs == (2 + 1 + n) // 2
             assert_factorization_consistent(T, fac)
-
-
-@pytest.fixture
-def root_solves(monkeypatch):
-    """Counts the calls of ``poly.find_roots``, through which every root solve goes."""
-    calls = []
-    real = poly_module.find_roots
-
-    def spy(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(poly_module, "find_roots", spy)
-    return calls
 
 
 class TestLevelForm:

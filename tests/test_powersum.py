@@ -13,17 +13,16 @@ from chebotarev import (
     ProblemSpec,
     SignConfig,
     SolverOptions,
-    build_polynomial,
     enumerate_sign_configs,
     find_roots,
-    reconstruct_from_levels,
+    level_polynomial,
     residual,
     solution_to_dict,
     solve,
     spec_from_dict,
     structured_roots,
 )
-from chebotarev.powersum import jacobian, power_sums, resolve_points, unknown_layout
+from chebotarev.powersum import _signed_points, jacobian, power_sums, resolve_points, unknown_layout
 
 from conftest import rect_spec, t4
 
@@ -273,8 +272,8 @@ class TestSolve:
 class TestBuildPolynomial:
     def test_negative_points_hit_minus_one(self):
         sol = solve(rect_spec(5))
-        T, tau = build_polynomial(sol.config, sol.points)
-        assert abs(tau - sol.tau) < 1e-9 * (1 + abs(sol.tau))
+        T = level_polynomial(*_signed_points(sol.config, sol.points))
+        assert abs(T.level.tau - sol.tau) < 1e-9 * (1 + abs(sol.tau))
         for role in ("c", "d", "z"):
             signs = sol.config.signs_for(role)
             for idx, s in enumerate(signs):
@@ -287,38 +286,38 @@ class TestBuildPolynomial:
         points = {"c": (1 + 0.4j, 1 - 0.4j, -1 + 0.4j, -1 - 0.4j),
                   "d": (0.9, -0.9), "z": ()}
         with pytest.raises(PowerSumViolation):
-            build_polynomial(config, points)
+            level_polynomial(*_signed_points(config, points))
 
 
 class TestLevelReconstruction:
     def test_identity_map(self):
-        T, tau = reconstruct_from_levels([1.0], [-1.0])
-        assert abs(tau - 1.0) < 1e-14
+        T = level_polynomial([(1.0, 1)], [(-1.0, 1)])
+        assert abs(T.level.tau - 1.0) < 1e-14
         assert np.allclose(T.coeffs, [0.0, 1.0])
 
     def test_segment_polynomial(self):
         # 2z^2 - 1: level sets {+-1} and {0, 0}; tau = -2/((0-1)(0+1)) = 2
-        T, tau = reconstruct_from_levels([1.0, -1.0], [0.0, 0.0])
-        assert abs(tau - 2.0) < 1e-14
+        T = level_polynomial([(1.0, 1), (-1.0, 1)], [(0.0, 2)])
+        assert abs(T.level.tau - 2.0) < 1e-14
         assert np.allclose(T.coeffs, [-1.0, 0.0, 2.0])
 
     def test_quartic_family_round_trip(self):
         target = t4(2.0)
         beta = math.sqrt(1.0 + math.sqrt(17.0))
-        z_plus = [0.0, 0.0, 1.0, -1.0]
-        z_minus = [s1 * beta / 2 + s2 * 2j / beta for s1 in (1, -1) for s2 in (1, -1)]
-        T, tau = reconstruct_from_levels(z_plus, z_minus)
-        assert abs(tau - 8.0 / 17.0) < 1e-12
+        z_plus = [(0.0, 2), (1.0, 1), (-1.0, 1)]
+        z_minus = [(s1 * beta / 2 + s2 * 2j / beta, 1) for s1 in (1, -1) for s2 in (1, -1)]
+        T = level_polynomial(z_plus, z_minus)
+        assert abs(T.level.tau - 8.0 / 17.0) < 1e-12
         diffs = [abs(a - b) for a, b in zip(T.coeffs, target.coeffs)]
         assert max(diffs) < 1e-9
 
     def test_power_sum_violation_detected(self):
         with pytest.raises(PowerSumViolation):
-            reconstruct_from_levels([1.0, -1.0], [0.5, -0.2])
+            level_polynomial([(1.0, 1), (-1.0, 1)], [(0.5, 1), (-0.2, 1)])
 
     def test_shared_point_rejected(self):
         with pytest.raises(ValueError):
-            reconstruct_from_levels([1.0, -1.0], [1.0, -1.0])
+            level_polynomial([(1.0, 1), (-1.0, 1)], [(1.0, 1), (-1.0, 1)])
 
 
 class TestSolutionInvariants:
@@ -375,12 +374,10 @@ class TestLevelExtractionRoundTrip:
             from chebotarev import ComplexPoly
 
             T = ComplexPoly.from_roots(roots, tau) + 1.0
-            plus = [c.center for c in structured_roots(T - 1.0)
-                    for _ in range(c.multiplicity)]
-            minus = [c.center for c in structured_roots(T + 1.0)
-                     for _ in range(c.multiplicity)]
-            rebuilt, tau_out = reconstruct_from_levels(plus, minus, tol=1e-7)
-            assert abs(tau_out - tau) < 1e-7 * (1 + abs(tau))
+            plus = [(c.center, c.multiplicity) for c in structured_roots(T - 1.0)]
+            minus = [(c.center, c.multiplicity) for c in structured_roots(T + 1.0)]
+            rebuilt = level_polynomial(plus, minus)
+            assert abs(rebuilt.level.tau - tau) < 1e-7 * (1 + abs(tau))
             scale = 1.0 + max(abs(c) for c in T.coeffs)
             gap = max(abs(a - b) for a, b in zip(rebuilt.coeffs, T.coeffs))
             assert gap < 1e-7 * scale
