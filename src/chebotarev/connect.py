@@ -23,6 +23,9 @@ LIPSCHITZ_FACTOR = 1.5
 #: Smallest image-plane distance to [-1, 1] that still makes a grid cell a member.
 TOL_MEMBER = 1e-9
 
+#: Cell-centre rows of the grid raster evaluated together in one band.
+_BAND = 32
+
 
 def dist_to_interval(w):
     """Euclidean distance from ``w`` to the segment [-1, 1] of the real axis.
@@ -108,6 +111,13 @@ def grid_oracle(T: ComplexPoly, resolution: int = 512, seed: int = 0, fac=None) 
     ``a_j`` at every column abscissa of the cell centres and corners; ``T``
     at the centres and ``T'`` at the corners are then one matrix product
     each with the powers of ``i (y - cy)``.
+
+    The membership raster is filled in bands of ``_BAND`` centre rows, each
+    with its own two products against its rows of the power tables, so that
+    no full-grid complex or float temporary is made.  A band of r centre
+    rows takes r + 1 corner rows; the corner row two bands share is
+    evaluated in both.  Within a band the distance to [-1, 1] is computed
+    only for cells whose two legs both lie under the threshold.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
@@ -136,17 +146,29 @@ def grid_oracle(T: ComplexPoly, resolution: int = 512, seed: int = 0, fac=None) 
     xg = bbox[0] + hx * np.arange(nx + 1)
     yg = bbox[1] + hy * np.arange(ny + 1)
     rows = _taylor_rows(T.coeffs, np.concatenate([xc, xg]) + 1j * cy)
-    at_centers, at_corners = rows[:nx], rows[nx:]
-    dist = dist_to_interval(powers(1j * (yc - cy), T.degree) @ at_centers.T)
+    at_centers = rows[:nx].T
     # Taylor rows of T' follow from those of T: a'_j = (j + 1) a_(j+1)
-    slope_rows = at_corners[:, 1:] * np.arange(1, T.degree + 1)
-    dmag = np.abs(powers(1j * (yg - cy), T.degree - 1) @ slope_rows.T)
-    cellmax = np.maximum(
-        np.maximum(dmag[:-1, :-1], dmag[:-1, 1:]),
-        np.maximum(dmag[1:, :-1], dmag[1:, 1:]),
-    )
-    thresh = np.maximum(TOL_MEMBER, LIPSCHITZ_FACTOR * h * cellmax)
-    member = dist < thresh
+    slope_rows = (rows[nx:, 1:] * np.arange(1, T.degree + 1)).T
+    center_powers = powers(1j * (yc - cy), T.degree)
+    corner_powers = powers(1j * (yg - cy), T.degree - 1)
+    member = np.empty((ny, nx), dtype=bool)
+    for r0 in range(0, ny, _BAND):
+        r1 = min(r0 + _BAND, ny)
+        dmag = np.abs(corner_powers[r0:r1 + 1] @ slope_rows)
+        cellmax = np.maximum(
+            np.maximum(dmag[:-1, :-1], dmag[:-1, 1:]),
+            np.maximum(dmag[1:, :-1], dmag[1:, 1:]),
+        )
+        thresh = np.maximum(TOL_MEMBER, LIPSCHITZ_FACTOR * h * cellmax)
+        # dist_to_interval's legs; a faithfully rounded hypot is never below
+        # the larger leg, so only cells with both legs under the threshold
+        # can be members
+        w = center_powers[r0:r1] @ at_centers
+        x = np.maximum(np.abs(w.real) - 1.0, 0.0)
+        y = np.abs(w.imag)
+        near = (x < thresh) & (y < thresh)
+        near[near] = np.hypot(x[near], y[near]) < thresh[near]
+        member[r0:r1] = near
     return GridReport(bbox, resolution, count_components(member), member)
 
 
@@ -167,20 +189,35 @@ def _taylor_rows(coeffs, u: np.ndarray) -> np.ndarray:
 def count_components(member: np.ndarray) -> int:
     """Number of 8-connected components of the boolean raster ``member``.
 
-    Member cells are numbered 0..k-1 and every adjacent member pair is
-    listed once (E, N, NE, NW); :func:`~chebotarev.poly.label_pairs` labels
-    them, and the count is the number of cells that are their own root.
+    Only member cells are visited, by their flat indices in row-major order.
+    The members of one row with no gap between them form a run, which is
+    connected by itself, and the runs are the nodes.  A cell's neighbours in
+    the next row (NW, N, NE) are index offsets, with column guards so that
+    no pair wraps from the end of one row to the start of the next; they are
+    consecutive in flat order, so one ``searchsorted`` finds all three among
+    the members.  The pairs of runs they join, less repeats of the pair
+    before, go to :func:`~chebotarev.poly.label_pairs`, and the count is
+    the number of runs that are their own root.
     """
-    k = int(np.count_nonzero(member))
-    label = np.zeros(member.shape, dtype=np.int32)
-    label[member] = np.arange(k, dtype=np.int32)
+    nx = member.shape[1]
+    cells = np.flatnonzero(member)
+    col = cells % nx
+    start = np.ones(len(cells), dtype=bool)
+    start[1:] = (np.diff(cells) != 1) | (col[1:] == 0)
+    run = np.cumsum(start) - 1
+    pos = np.searchsorted(cells, cells + nx - 1)
     i, j = [], []
-    for a, b in ((np.s_[:, 1:], np.s_[:, :-1]), (np.s_[1:, :], np.s_[:-1, :]),
-                 (np.s_[1:, 1:], np.s_[:-1, :-1]), (np.s_[1:, :-1], np.s_[:-1, 1:])):
-        both = member[a] & member[b]
-        i.append(label[a][both])
-        j.append(label[b][both])
-    root = label_pairs(k, np.concatenate(i), np.concatenate(j))
+    for offset, guard in ((nx - 1, col > 0), (nx, True), (nx + 1, col < nx - 1)):
+        found = cells.take(pos, mode="clip") == cells + offset
+        hit = found & guard
+        i.append(run[hit])
+        j.append(run[pos[hit]])
+        pos = pos + found  # the next offset's place is past a found member
+    i, j = np.concatenate(i), np.concatenate(j)
+    fresh = np.ones(len(i), dtype=bool)
+    fresh[1:] = (np.diff(i) != 0) | (np.diff(j) != 0)
+    k = int(np.count_nonzero(start))
+    root = label_pairs(k, i[fresh], j[fresh])
     return int(np.count_nonzero(root == np.arange(k)))
 
 

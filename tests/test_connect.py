@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,19 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_oracle(cheb2(), resolution=32)
 
+    def test_peak_memory_is_a_few_rasters(self):
+        # the raster is filled band by band: no full-grid complex or float
+        # temporary, and labels only for member cells
+        T = chebyshev(16)
+        grid_oracle(T, resolution=64)
+        tracemalloc.start()
+        try:
+            report = grid_oracle(T, resolution=2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * report.member.nbytes
+
 
 def _horner_member(T, report):
     """The membership raster from T and T' evaluated cell by cell by Horner."""
@@ -183,10 +197,17 @@ class TestMatrixRaster:
     """The Taylor-row products give the cell-by-cell Horner raster exactly."""
 
     @staticmethod
-    def _check(T):
-        report = grid_oracle(T, resolution=512)
+    def _check(T, resolution=512):
+        report = grid_oracle(T, resolution=resolution)
         assert np.array_equal(report.member, _horner_member(T, report))
         return report
+
+    @pytest.mark.parametrize("resolution", [64, 100, 513, 1024])
+    @pytest.mark.parametrize("source", ["rect_n7", "cheb16"])
+    def test_band_edges(self, source, resolution, solved_rect):
+        # whole bands, one short band, and a last band of one row
+        T = solved_rect(7).poly if source == "rect_n7" else chebyshev(16)
+        self._check(T, resolution)
 
     @pytest.mark.parametrize("name", COEFF_FIXTURES)
     def test_fixtures(self, name):
@@ -371,3 +392,21 @@ class TestCountComponents:
             "spiral", "checkerboard", "antidiagonal"])
     def test_exact_counts(self, member, expected):
         assert count_components(member) == expected
+
+    @pytest.mark.parametrize("shape,cells,expected", [
+        ((6, 7), [(2, 6), (3, 0)], 2),
+        ((6, 7), [(2, 0), (3, 6)], 2),
+        ((6, 7), [(2, 0), (2, 6)], 2),
+        ((6, 7), [(4, 6), (5, 0)], 2),
+        ((6, 7), [(4, 0), (5, 6)], 2),
+        ((6, 7), [(5, 0), (5, 6)], 2),
+        ((6, 1), [(2, 0), (4, 0)], 2),
+        ((6, 1), [(3, 0), (5, 0)], 2),
+        ((6, 1), [(4, 0), (5, 0)], 1),
+    ], ids=["end_to_next_start", "start_to_next_end", "row_ends",
+            "last_end_to_start", "last_start_to_end", "last_row_ends",
+            "column_gap", "column_gap_last", "column_last_pair"])
+    def test_no_join_across_row_wrap(self, shape, cells, expected):
+        member = np.zeros(shape, dtype=bool)
+        member[tuple(zip(*cells))] = True
+        assert count_components(member) == expected == _report(member).component_count
