@@ -7,16 +7,20 @@ n roots of T(z) - cos(theta).  The levels are solved in blocks of 16 by one
 Aberth iteration (:func:`~chebotarev.poly.level_roots`): each level starts
 at the chains' positions extrapolated linearly from the last accepted
 level, and its roots come back as the iteration settled, without Newton
-polish, so root i normally continues chain i.  The block's levels are
-accepted in order; a greedy global assignment against the chains'
-extrapolated positions checks each pairing and decides it where two chains
-contend for one root.  At the first level that did not settle or whose
-match is in doubt, the tracer falls back to one-row ``level_roots``
-blocks, bisecting the step until every level settles and its match is
-clear, and the next block starts after that level.  Extrapolation carries
-chains straight through interior crossing points where plain
-nearest-neighbor matching would turn the corner.  At
-such a crossing the split into n arcs, each mapped one to one onto
+polish, so root i normally continues chain i.  One array test over the
+whole block (:func:`_clear_prefix`) accepts its leading levels on which
+every chain's nearest root, against its extrapolated position, is its own
+root and lies within the chain's allowance; on those levels the matcher
+would return the roots as they are.  From the first level the test
+refuses on, the levels are matched in order by :func:`_match`, a greedy
+global assignment against the chains' extrapolated positions that decides
+where two chains contend for one root.  At the first level that did not
+settle or whose match is in doubt, the tracer falls back to one-row
+``level_roots`` blocks, bisecting the step until every level settles and
+its match is clear, and the next block starts after that level.
+Extrapolation carries chains straight through interior crossing points
+where plain nearest-neighbor matching would turn the corner.  At such a
+crossing the split into n arcs, each mapped one to one onto
 [-1, 1], is not unique: which ends pair up through it follows the last
 digits of the level roots, though not the seed.  The endpoints are the
 zeros of T^2 - 1 from :func:`~chebotarev.factor.factorize`, given or
@@ -120,6 +124,33 @@ def _match(rows, roots, scale):
     return roots[cols]
 
 
+def _clear_prefix(rows, solved, scale):
+    """How many leading levels of a solved block :func:`_match` would take as they are.
+
+    ``solved`` holds the block's roots per level, ``None`` where a level did
+    not settle.  Level ``k`` is clear when, against the positions
+    extrapolated from the two rows before it (the block's own rows after
+    its first level), every chain's nearest root (first on ties) is its own
+    root and lies within its allowance: the arithmetic of
+    :func:`_predicted` and :func:`_match`, in one ``(K, n, n)`` distance
+    array.  :func:`_match` returns such a level's roots unpermuted, so the
+    accepted rows are the same.  The count stops at the first level that
+    is ``None`` or not clear; with only one row so far (the first level,
+    whose allowance differs) it is 0.
+    """
+    if len(rows) < 2:
+        return 0
+    count = next((k for k, roots in enumerate(solved) if roots is None), len(solved))
+    chain = np.array(rows[-2:] + solved[:count])
+    preds = 2.0 * chain[1:-1] - chain[:-2]
+    allowance = 3.0 * np.abs(chain[1:-1] - chain[:-2]) + 0.01 * scale
+    dist = np.abs(chain[2:, None, :] - preds[:, :, None])
+    own = np.arange(chain.shape[1])
+    clear = ((dist.argmin(axis=2) == own).all(axis=1)
+             & (dist[:, own, own] <= allowance).all(axis=1))
+    return count if clear.all() else int(clear.argmin())
+
+
 def _advance(rows, levels, T, theta_a, theta_b, scale, depth=0):
     """Extend every chain from level theta_a to theta_b, refining on doubt.
 
@@ -165,9 +196,12 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
     interior levels are solved in blocks of ``_BLOCK`` by
     :func:`~chebotarev.poly.level_roots`: level ``m + j`` starts at the
     chains' positions extrapolated ``j`` steps ahead from level ``m``.  The
-    block's levels are matched in order; at the first one that did not
-    settle or whose match is in doubt, that level is taken by one-row blocks
-    with bisection (:func:`_advance`) and the next block starts after it.
+    block's leading levels whose match is clear are accepted in one array
+    test (:func:`_clear_prefix`); :func:`_match` decides only the levels
+    that test refuses, in order from the first one.  At the first level that
+    did not settle or whose match is in doubt, that level is taken by
+    one-row blocks with bisection (:func:`_advance`) and the next block
+    starts after it.
     Chains whose shared endpoint is a double zero of T^2 - 1 are conjoined
     when anti-parallel.
     """
@@ -192,7 +226,11 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
         step = rows[-1] - rows[-2] if len(rows) > 1 else 0.0
         starts = rows[-1] + np.arange(1, len(block) + 1)[:, None] * step
         solved = level_roots(T, np.cos([grid[k] for k in block]), starts)
-        for k, roots in zip(block, solved):
+        clear = _clear_prefix(rows, solved, scale)
+        rows.extend(solved[:clear])
+        levels.extend(grid[k] for k in block[:clear])
+        m = block.start + clear
+        for k, roots in zip(block[clear:], solved[clear:]):
             m = k + 1
             row = None if roots is None else _match(rows, roots, scale)
             if row is None:
@@ -349,12 +387,16 @@ def build_graph(arcs, expect_tree: bool = False, crossing_points=()) -> Continuu
 
 
 def arcs_to_csv(arcs) -> str:
-    """CSV dump: one row per sample, columns arc_id, theta, re, im."""
-    lines = ["arc_id,theta,re,im"]
+    """CSV dump: one row per sample, columns arc_id, theta, re, im.
+
+    Each arc's rows are written by one ``%`` format of its stacked values.
+    """
+    parts = ["arc_id,theta,re,im\n"]
     for aid, arc in enumerate(arcs):
-        for theta, s in zip(arc.levels, arc.samples):
-            lines.append(f"{aid},{theta:.12g},{s.real:.12g},{s.imag:.12g}")
-    return "\n".join(lines) + "\n"
+        s = np.array(arc.samples, dtype=complex)
+        values = np.column_stack([arc.levels, s.real, s.imag]).ravel().tolist()
+        parts.append((f"{aid},%.12g,%.12g,%.12g\n" * len(s)) % tuple(values))
+    return "".join(parts)
 
 
 def arcs_to_svg(arcs, c_points=(), d_points=(), z_points=(), size: int = 720) -> str:
@@ -362,14 +404,16 @@ def arcs_to_svg(arcs, c_points=(), d_points=(), z_points=(), size: int = 720) ->
 
     Arcs are polylines in arc-id order; prescribed points are filled
     circles, bifurcation points triangles, tangency points crosses.  The
-    viewBox derives from the bounding box of everything drawn.
+    viewBox derives from the bounding box of everything drawn.  Each
+    polyline's points are written by one ``%`` format.
     """
-    pts = [s for a in arcs for s in a.samples]
-    pts += [complex(p) for p in list(c_points) + list(d_points) + list(z_points)]
-    if not pts:
+    samples = [np.array(a.samples, dtype=complex) for a in arcs]
+    marks = [complex(p) for p in list(c_points) + list(d_points) + list(z_points)]
+    pts = np.concatenate(samples + [np.array(marks, dtype=complex)])
+    if not len(pts):
         raise ValueError("nothing to draw")
-    x0, x1 = min(p.real for p in pts), max(p.real for p in pts)
-    y0, y1 = min(p.imag for p in pts), max(p.imag for p in pts)
+    x0, x1 = float(np.min(pts.real)), float(np.max(pts.real))
+    y0, y1 = float(np.min(pts.imag)), float(np.max(pts.imag))
     w = max(x1 - x0, 1e-6)
     h = max(y1 - y0, 1e-6)
     pad = 0.08 * max(w, h)
@@ -390,8 +434,9 @@ def arcs_to_svg(arcs, c_points=(), d_points=(), z_points=(), size: int = 720) ->
         f'height="{height:.1f}" viewBox="0 0 {width:.6g} {height:.6g}">',
         f'<rect x="0" y="0" width="{width:.6g}" height="{height:.6g}" fill="#ffffff"/>',
     ]
-    for arc in arcs:
-        coords = " ".join(f"{sx(s):.3f},{sy(s):.3f}" for s in arc.samples)
+    for s in samples:
+        xy = np.column_stack([(s.real - x0) * scale, height - (s.imag - y0) * scale])
+        coords = " ".join(["%.3f,%.3f"] * len(s)) % tuple(xy.ravel().tolist())
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="#1b5f8a" stroke-width="1.6"/>'
         )

@@ -7,6 +7,7 @@ run can be reproduced byte for byte.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -209,6 +210,8 @@ def cmd_verify(args) -> int:
 def cmd_trace(args) -> int:
     manifest = RunManifest("trace", args.poly, args.out, args.seed, steps=args.steps)
     try:
+        if args.steps < 64:
+            raise ValueError("steps must be at least 64")
         T = _read_poly(_load_json(args.poly))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -268,7 +271,13 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Every default is immutable and each ``parse_args`` call returns a fresh
+    namespace, so one parser serves every call of :func:`main`.
+    """
     parser = argparse.ArgumentParser(
         prog="chebotarev",
         description="Construct, verify and trace minimal-capacity continua "

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from chebotarev import (
     trace,
 )
 
-from conftest import cheb2, star, t4, two_intervals
+from conftest import cheb2, chebyshev, star, t4, two_intervals
 
 
 def _gaps(angles):
@@ -461,3 +463,166 @@ class TestEmission:
         assert svg1.startswith("<svg ")
         assert svg1.count("<polyline") == len(arcs)
         assert svg1.count("<circle") == 2
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _fixture_poly(name):
+    coeffs = json.loads((FIXTURES / f"{name}.json").read_text())["coeffs"]
+    return ComplexPoly([complex(*c) if isinstance(c, list) else c for c in coeffs])
+
+
+class TestBlockAcceptance:
+    @pytest.mark.parametrize("steps", [128, 256])
+    @pytest.mark.parametrize("name", ["star5", "t4_alpha2", "cross_alpha1", "t3_alpha05",
+                                      "rect_n7", "cheb16"])
+    def test_same_arcs_as_matching_every_level(self, name, steps, solved_rect, monkeypatch):
+        if name == "rect_n7":
+            T = solved_rect(7).poly
+        elif name == "cheb16":
+            T = chebyshev(16)
+        else:
+            T = _fixture_poly(name)
+        real_prefix = arcs_module._clear_prefix
+        accepted = []
+
+        def spy_prefix(rows, solved, scale):
+            accepted.append(real_prefix(rows, solved, scale))
+            return accepted[-1]
+
+        monkeypatch.setattr(arcs_module, "_clear_prefix", spy_prefix)
+        arcs = trace(T, steps=steps)
+        assert sum(accepted) > steps // 2  # the block test takes most levels
+        monkeypatch.setattr(arcs_module, "_clear_prefix", lambda rows, solved, scale: 0)
+        assert trace(T, steps=steps) == arcs  # samples and levels compare exactly
+
+    @staticmethod
+    def _block(levels=6):
+        # three chains on straight lines, one step of 1e-3 per level, the
+        # first two 0.05 apart (within their allowance of 0.213); the first
+        # two rows are the accepted rows before the block
+        start = np.array([0.0, 0.05j, 20.0 - 2.0j])
+        velocity = np.array([1e-3, 1e-3j, -1e-3 + 1e-3j])
+        chain = [start + t * velocity for t in range(levels + 2)]
+        return chain[:2], chain[2:], 21.0
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_swapped_level_ends_the_prefix(self, j):
+        rows, solved, scale = self._block()
+        assert arcs_module._clear_prefix(rows, solved, scale) == len(solved)
+        solved[j] = solved[j][[1, 0, 2]]
+        assert arcs_module._clear_prefix(rows, solved, scale) == j
+        # the matcher puts that level back in chain order
+        matched = arcs_module._match(rows + solved[:j], solved[j], scale)
+        assert matched.tolist() == solved[j][[1, 0, 2]].tolist()
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_unsettled_or_distant_level_ends_the_prefix(self, j):
+        rows, solved, scale = self._block()
+        far = list(solved)
+        far[j] = far[j] + np.array([0.0, 0.0, 0.5])  # nearest, but beyond its allowance
+        assert arcs_module._clear_prefix(rows, far, scale) == j
+        solved[j] = None
+        assert arcs_module._clear_prefix(rows, solved, scale) == j
+
+    def test_first_level_goes_to_the_matcher(self):
+        rows, solved, scale = self._block()
+        assert arcs_module._clear_prefix(rows[-1:], solved, scale) == 0
+
+
+def _csv_reference(arcs):
+    lines = ["arc_id,theta,re,im"]
+    for aid, arc in enumerate(arcs):
+        for theta, s in zip(arc.levels, arc.samples):
+            lines.append(f"{aid},{theta:.12g},{s.real:.12g},{s.imag:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def _svg_reference(arcs, c_points=(), d_points=(), z_points=(), size=720):
+    pts = [s for a in arcs for s in a.samples]
+    pts += [complex(p) for p in list(c_points) + list(d_points) + list(z_points)]
+    x0, x1 = min(p.real for p in pts), max(p.real for p in pts)
+    y0, y1 = min(p.imag for p in pts), max(p.imag for p in pts)
+    w = max(x1 - x0, 1e-6)
+    h = max(y1 - y0, 1e-6)
+    pad = 0.08 * max(w, h)
+    x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
+    w, h = x1 - x0, y1 - y0
+    scale = size / max(w, h)
+    width, height = w * scale, h * scale
+
+    def sx(p):
+        return (p.real - x0) * scale
+
+    def sy(p):
+        return height - (p.imag - y0) * scale
+
+    mark = 0.008 * size
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
+        f'height="{height:.1f}" viewBox="0 0 {width:.6g} {height:.6g}">',
+        f'<rect x="0" y="0" width="{width:.6g}" height="{height:.6g}" fill="#ffffff"/>',
+    ]
+    for arc in arcs:
+        coords = " ".join(f"{sx(s):.3f},{sy(s):.3f}" for s in arc.samples)
+        out.append(
+            f'<polyline points="{coords}" fill="none" stroke="#1b5f8a" stroke-width="1.6"/>'
+        )
+    for p in c_points:
+        p = complex(p)
+        out.append(
+            f'<circle cx="{sx(p):.3f}" cy="{sy(p):.3f}" r="{mark:.2f}" fill="#c0392b"/>'
+        )
+    for p in d_points:
+        p = complex(p)
+        x, y = sx(p), sy(p)
+        m = mark * 1.3
+        out.append(
+            f'<path d="M {x:.3f} {y - m:.3f} L {x - m:.3f} {y + m:.3f} '
+            f'L {x + m:.3f} {y + m:.3f} Z" fill="#1d8348"/>'
+        )
+    for p in z_points:
+        p = complex(p)
+        x, y = sx(p), sy(p)
+        m = mark
+        out.append(
+            f'<path d="M {x - m:.3f} {y - m:.3f} L {x + m:.3f} {y + m:.3f} '
+            f'M {x - m:.3f} {y + m:.3f} L {x + m:.3f} {y - m:.3f}" '
+            f'stroke="#8e44ad" stroke-width="1.8"/>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def _arc(samples, levels):
+    return Arc(samples=tuple(samples), levels=tuple(levels),
+               start_point=samples[0], end_point=samples[-1])
+
+
+class TestWritersMatchPerSampleFormatting:
+    """The writers against per-sample f-string references of the same formats."""
+
+    ODD = [_arc([complex(-0.0, 5e-324), complex(1e-300, -0.0), complex(3.0, -2.0)],
+                [0.0, 5e-324, 1.0]),
+           _arc([complex(123456789012.5, 1e16), complex(-7.0, 0.25)], [2.0, math.pi]),
+           _arc([complex(1.0, 1.0)], [1e-300])]
+
+    @pytest.mark.parametrize("make", [lambda: star(5), lambda: t4(2.0), cheb2])
+    def test_real_traces(self, make):
+        arcs = trace(make(), steps=128)
+        assert arcs_to_csv(arcs) == _csv_reference(arcs)
+        points = dict(c_points=[1.0, -1.0 + 0.5j], d_points=[0.0], z_points=[0.5j])
+        assert arcs_to_svg(arcs, **points) == _svg_reference(arcs, **points)
+        assert arcs_to_svg(arcs) == _svg_reference(arcs)
+
+    def test_odd_values(self):
+        for arcs in (self.ODD, self.ODD[:1], self.ODD[2:]):
+            assert arcs_to_csv(arcs) == _csv_reference(arcs)
+            assert arcs_to_svg(arcs) == _svg_reference(arcs)
+        points = dict(c_points=[-0.0, 1e16], d_points=[5e-324j], z_points=[])
+        assert arcs_to_svg(self.ODD, **points) == _svg_reference(self.ODD, **points)
+        assert arcs_to_svg([], c_points=[2.0]) == _svg_reference([], c_points=[2.0])
+        assert arcs_to_csv([]) == "arc_id,theta,re,im\n"
+        with pytest.raises(ValueError, match="nothing to draw"):
+            arcs_to_svg([])

@@ -6,7 +6,7 @@ import pytest
 
 import chebotarev.factor as factor_module
 from chebotarev import ComplexPoly, factorize
-from chebotarev.cli import main
+from chebotarev.cli import build_parser, main
 
 from conftest import spy_everywhere
 
@@ -238,12 +238,56 @@ class TestTraceCommand:
         assert summary["leaves"] == 2
         assert summary["edges"] == 1
 
+    @pytest.mark.parametrize("steps", ["63", "0", "-5"])
+    def test_too_few_steps_exits_2_before_any_root_solve(self, steps, tmp_path, capsys,
+                                                         factorize_calls, root_solves):
+        assert run("trace", FIXTURES / "star5.json", "--out", tmp_path,
+                   "--steps", steps) == 2
+        assert "steps must be at least 64" in capsys.readouterr().err
+        assert factorize_calls == [] and root_solves == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run("trace", FIXTURES / "cheb2.json", "--out", a, "--steps", "128")
         run("trace", FIXTURES / "cheb2.json", "--out", b, "--steps", "128")
         assert (a / "arcs.csv").read_bytes() == (b / "arcs.csv").read_bytes()
         assert (a / "continuum.svg").read_bytes() == (b / "continuum.svg").read_bytes()
+
+
+class TestParserReuse:
+    """One parser serves every in-process call of ``main``."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_options_do_not_carry_over(self, tmp_path):
+        assert run("verify", FIXTURES / "star5.json", "--out", tmp_path,
+                   "--resolution", "64", "--tol", "1e-3") == 0
+        first = json.loads((tmp_path / "report.json").read_text())["manifest"]
+        assert first["tol"] == 1e-3 and first["resolution"] == 64
+        assert run("verify", FIXTURES / "star5.json", "--out", tmp_path) == 0
+        second = json.loads((tmp_path / "report.json").read_text())["manifest"]
+        assert second["tol"] is None and second["resolution"] == 512
+
+    def test_successive_traces_write_the_same_bytes(self, tmp_path):
+        outputs = []
+        for _ in range(2):
+            assert run("trace", FIXTURES / "star5.json", "--out", tmp_path,
+                       "--steps", "128") == 0
+            outputs.append([(tmp_path / name).read_bytes()
+                            for name in ("arcs.csv", "continuum.svg", "trace.json")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("bad", [["trace"], ["trace", "x.json", "--steps", "many"],
+                                     ["nosuch"], []])
+    def test_works_after_an_argument_error(self, bad, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert run("trace", FIXTURES / "cheb2.json", "--out", tmp_path, "--steps", "64") == 0
+        summary = json.loads((tmp_path / "trace.json").read_text())
+        assert summary["manifest"]["steps"] == 64 and summary["arcs"] == 1
 
 
 class TestSolvedPolynomialRoundTrip:
