@@ -35,7 +35,6 @@ from .connect import (
     complement_connected,
     dist_to_interval,
     grid_oracle,
-    grid_to_text,
     is_connected,
 )
 from .errors import (

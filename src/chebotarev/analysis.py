@@ -74,9 +74,8 @@ def green_function(T: ComplexPoly, z) -> float:
     return g
 
 
-def route_path(start: complex, target: complex, obstacles, margin: float = ROUTE_MARGIN,
-               depth: int = 8) -> list:
-    """Polyline from start to target keeping obstacles at a safe distance.
+def route_path(start: complex, target: complex, obstacles, depth: int = 8) -> list:
+    """Polyline from start to target keeping obstacles ``ROUTE_MARGIN`` away.
 
     Recursively inserts a perpendicular detour waypoint around the obstacle
     closest to the current segment.  Obstacles hugging an endpoint are left
@@ -87,10 +86,10 @@ def route_path(start: complex, target: complex, obstacles, margin: float = ROUTE
     blockers = []
     for o in obstacles:
         o = complex(o)
-        if abs(o - start) < 2 * margin or abs(o - target) < 2 * margin:
+        if abs(o - start) < 2 * ROUTE_MARGIN or abs(o - target) < 2 * ROUTE_MARGIN:
             continue
         d = point_segment_distance(o, start, target)
-        if d < margin:
+        if d < ROUTE_MARGIN:
             blockers.append((d, o))
     if not blockers or depth <= 0:
         return [start, target]
@@ -102,9 +101,9 @@ def route_path(start: complex, target: complex, obstacles, margin: float = ROUTE
     foot = start + min(1.0, max(0.0, t)) * ab
     side = (o - foot).real * normal.real + (o - foot).imag * normal.imag
     direction = -normal if side >= 0 else normal
-    waypoint = foot + direction * (3.0 * margin)
-    left = route_path(start, waypoint, obstacles, margin, depth - 1)
-    right = route_path(waypoint, target, obstacles, margin, depth - 1)
+    waypoint = foot + direction * (3.0 * ROUTE_MARGIN)
+    left = route_path(start, waypoint, obstacles, depth - 1)
+    right = route_path(waypoint, target, obstacles, depth - 1)
     return left[:-1] + right
 
 

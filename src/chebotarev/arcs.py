@@ -63,6 +63,9 @@ def _expanded(clusters):
 #: Levels solved together in one :func:`~chebotarev.poly.level_roots` block.
 _BLOCK = 16
 
+#: Length in SVG units of the longer side of :func:`arcs_to_svg`'s viewBox.
+SVG_SIZE = 720
+
 
 def _greedy_assign(preds, candidates):
     """Greedy global matching of predicted positions to candidates, nearest first.
@@ -399,13 +402,14 @@ def arcs_to_csv(arcs) -> str:
     return "".join(parts)
 
 
-def arcs_to_svg(arcs, c_points=(), d_points=(), z_points=(), size: int = 720) -> str:
+def arcs_to_svg(arcs, c_points=(), d_points=(), z_points=()) -> str:
     """Deterministic SVG rendering of the traced continuum.
 
     Arcs are polylines in arc-id order; prescribed points are filled
     circles, bifurcation points triangles, tangency points crosses.  The
-    viewBox derives from the bounding box of everything drawn.  Each
-    polyline's points are written by one ``%`` format.
+    viewBox derives from the bounding box of everything drawn, and its
+    longer side is ``SVG_SIZE`` units.  Each polyline's points are written
+    by one ``%`` format.
     """
     samples = [np.array(a.samples, dtype=complex) for a in arcs]
     marks = [complex(p) for p in list(c_points) + list(d_points) + list(z_points)]
@@ -419,7 +423,7 @@ def arcs_to_svg(arcs, c_points=(), d_points=(), z_points=(), size: int = 720) ->
     pad = 0.08 * max(w, h)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     w, h = x1 - x0, y1 - y0
-    scale = size / max(w, h)
+    scale = SVG_SIZE / max(w, h)
     width, height = w * scale, h * scale
 
     def sx(p):
@@ -428,7 +432,7 @@ def arcs_to_svg(arcs, c_points=(), d_points=(), z_points=(), size: int = 720) ->
     def sy(p):
         return height - (p.imag - y0) * scale
 
-    mark = 0.008 * size
+    mark = 0.008 * SVG_SIZE
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
         f'height="{height:.1f}" viewBox="0 0 {width:.6g} {height:.6g}">',

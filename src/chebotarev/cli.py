@@ -18,10 +18,10 @@ import numpy as np
 from .analysis import capacity, check_chebotarev_conditions, condition_points, min_deviation
 from .arcs import arcs_to_csv, arcs_to_svg, build_graph, find_crossings, trace
 from .connect import complement_connected, grid_oracle, is_connected
-from .errors import ChebotarevError, DegenerateSolution, NoConvergence
+from .errors import ChebotarevError, DegenerateSolution
 from .factor import factorize
 from .poly import ComplexPoly
-from .powersum import default_initial, solution_to_dict, solve, spec_from_dict
+from .powersum import default_initial, read_complex, solution_to_dict, solve, spec_from_dict
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -51,20 +51,12 @@ def _load_json(path):
 
 def _read_poly(doc) -> ComplexPoly:
     try:
-        if isinstance(doc, dict):
-            coeffs = doc["coeffs"]
-        else:
-            coeffs = doc
+        coeffs = doc["coeffs"] if isinstance(doc, dict) else doc
         if not isinstance(coeffs, list):
             raise ValueError("malformed polynomial document: coefficients must be a list, "
                              f"got {type(coeffs).__name__}")
-        out = []
-        for c in coeffs:
-            if isinstance(c, (list, tuple)):
-                out.append(complex(float(c[0]), float(c[1])))
-            else:
-                out.append(complex(c))
-    except (KeyError, TypeError, IndexError) as exc:
+        out = [read_complex(c) for c in coeffs]
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed polynomial document: {exc}") from exc
     if not np.isfinite(out).all():
         raise ValueError("malformed polynomial document: coefficients must be finite")
@@ -86,15 +78,10 @@ def _write_json(path: Path, payload: dict):
 def cmd_solve(args) -> int:
     manifest = RunManifest("solve", args.spec, args.out, args.seed,
                            tol=args.tol, sweep=args.sweep)
-    try:
-        if args.sweep < 0:
-            raise ValueError(f"--sweep must be >= 0, got {args.sweep}")
-        _check_tol(args.tol)
-        doc = _load_json(args.spec)
-        spec = spec_from_dict(doc)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.sweep < 0:
+        raise ValueError(f"--sweep must be >= 0, got {args.sweep}")
+    _check_tol(args.tol)
+    spec = spec_from_dict(_load_json(args.spec))
     if args.tol is not None:
         spec = replace(spec, options=replace(spec.options, residual_tol=args.tol))
 
@@ -143,12 +130,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     manifest = RunManifest("verify", args.poly, args.out, args.seed,
                            tol=args.tol, resolution=args.resolution)
-    try:
-        _check_tol(args.tol)
-        T = _read_poly(_load_json(args.poly))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    _check_tol(args.tol)
+    T = _read_poly(_load_json(args.poly))
 
     tol = args.tol if args.tol is not None else 1e-6
     report = {"manifest": asdict(manifest), "degree": T.degree}
@@ -209,13 +192,9 @@ def cmd_verify(args) -> int:
 
 def cmd_trace(args) -> int:
     manifest = RunManifest("trace", args.poly, args.out, args.seed, steps=args.steps)
-    try:
-        if args.steps < 64:
-            raise ValueError("steps must be at least 64")
-        T = _read_poly(_load_json(args.poly))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.steps < 64:
+        raise ValueError("steps must be at least 64")
+    T = _read_poly(_load_json(args.poly))
 
     fac = factorize(T, seed=args.seed)
     arcs = trace(T, steps=args.steps, seed=args.seed, fac=fac)
@@ -255,11 +234,7 @@ def cmd_trace(args) -> int:
 def cmd_enumerate(args) -> int:
     from .powersum import enumerate_sign_configs
 
-    try:
-        configs = enumerate_sign_configs(args.nu, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    configs = enumerate_sign_configs(args.nu, args.n)
 
     def fmt(signs):
         return " ".join("+" if s == 1 else "-" for s in signs) or "(none)"
@@ -320,18 +295,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NoConvergence as exc:
+    except (ChebotarevError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except DegenerateSolution as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ChebotarevError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, DegenerateSolution):
+            return EXIT_DEGENERATE
+        return EXIT_NO_CONVERGENCE if isinstance(exc, ChebotarevError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -238,17 +238,3 @@ def complement_connected(report: GridReport) -> bool:
     q3 = np.count_nonzero(s == 3)
     qd = np.count_nonzero((s == 2) & (nw == se))
     return bool((q1 - q3 - 2 * qd) // 4 == report.component_count)
-
-
-def grid_to_text(report: GridReport) -> str:
-    """Portable text dump: header then one character per cell.
-
-    Format: ``P-GRID <nx> <ny> <x0> <y0> <x1> <y1>`` followed by ``ny`` rows
-    of ``nx`` characters, ``#`` for member and ``.`` otherwise.  Rows run
-    from the top of the box (largest y) downward.
-    """
-    n = report.resolution
-    x0, y0, x1, y1 = report.bbox
-    lines = [f"P-GRID {n} {n} {x0:.12g} {y0:.12g} {x1:.12g} {y1:.12g}"]
-    lines.extend("".join(row) for row in np.where(report.member[::-1], "#", "."))
-    return "\n".join(lines) + "\n"

@@ -135,7 +135,7 @@ def _split(T: ComplexPoly, clusters: list) -> Factorization:
 
     dT = T.derivative()
     try:
-        cofactor = divide_exact(dT, n * square_part, tol=RESIDUAL_TOL)
+        cofactor = divide_exact(dT, n * square_part)
     except RemainderTooLarge as exc:
         raise InconsistentFactorization(f"derivative division failed: {exc}") from exc
     if abs(cofactor.leading - 1.0) > 1e-6:

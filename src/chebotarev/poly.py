@@ -26,8 +26,8 @@ _EPS = float(np.finfo(float).eps)
 _NUDGE = 1e-6
 _GOLDEN_ANGLE = float(np.pi * (3.0 - np.sqrt(5.0)))
 
-#: Sweep cap of the level solves of :func:`level_roots`, the default of
-#: :func:`find_roots`.
+#: Sweep cap of every Aberth iteration, cold (:func:`find_roots`) or warm
+#: (:func:`level_roots`).
 _MAX_SWEEPS = 500
 
 
@@ -102,8 +102,6 @@ class ComplexPoly:
 
     def __call__(self, z):
         """Evaluate by Horner's scheme; accepts scalars or numpy arrays."""
-        if isinstance(z, np.ndarray):
-            return _horner_arr(self.coeffs, z)
         w = self.coeffs[-1]
         for c in self.coeffs[-2::-1]:
             w = w * z + c
@@ -158,9 +156,6 @@ class ComplexPoly:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
 
 def level_polynomial(plus, minus) -> ComplexPoly:
     """``T = 1 + tau prod (z - p)^m`` over ``plus``, checked against ``minus``.
@@ -195,16 +190,16 @@ def level_polynomial(plus, minus) -> ComplexPoly:
     return ComplexPoly((plus_side + 1.0).coeffs, LevelForm(tau, plus, minus))
 
 
-def divide_exact(p: ComplexPoly, q: ComplexPoly, tol: float = 1e-9) -> ComplexPoly:
+def divide_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
     """Divide ``p`` by ``q`` assuming the division is exact up to rounding.
 
     Raises :class:`RemainderTooLarge` when any remainder coefficient exceeds
-    ``tol * (1 + max |p coeff|)`` -- the signal that an upstream factorization
-    is inconsistent.
+    ``1e-9 * (1 + max |p coeff|)`` -- the signal that an upstream
+    factorization is inconsistent.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    bound = tol * (1.0 + max(abs(c) for c in p.coeffs))
+    bound = 1e-9 * (1.0 + max(abs(c) for c in p.coeffs))
     dp, dq = p.degree, q.degree
     if dp < dq or p.is_zero():
         if all(abs(c) <= bound for c in p.coeffs):
@@ -224,14 +219,6 @@ def divide_exact(p: ComplexPoly, q: ComplexPoly, tol: float = 1e-9) -> ComplexPo
     if worst > bound:
         raise RemainderTooLarge(f"remainder magnitude {worst:.3e} exceeds bound {bound:.3e}")
     return ComplexPoly(tuple(out))
-
-
-def _horner_arr(coeffs, z: np.ndarray) -> np.ndarray:
-    r = np.full(z.shape, coeffs[-1], dtype=complex)
-    for c in coeffs[-2::-1]:
-        r *= z
-        r += c
-    return r
 
 
 def powers(z: np.ndarray, n: int) -> np.ndarray:
@@ -274,19 +261,20 @@ def _eval_sweep(H: np.ndarray, z: np.ndarray, shift=None):
     return p, W.sum(axis=1), _EPS * (2.0 * bound)
 
 
-def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = _MAX_SWEEPS) -> list:
+def find_roots(p: ComplexPoly, seed: int = 0) -> list:
     """All roots of ``p`` by Aberth-Ehrlich simultaneous iteration.
 
     Starts from a randomly perturbed circle (deterministic for a given
     ``seed``), iterates until every correction falls below ``1e-13 * scale``
-    or the residual is within 8 times Horner's running error bound, then
-    polishes with 3 Newton steps.  Each sweep is one matrix product (see
-    :func:`_aberth`); the polish evaluates by Horner's scheme.  Multiple
-    roots come back repeated, smeared over the usual
-    ``eps**(1/multiplicity)`` disc; use :func:`cluster_roots` together with
-    :func:`refine_multiple_root` to sharpen them.  A run stops with
-    :class:`NoConvergence` at the first sweep whose iterate is not finite.
-    Warm solves from nearby roots go through :func:`level_roots`.
+    or the residual is within 8 times Horner's running error bound, at most
+    ``_MAX_SWEEPS`` sweeps, then polishes with 3 Newton steps.  Each sweep
+    is one matrix product (see :func:`_aberth`); the polish evaluates ``p``
+    and ``p'`` by :meth:`ComplexPoly.__call__`.  Multiple roots come back
+    repeated, smeared over the usual ``eps**(1/multiplicity)`` disc; use
+    :func:`cluster_roots` together with :func:`refine_multiple_root` to
+    sharpen them.  A run stops with :class:`NoConvergence` at the first
+    sweep whose iterate is not finite, or at the sweep cap.  Warm solves
+    from nearby roots go through :func:`level_roots`.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -295,15 +283,15 @@ def find_roots(p: ComplexPoly, seed: int = 0, max_iter: int = _MAX_SWEEPS) -> li
     n = len(a) - 1
     if n == 1:
         return [complex(-a[0])]
-    z = _aberth(_hankel(a), _circle_start(a, seed), max_iter)
+    z = _aberth(_hankel(a), _circle_start(a, seed))
 
-    ad = a[1:] * np.arange(1, n + 1)
-    pv = _horner_arr(a, z)
+    P, dP = ComplexPoly(a), ComplexPoly(a[1:] * np.arange(1, n + 1))
+    pv = P(z)
     for _ in range(3):
-        dv = _horner_arr(ad, z)
+        dv = dP(z)
         dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
         z2 = z - pv / dv
-        pv2 = _horner_arr(a, z2)
+        pv2 = P(z2)
         better = np.abs(pv2) <= np.abs(pv)
         z = np.where(better, z2, z)
         pv = np.where(better, pv2, pv)  # Horner is pointwise: this is p(z)
@@ -354,13 +342,13 @@ def level_roots(T: ComplexPoly, levels, starts) -> list:
     turn = 0.5 + _GOLDEN_ANGLE * np.arange(T.degree)
     z = z + _NUDGE * (1.0 + np.abs(z)) * np.exp(1j * turn)
     try:
-        block = _aberth(_hankel(a / tau), z, _MAX_SWEEPS, shift)
+        block = _aberth(_hankel(a / tau), z, shift)
     except NoConvergence:
         return [None] * len(z)
     return [row if np.isfinite(row).all() else None for row in block]
 
 
-def _aberth(H, z, max_iter, shift=None):
+def _aberth(H, z, shift=None):
     """Aberth-Ehrlich sweeps from ``z`` until every root settles.
 
     ``H`` is the Hankel matrix of a monic polynomial (:func:`_hankel`).
@@ -370,19 +358,19 @@ def _aberth(H, z, max_iter, shift=None):
     root has settled when its correction is below ``1e-13 * (1 + |z|)`` or
     ``|p(z)|`` is within 8 times Horner's running error bound; a row whose
     roots have all settled is frozen and leaves the sweeps.  A row that
-    reaches the cap, or whose iterate stops being finite (overflow spreads
-    NaNs that never settle), comes back as NaN; when no row settles,
-    :class:`NoConvergence` is raised instead, at the sweep where the last
-    row failed.  The floating-point warnings on the way are silenced.
+    reaches the cap of ``_MAX_SWEEPS`` sweeps, or whose iterate stops being
+    finite (overflow spreads NaNs that never settle), comes back as NaN;
+    when no row settles, :class:`NoConvergence` is raised instead, at the
+    sweep where the last row failed.  The floating-point warnings on the way are silenced.
     """
     block = np.array(z, dtype=complex, ndmin=2)
     n = block.shape[1]
     out = np.full_like(block, np.nan)
     rows = np.arange(len(block))
     settled = False
-    reason = f"roots did not settle in {max_iter} sweeps; consider rescaling"
+    reason = f"roots did not settle in {_MAX_SWEEPS} sweeps; consider rescaling"
     with np.errstate(all="ignore"):
-        for sweep in range(1, max_iter + 1):
+        for sweep in range(1, _MAX_SWEEPS + 1):
             pv, dv, bound = _eval_sweep(
                 H, block.ravel(), None if shift is None else np.repeat(shift[rows], n))
             dv = np.where(dv == 0, 1e-300, dv)
@@ -462,10 +450,6 @@ class RootCluster:
     center: complex
     multiplicity: int
     raw_members: tuple
-
-    @property
-    def radius(self):
-        return max((abs(m - self.center) for m in self.raw_members), default=0.0)
 
 
 def cluster_roots(roots, scale: float = None, tol: float = CLUSTER_TOL) -> list:

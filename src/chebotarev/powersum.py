@@ -27,10 +27,12 @@ sum of ``points**k`` and its Jacobian ``((w k) points**(k-1))^T @ A``, with
 no Python loop over the points.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import capacity
 from .errors import DegenerateSolution, NoConvergence
 from .poly import ComplexPoly, cluster_roots, level_polynomial
 
@@ -431,11 +433,8 @@ def solve(spec: ProblemSpec, initial=None) -> Solution:
     _check_distinct(mapping.values())
     points = _points_by_role(spec.config, mapping)
     T = level_polynomial(*_signed_points(spec.config, points))
-    tau = T.level.tau
-
-    n = spec.config.degree
-    capacity = float((2.0 * abs(tau)) ** (-1.0 / n))
-    return Solution(spec.config, points, tau, T, res_inf, capacity, tuple(float(v) for v in x))
+    return Solution(spec.config, points, T.level.tau, T, res_inf, capacity(T),
+                    tuple(float(v) for v in x))
 
 
 def power_sums(points, kmax: int) -> np.ndarray:
@@ -451,14 +450,33 @@ def power_sums(points, kmax: int) -> np.ndarray:
 # wire format
 
 
-def _read_complex(v):
-    z = complex(float(v[0]), float(v[1])) if isinstance(v, (list, tuple)) else complex(v)
+def _is_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def read_complex(v) -> complex:
+    """A real number or an ``[re, im]`` pair of real numbers, as a complex.
+
+    The one reader of complex values in input documents.  Booleans,
+    strings, ``null`` and lists of any other length raise ``TypeError``;
+    ``complex()`` alone would take ``true`` as 1 and ``"1+2j"`` as a number.
+    """
+    parts = v if isinstance(v, (list, tuple)) else (v, 0)
+    if len(parts) != 2 or not all(_is_real(x) for x in parts):
+        raise TypeError(f"expected a real number or an [re, im] pair, got {v!r}")
+    return complex(*parts)
+
+
+def _read_point(v):
+    z = read_complex(v)
     if not np.isfinite(z):
         raise ValueError(f"malformed problem document: non-finite value {v!r}")
     return z
 
 
 def _read_finite(v):
+    if not _is_real(v):
+        raise TypeError(f"expected a real number, got {v!r}")
     x = float(v)
     if not np.isfinite(x):
         raise ValueError(f"malformed problem document: non-finite option {v!r}")
@@ -488,10 +506,10 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
                 role=item["role"],
                 index=int(item["index"]),
                 status=item["status"],
-                value=_read_complex(item.get("value", 0)),
+                value=_read_point(item.get("value", 0)),
                 kind=item.get("kind"),
                 target=target,
-                initial=None if initial is None else _read_complex(initial),
+                initial=None if initial is None else _read_point(initial),
             ))
         opts = doc.get("options", {})
         options = SolverOptions(
@@ -501,7 +519,7 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
                           else _read_finite(opts["residual_tol"])),
         )
         return ProblemSpec(config, tuple(vars_), options)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
 
 

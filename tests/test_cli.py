@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import chebotarev.cli as cli_module
 import chebotarev.factor as factor_module
-from chebotarev import ComplexPoly, factorize
+from chebotarev import ComplexPoly, InconsistentFactorization, factorize
 from chebotarev.cli import build_parser, main
 
 from conftest import spy_everywhere
@@ -117,6 +118,20 @@ class TestSolveCommand:
         assert not (tmp_path / "solution.json").exists()
         assert not recwarn.list
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["vars"][0].update(initial="1+0.4j"),
+        lambda doc: doc["vars"][0].update(value=True),
+        lambda doc: doc["vars"][0].update(initial=[1.0, 0.4, 9.0]),
+    ], ids=["string-initial", "boolean-value", "triple-initial"])
+    def test_non_number_spec_exits_2(self, edit, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "rect_n5.json").read_text())
+        edit(doc)
+        bad = tmp_path / "non_number.json"
+        bad.write_text(json.dumps(doc))
+        assert run("solve", bad, "--out", tmp_path) == 2
+        assert "expected a real number or an [re, im] pair" in capsys.readouterr().err
+        assert not (tmp_path / "solution.json").exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
     @pytest.mark.parametrize("command, fixture", [("solve", "rect_n5.json"),
                                                   ("verify", "star5.json")])
@@ -197,8 +212,11 @@ class TestVerifyCommand:
 
     def test_malformed_poly_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
+        # complex() alone would read true as 1, "-2" as -2 and a triple by its first two
         for doc in ({"wrong_key": [1, 2]}, 5, {"coeffs": 3}, {"coeffs": [[1]]}, [None, 1],
-                    {"coeffs": "1234"}):
+                    {"coeffs": "1234"}, {"coeffs": [True, "-2", 1]},
+                    {"coeffs": [[1, 0, 99], -2, 1]}, {"coeffs": [[1, False], 0, 1]},
+                    {"coeffs": [10 ** 400, 0, 1]}):
             bad.write_text(json.dumps(doc))
             for command in ("verify", "trace"):
                 assert run(command, bad, "--out", tmp_path) == 2, (command, doc)
@@ -212,6 +230,32 @@ class TestVerifyCommand:
             bad.write_text(f'{{"coeffs": {coeffs}}}')
             assert run(command, bad, "--out", tmp_path) == 2, coeffs
         assert not recwarn.list
+
+
+class TestMainExitMapping:
+    """Each command's errors reach their exit code through ``main`` alone."""
+
+    def test_degree_one_exits_2(self, tmp_path, capsys):
+        line = tmp_path / "line.json"
+        line.write_text(json.dumps({"coeffs": [0, 1]}))
+        assert run("verify", line, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: connectivity criterion needs degree >= 2\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_low_resolution_exits_2(self, tmp_path, capsys):
+        assert run("verify", FIXTURES / "t4_alpha2.json", "--out", tmp_path,
+                   "--resolution", "10") == 2
+        assert "resolution must be at least 64" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_package_error_exits_3(self, monkeypatch, tmp_path, capsys):
+        def inconsistent(*args, **kwargs):
+            raise InconsistentFactorization("derivative cofactor is not monic")
+
+        monkeypatch.setattr(cli_module, "factorize", inconsistent)
+        assert run("verify", FIXTURES / "star5.json", "--out", tmp_path) == 3
+        assert capsys.readouterr().err == "error: derivative cofactor is not monic\n"
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestTraceCommand:

@@ -13,7 +13,6 @@ from chebotarev import (
     dist_to_interval,
     find_roots,
     grid_oracle,
-    grid_to_text,
     is_connected,
 )
 
@@ -251,20 +250,6 @@ class TestAgreement:
                              ids=["star5", "cheb2", "t3a05", "t4a2", "twoseg"])
     def test_complement_has_no_holes(self, T):
         assert complement_connected(grid_oracle(T, resolution=256))
-
-
-class TestTextDump:
-    def test_format(self):
-        report = grid_oracle(cheb2(), resolution=64)
-        text = grid_to_text(report)
-        lines = text.splitlines()
-        head = lines[0].split()
-        assert head[0] == "P-GRID"
-        assert head[1] == "64" and head[2] == "64"
-        assert len(lines) == 65
-        assert all(len(row) == 64 for row in lines[1:])
-        assert set("".join(lines[1:])) <= {"#", "."}
-        assert sum(row.count("#") for row in lines[1:]) == np.count_nonzero(report.member)
 
 
 N4 = ((1, 0), (-1, 0), (0, 1), (0, -1))

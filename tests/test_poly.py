@@ -227,6 +227,17 @@ class TestLevelRoots:
         for k in (0, 1, 3):
             assert _max_matched_gap(list(solved[k]), find_roots(T - levels[k])) < 1e-12
 
+    def test_no_row_settled_is_none_per_level(self, monkeypatch):
+        T = _chebyshev(9)
+        levels, starts = self._block(T, count=4)
+        monkeypatch.setattr(poly_module, "_MAX_SWEEPS", 1)
+        assert poly_module.level_roots(T, levels, starts) == [None] * 4
+
+    def test_cold_solve_shares_the_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(poly_module, "_MAX_SWEEPS", 1)
+        with pytest.raises(NoConvergence, match="did not settle in 1 sweeps"):
+            find_roots(_chebyshev(9))
+
     def test_bad_starts_rejected(self):
         T = _chebyshev(4)
         with pytest.raises(ValueError):
@@ -241,13 +252,13 @@ class TestPolishOnlyColdSolves:
     @staticmethod
     def _spy(monkeypatch):
         log, settled = [], []
-        real_horner = poly_module._horner_arr
+        real_call = ComplexPoly.__call__
         real_sweep = poly_module._eval_sweep
         real_aberth = poly_module._aberth
 
-        def horner(coeffs, z):
+        def horner(p, z):
             log.append("horner")
-            return real_horner(coeffs, z)
+            return real_call(p, z)
 
         def sweep(*args):
             log.append("sweep")
@@ -258,7 +269,7 @@ class TestPolishOnlyColdSolves:
             settled.append(np.ravel(z).tolist())
             return z
 
-        monkeypatch.setattr(poly_module, "_horner_arr", horner)
+        monkeypatch.setattr(ComplexPoly, "__call__", horner)
         monkeypatch.setattr(poly_module, "_eval_sweep", sweep)
         monkeypatch.setattr(poly_module, "_aberth", aberth)
         return log, settled
@@ -304,9 +315,9 @@ class TestSweepEvaluation:
         powers = np.abs(z)[:, None] ** np.arange(degree + 1)
         derivative = coeffs[1:] * np.arange(1, degree + 1)
         eps = poly_module._EPS
-        assert np.all(np.abs(values - poly_module._horner_arr(coeffs, z))
+        assert np.all(np.abs(values - ComplexPoly(coeffs)(z))
                       <= 2 * (degree + 1) * eps * (powers @ np.abs(coeffs)))
-        assert np.all(np.abs(slopes - poly_module._horner_arr(derivative, z))
+        assert np.all(np.abs(slopes - ComplexPoly(derivative)(z))
                       <= 2 * degree * eps * (powers[:, :-1] @ np.abs(derivative)))
 
 

@@ -393,6 +393,10 @@ class TestWireFormat:
     def test_malformed_document_raises_value_error(self):
         with pytest.raises(ValueError):
             spec_from_dict({"n": 5, "nu": 4})
+        doc = json.loads((FIXTURES / "rect_n5.json").read_text())
+        doc["n"] = math.inf
+        with pytest.raises(ValueError, match="cannot convert float infinity"):
+            spec_from_dict(doc)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, value):
@@ -406,6 +410,22 @@ class TestWireFormat:
             doc["options"][option] = value
             with pytest.raises(ValueError, match="non-finite"):
                 spec_from_dict(doc)
+
+    @pytest.mark.parametrize("field, entry", [
+        ("value", True), ("value", "1"), ("value", None), ("initial", "1+0.4j"),
+        ("initial", [1.0]), ("initial", [1.0, 0.4, 0.0]), ("initial", [True, 0.4]),
+        ("initial", [1.0, "0.4"]), ("max_iter", True), ("damping", "0.001"),
+        ("residual_tol", [1e-12]),
+    ])
+    def test_non_numbers_rejected(self, field, entry):
+        # complex() and float() alone read true as 1 and "1+0.4j" as a number
+        doc = json.loads((FIXTURES / "rect_n5.json").read_text())
+        if field in ("value", "initial"):
+            doc["vars"][0][field] = entry
+        else:
+            doc["options"][field] = entry
+        with pytest.raises(ValueError, match="malformed problem document: expected a real"):
+            spec_from_dict(doc)
 
     def test_solution_dict_shape(self):
         sol = solve(rect_spec(5))
