@@ -53,12 +53,20 @@ class Arc:
     conjoined_through: tuple = ()
 
 
+def _arc(samples, levels, through=()):
+    """An :class:`Arc` that starts and ends at its first and last sample."""
+    return Arc(tuple(samples), tuple(levels), samples[0], samples[-1], tuple(through))
+
+
 def _expanded(clusters):
     out = []
     for c in clusters:
         out.extend([c.center] * c.multiplicity)
     return out
 
+
+#: Fewest level steps :func:`trace` takes; every chain has ``steps + 1`` samples.
+MIN_STEPS = 64
 
 #: Levels solved together in one :func:`~chebotarev.poly.level_roots` block.
 _BLOCK = 16
@@ -101,6 +109,11 @@ def _predicted(rows):
     return 2.0 * rows[-1] - rows[-2] if len(rows) > 1 else rows[-1]
 
 
+def _allowance(last, before, scale):
+    """A chain's allowance: three times its last step plus 0.01 of ``scale``."""
+    return 3.0 * np.abs(last - before) + 0.01 * scale
+
+
 def _match(rows, roots, scale):
     """A level's roots in chain order, or ``None`` when the step is in doubt.
 
@@ -115,7 +128,7 @@ def _match(rows, roots, scale):
     """
     preds = _predicted(rows)
     if len(rows) > 1:
-        allowance = 3.0 * np.abs(rows[-1] - rows[-2]) + 0.01 * scale
+        allowance = _allowance(rows[-1], rows[-2], scale)
     else:
         allowance = np.full(len(preds), 0.05 * scale)
     cols, dist = _greedy_assign(preds, roots)
@@ -146,7 +159,7 @@ def _clear_prefix(rows, solved, scale):
     count = next((k for k, roots in enumerate(solved) if roots is None), len(solved))
     chain = np.array(rows[-2:] + solved[:count])
     preds = 2.0 * chain[1:-1] - chain[:-2]
-    allowance = 3.0 * np.abs(chain[1:-1] - chain[:-2]) + 0.01 * scale
+    allowance = _allowance(chain[1:-1], chain[:-2], scale)
     dist = np.abs(chain[2:, None, :] - preds[:, :, None])
     own = np.arange(chain.shape[1])
     clear = ((dist.argmin(axis=2) == own).all(axis=1)
@@ -177,12 +190,8 @@ def _advance(rows, levels, T, theta_a, theta_b, scale, depth=0):
 
 def _tangent_at_start(samples):
     """Outgoing tangent angle at samples[0], extrapolated toward the endpoint."""
-    if len(samples) < 3:
-        return float(np.angle(samples[1] - samples[0]))
-    t1 = samples[1] - samples[0]
-    t2 = samples[2] - samples[1]
-    a1 = float(np.angle(t1))
-    a2 = float(np.angle(t2))
+    a1 = float(np.angle(samples[1] - samples[0]))
+    a2 = float(np.angle(samples[2] - samples[1]))
     while a2 - a1 > np.pi:
         a2 -= 2 * np.pi
     while a1 - a2 > np.pi:
@@ -208,8 +217,8 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
     Chains whose shared endpoint is a double zero of T^2 - 1 are conjoined
     when anti-parallel.
     """
-    if steps < 64:
-        raise ValueError("steps must be at least 64")
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps must be at least {MIN_STEPS}")
     n = T.degree
     if fac is None:
         fac = factorize(T, seed=seed)
@@ -246,50 +255,27 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
     cols, _ = _greedy_assign(_predicted(rows), minus)
     rows.append(minus[cols])
     levels.append(float(np.pi))
-    chains = np.array(rows).T.tolist()
-    pieces = [{"samples": samples, "levels": list(levels), "through": []}
-              for samples in chains]
+    arcs = [_arc(samples, levels) for samples in np.array(rows).T.tolist()]
 
     doubles = [c.center for c in plus_clusters + minus_clusters if c.multiplicity == 2]
     for q in doubles:
-        incident = []
-        for piece in pieces:
-            for end in (0, -1):
-                if abs(piece["samples"][end] - q) <= 1e-9 * scale:
-                    incident.append((piece, end))
+        incident = [(arc, end) for arc in arcs for end in (0, -1)
+                    if abs(arc.samples[end] - q) <= 1e-9 * scale]
         if len(incident) != 2:
             continue
-        (pa, ea), (pb, eb) = incident
-        if pa is pb:
-            continue  # would close a loop; leave the pieces separate
-        sa = pa["samples"] if ea == 0 else pa["samples"][::-1]
-        la = pa["levels"] if ea == 0 else pa["levels"][::-1]
-        sb = pb["samples"] if eb == 0 else pb["samples"][::-1]
-        lb = pb["levels"] if eb == 0 else pb["levels"][::-1]
-        ang_a = _tangent_at_start(sa)
-        ang_b = _tangent_at_start(sb)
-        gap = abs(float(np.angle(np.exp(1j * (ang_a - ang_b - np.pi)))))
-        if gap > 1e-2:
+        (a, ea), (b, eb) = incident
+        if a is b:
+            continue  # would close a loop; leave the arcs separate
+        sa, la = (a.samples, a.levels) if ea == 0 else (a.samples[::-1], a.levels[::-1])
+        sb, lb = (b.samples, b.levels) if eb == 0 else (b.samples[::-1], b.levels[::-1])
+        turn = _tangent_at_start(sa) - _tangent_at_start(sb) - np.pi
+        if abs(float(np.angle(np.exp(1j * turn)))) > 1e-2:
             continue
-        merged = {
-            "samples": sa[::-1] + sb[1:],
-            "levels": la[::-1] + lb[1:],
-            "through": pa["through"] + [q] + pb["through"],
-        }
-        pieces.remove(pa)
-        pieces.remove(pb)
-        pieces.append(merged)
+        arcs.remove(a)
+        arcs.remove(b)
+        arcs.append(_arc(sa[::-1] + sb[1:], la[::-1] + lb[1:],
+                         a.conjoined_through + (q,) + b.conjoined_through))
 
-    arcs = [
-        Arc(
-            samples=tuple(p["samples"]),
-            levels=tuple(p["levels"]),
-            start_point=p["samples"][0],
-            end_point=p["samples"][-1],
-            conjoined_through=tuple(p["through"]),
-        )
-        for p in pieces
-    ]
     arcs.sort(key=lambda a: (point_key(a.start_point), point_key(a.end_point)))
     return arcs
 
@@ -352,14 +338,13 @@ class ContinuumGraph:
     degrees: tuple
     edges: tuple                 # (vertex index, vertex index) per arc
     is_tree: bool
-    crossing_points: tuple = ()
 
     @property
     def leaf_count(self):
         return sum(1 for d in self.degrees if d == 1)
 
 
-def build_graph(arcs, expect_tree: bool = False, crossing_points=()) -> ContinuumGraph:
+def build_graph(arcs, expect_tree: bool = False) -> ContinuumGraph:
     """Cluster arc endpoints into vertices and assemble the incidence graph.
 
     Each endpoint is the vertex of the :func:`~chebotarev.poly.cluster_roots`
@@ -381,8 +366,7 @@ def build_graph(arcs, expect_tree: bool = False, crossing_points=()) -> Continuu
         raise NotATree(
             f"{len(centers)} vertices / {len(edges)} edges, connected={connected}"
         )
-    return ContinuumGraph(tuple(centers), tuple(degrees), tuple(edges),
-                          is_tree, tuple(crossing_points))
+    return ContinuumGraph(tuple(centers), tuple(degrees), tuple(edges), is_tree)
 
 
 # ---------------------------------------------------------------------------

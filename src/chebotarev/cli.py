@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import capacity, check_chebotarev_conditions, condition_points, min_deviation
-from .arcs import arcs_to_csv, arcs_to_svg, build_graph, find_crossings, trace
+from .arcs import MIN_STEPS, arcs_to_csv, arcs_to_svg, build_graph, find_crossings, trace
 from .connect import complement_connected, grid_oracle, is_connected
 from .errors import ChebotarevError, DegenerateSolution
 from .factor import factorize
 from .poly import ComplexPoly
-from .powersum import default_initial, read_complex, solution_to_dict, solve, spec_from_dict
+from .powersum import (default_initial, enumerate_sign_configs, read_complex, solution_to_dict,
+                       solve, spec_from_dict)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -101,12 +102,10 @@ def cmd_solve(args) -> int:
     if not solutions:
         raise errors[0]
 
-    distinct = []
+    distinct = {}
     for sol in solutions:
-        key = tuple(round(v, 8) for v in sol.assignment)
-        if key not in [d[0] for d in distinct]:
-            distinct.append((key, sol))
-    best = min((s for _, s in distinct), key=lambda s: s.residual_inf_norm)
+        distinct.setdefault(tuple(round(v, 8) for v in sol.assignment), sol)
+    best = min(distinct.values(), key=lambda s: s.residual_inf_norm)
 
     payload = solution_to_dict(best)
     payload["manifest"] = asdict(manifest)
@@ -114,7 +113,7 @@ def cmd_solve(args) -> int:
         payload["sweep_distinct"] = [
             {"assignment": list(k), "capacity": s.capacity,
              "residual_inf_norm": s.residual_inf_norm}
-            for k, s in distinct
+            for k, s in distinct.items()
         ]
     _write_json(Path(args.out) / "solution.json", payload)
 
@@ -192,14 +191,14 @@ def cmd_verify(args) -> int:
 
 def cmd_trace(args) -> int:
     manifest = RunManifest("trace", args.poly, args.out, args.seed, steps=args.steps)
-    if args.steps < 64:
-        raise ValueError("steps must be at least 64")
+    if args.steps < MIN_STEPS:
+        raise ValueError(f"steps must be at least {MIN_STEPS}")
     T = _read_poly(_load_json(args.poly))
 
     fac = factorize(T, seed=args.seed)
     arcs = trace(T, steps=args.steps, seed=args.seed, fac=fac)
     crossings = find_crossings(T, seed=args.seed)
-    graph = build_graph(arcs, crossing_points=crossings)
+    graph = build_graph(arcs)
 
     cset, dset = condition_points(fac, seed=args.seed)
     distinct_d = list(dict.fromkeys(dset))
@@ -232,8 +231,6 @@ def cmd_trace(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .powersum import enumerate_sign_configs
-
     configs = enumerate_sign_configs(args.nu, args.n)
 
     def fmt(signs):

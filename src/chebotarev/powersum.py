@@ -27,6 +27,7 @@ sum of ``points**k`` and its Jacobian ``((w k) points**(k-1))^T @ A``, with
 no Python loop over the points.
 """
 
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -36,8 +37,13 @@ from .analysis import capacity
 from .errors import DegenerateSolution, NoConvergence
 from .poly import ComplexPoly, cluster_roots, level_polynomial
 
-ROLES = ("c", "d", "z")
-_ROLE_WEIGHT = {"c": 1.0, "d": 3.0, "z": 2.0}
+#: Multiplicity of each role's points as zeros of T^2 - 1, and so their
+#: weight in the power sums: endpoints c, bifurcation points d, tangency points z.
+MULTIPLICITY = {"c": 1, "d": 3, "z": 2}
+ROLES = tuple(MULTIPLICITY)
+_SIGN_FIELDS = {"c": "simple_signs", "d": "triple_signs", "z": "double_signs"}
+#: Document keys of the sign blocks, in ``ROLES`` order.
+_SIGN_KEYS = ("alpha", "gamma", "beta")
 _STATUSES = ("fixed", "free_complex", "free_real", "free_imag", "linked")
 _LINK_KINDS = ("conjugate", "negate", "negate_conjugate")
 
@@ -55,24 +61,12 @@ class SignConfig:
     double_signs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "simple_signs", tuple(int(s) for s in self.simple_signs))
-        object.__setattr__(self, "triple_signs", tuple(int(s) for s in self.triple_signs))
-        object.__setattr__(self, "double_signs", tuple(int(s) for s in self.double_signs))
-        nu = len(self.simple_signs)
-        if nu < 3:
-            raise ValueError("need at least 3 simple points")
-        if len(self.triple_signs) != nu - 2:
-            raise ValueError(f"expected {nu - 2} triple signs, got {len(self.triple_signs)}")
-        expected_doubles = self.degree - 2 * nu + 3
-        if expected_doubles < 0:
-            raise ValueError(f"degree {self.degree} too small for {nu} simple points")
-        if len(self.double_signs) != expected_doubles:
-            raise ValueError(
-                f"expected {expected_doubles} double signs, got {len(self.double_signs)}"
-            )
-        for s in self.simple_signs + self.triple_signs + self.double_signs:
-            if s not in (-1, 1):
-                raise ValueError("signs must be +-1")
+        for field in _SIGN_FIELDS.values():
+            object.__setattr__(self, field, tuple(int(s) for s in getattr(self, field)))
+        blocks = [self.signs_for(r) for r in ROLES]
+        _block_sizes(self.num_simple, self.degree, [len(b) for b in blocks])
+        if any(s not in (-1, 1) for b in blocks for s in b):
+            raise ValueError("signs must be +-1")
         if self.balance != 0:
             raise ValueError(f"sign balance {self.balance} != 0")
 
@@ -82,20 +76,38 @@ class SignConfig:
 
     @property
     def balance(self):
-        return (sum(self.simple_signs) + 3 * sum(self.triple_signs)
-                + 2 * sum(self.double_signs))
+        return _balance(self.signs_for(r) for r in ROLES)
 
     @property
     def block_plus_counts(self):
         """(+1 count per block) -- the permutation-invariant fingerprint."""
-        return (
-            sum(1 for s in self.simple_signs if s == 1),
-            sum(1 for s in self.triple_signs if s == 1),
-            sum(1 for s in self.double_signs if s == 1),
-        )
+        return tuple(self.signs_for(r).count(1) for r in ROLES)
 
     def signs_for(self, role):
-        return {"c": self.simple_signs, "d": self.triple_signs, "z": self.double_signs}[role]
+        return getattr(self, _SIGN_FIELDS[role])
+
+
+def _balance(blocks):
+    """Multiplicity-weighted sign sum of the blocks, given in ``ROLES`` order."""
+    return sum(m * sum(b) for m, b in zip(MULTIPLICITY.values(), blocks))
+
+
+def _block_sizes(nu, n, lengths=None):
+    """``(nu, nu - 2, n - 2 nu + 3)``: the simple, triple and double block sizes.
+
+    Checks in turn: at least 3 simple points, the given triple block length,
+    a degree of at least ``2 nu - 3``, the given double block length.
+    """
+    if nu < 3:
+        raise ValueError("need at least 3 simple points")
+    sizes = (nu, nu - 2, n - 2 * nu + 3)
+    if lengths and lengths[1] != sizes[1]:
+        raise ValueError(f"expected {sizes[1]} triple signs, got {lengths[1]}")
+    if sizes[2] < 0:
+        raise ValueError(f"degree {n} too small for {nu} simple points")
+    if lengths and lengths[2] != sizes[2]:
+        raise ValueError(f"expected {sizes[2]} double signs, got {lengths[2]}")
+    return sizes
 
 
 def enumerate_sign_configs(nu: int, n: int) -> list:
@@ -103,28 +115,13 @@ def enumerate_sign_configs(nu: int, n: int) -> list:
 
     The representative puts the +1 entries first in each block.  Blocks are
     interchangeable within themselves, so configurations are fingerprinted
-    by their per-block +1 counts.
+    by their per-block +1 counts; they come in order of descending +1 count
+    per block, the simple block slowest.
     """
-    if nu < 3:
-        raise ValueError("need at least 3 simple points")
-    if n < 2 * nu - 3:
-        raise ValueError(f"degree {n} too small for {nu} simple points")
-    n_d = nu - 2
-    n_z = n - 2 * nu + 3
-    out = []
-    for pa in range(nu, -1, -1):
-        for pg in range(n_d, -1, -1):
-            for pb in range(n_z, -1, -1):
-                balance = ((2 * pa - nu) + 3 * (2 * pg - n_d) + 2 * (2 * pb - n_z))
-                if balance != 0:
-                    continue
-                out.append(SignConfig(
-                    n,
-                    (1,) * pa + (-1,) * (nu - pa),
-                    (1,) * pg + (-1,) * (n_d - pg),
-                    (1,) * pb + (-1,) * (n_z - pb),
-                ))
-    return out
+    choices = [[(1,) * p + (-1,) * (size - p) for p in range(size, -1, -1)]
+               for size in _block_sizes(nu, n)]
+    return [SignConfig(n, *blocks) for blocks in itertools.product(*choices)
+            if _balance(blocks) == 0]
 
 
 @dataclass(frozen=True)
@@ -191,13 +188,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
-        expected = {
-            ("c", i + 1) for i in range(self.config.num_simple)
-        } | {
-            ("d", i + 1) for i in range(len(self.config.triple_signs))
-        } | {
-            ("z", i + 1) for i in range(len(self.config.double_signs))
-        }
+        expected = {(r, i + 1) for r in ROLES for i in range(len(self.config.signs_for(r)))}
         got = {v.key for v in self.vars}
         if got != expected:
             raise ValueError("variable declarations do not cover the configuration")
@@ -234,8 +225,8 @@ class ProblemSpec:
 
         for v in self.vars:
             settle(v.key, frozenset())
-        w = np.array([_ROLE_WEIGHT[v.role] * self.config.signs_for(v.role)[v.index - 1]
-                      for v in self.vars])
+        w = np.array([MULTIPLICITY[v.role] * self.config.signs_for(v.role)[v.index - 1]
+                      for v in self.vars], dtype=float)
         for name, arr in (("p0", p0), ("A", A), ("w", w)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -295,13 +286,8 @@ def default_initial(spec: ProblemSpec) -> np.ndarray:
     points spread along the segment between the two most distant simple
     points, and anything else starts at the anchor.
     """
-    refs = []
-    for v in spec.vars:
-        if v.role == "c":
-            if v.status == "fixed":
-                refs.append(v.value)
-            elif v.initial is not None:
-                refs.append(v.initial)
+    refs = [v.value if v.status == "fixed" else v.initial for v in spec.vars if v.role == "c"]
+    refs = [z for z in refs if z is not None]
     centroid = sum(refs) / len(refs) if refs else 0j
     if len(refs) >= 2:
         pairs = [(abs(a - b), a, b) for i, a in enumerate(refs) for b in refs[i + 1:]]
@@ -322,14 +308,7 @@ def default_initial(spec: ProblemSpec) -> np.ndarray:
             else:
                 init = v.value
         offset = init - (0 if v.status == "free_complex" else v.value)
-        if comp == "re":
-            x0.append(offset.real)
-        elif comp == "im":
-            x0.append(offset.imag)
-        elif v.status == "free_real":
-            x0.append(offset.real)
-        else:  # free_imag
-            x0.append(offset.imag)
+        x0.append(offset.imag if comp == "im" or v.status == "free_imag" else offset.real)
     return np.array(x0, dtype=float)
 
 
@@ -350,21 +329,18 @@ class Solution:
 
 
 def _points_by_role(config, mapping):
-    return {
-        "c": tuple(mapping[("c", i + 1)] for i in range(config.num_simple)),
-        "d": tuple(mapping[("d", i + 1)] for i in range(len(config.triple_signs))),
-        "z": tuple(mapping[("z", i + 1)] for i in range(len(config.double_signs))),
-    }
+    return {r: tuple(mapping[(r, i + 1)] for i in range(len(config.signs_for(r))))
+            for r in ROLES}
 
 
 def _signed_points(config: SignConfig, points) -> tuple:
     """``(plus, minus)``: the ``(point, multiplicity)`` pairs of each sign.
 
-    Simple, triple and double points have multiplicities 1, 3 and 2; the
-    positive-sign ones are the zeros of ``T - 1``, the others those of ``T + 1``.
+    The multiplicities are :data:`MULTIPLICITY`; the positive-sign points
+    are the zeros of ``T - 1``, the others those of ``T + 1``.
     """
     plus, minus = [], []
-    for role, mult in (("c", 1), ("d", 3), ("z", 2)):
+    for role, mult in MULTIPLICITY.items():
         for p, s in zip(points[role], config.signs_for(role)):
             (plus if s == 1 else minus).append((complex(p), mult))
     return tuple(plus), tuple(minus)
@@ -483,6 +459,15 @@ def _read_finite(v):
     return x
 
 
+def _read_int(v):
+    """An integer field: a real, non-boolean number with an integral value."""
+    if not _is_real(v):
+        raise TypeError(f"expected an integer, got {v!r}")
+    if int(v) != v:
+        raise ValueError(f"malformed problem document: expected an integer, got {v!r}")
+    return int(v)
+
+
 def _write_complex(v):
     v = complex(v)
     return [v.real, v.imag]
@@ -491,20 +476,20 @@ def _write_complex(v):
 def spec_from_dict(doc: dict) -> ProblemSpec:
     """Parse the JSON problem document into a :class:`ProblemSpec`."""
     try:
-        n = int(doc["n"])
-        nu = int(doc["nu"])
-        config = SignConfig(n, tuple(doc["alpha"]), tuple(doc["gamma"]), tuple(doc["beta"]))
+        n = _read_int(doc["n"])
+        nu = _read_int(doc["nu"])
+        config = SignConfig(n, *(tuple(_read_int(s) for s in doc[key]) for key in _SIGN_KEYS))
         if config.num_simple != nu:
             raise ValueError(f"nu={nu} does not match {config.num_simple} alpha entries")
         vars_ = []
         for item in doc["vars"]:
             target = item.get("target")
             if target is not None:
-                target = (target["role"], int(target["index"]))
+                target = (target["role"], _read_int(target["index"]))
             initial = item.get("initial")
             vars_.append(PointVar(
                 role=item["role"],
-                index=int(item["index"]),
+                index=_read_int(item["index"]),
                 status=item["status"],
                 value=_read_point(item.get("value", 0)),
                 kind=item.get("kind"),
@@ -513,8 +498,8 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
             ))
         opts = doc.get("options", {})
         options = SolverOptions(
-            max_iter=int(_read_finite(opts.get("max_iter", 200))),
-            damping=_read_finite(opts.get("damping", 1e-3)),
+            max_iter=_read_int(_read_finite(opts.get("max_iter", SolverOptions.max_iter))),
+            damping=_read_finite(opts.get("damping", SolverOptions.damping)),
             residual_tol=(None if opts.get("residual_tol") is None
                           else _read_finite(opts["residual_tol"])),
         )
@@ -525,15 +510,11 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
 
 def solution_to_dict(sol: Solution) -> dict:
     """JSON-ready view of a solution; points as [re, im] pairs."""
-    return {
-        "n": sol.config.degree,
-        "nu": sol.config.num_simple,
-        "alpha": list(sol.config.simple_signs),
-        "gamma": list(sol.config.triple_signs),
-        "beta": list(sol.config.double_signs),
-        "c": [_write_complex(p) for p in sol.points["c"]],
-        "d": [_write_complex(p) for p in sol.points["d"]],
-        "z": [_write_complex(p) for p in sol.points["z"]],
+    out = {"n": sol.config.degree, "nu": sol.config.num_simple}
+    for r, key in zip(ROLES, _SIGN_KEYS):
+        out[key] = list(sol.config.signs_for(r))
+        out[r] = [_write_complex(p) for p in sol.points[r]]
+    return out | {
         "tau": _write_complex(sol.tau),
         "coeffs": [_write_complex(c) for c in sol.poly.coeffs],
         "residual_inf_norm": sol.residual_inf_norm,

@@ -52,6 +52,19 @@ def chebyshev(n):
 
 
 #: The rectangle problems of :func:`rect_spec` as ``(n, system)``, with test ids.
+#: Where each integer field of the ``rect_n7`` problem document sits, as
+#: ``(holder, key)``: the value is ``holder[key]``.
+INTEGER_FIELDS = {
+    "n": lambda doc: (doc, "n"),
+    "nu": lambda doc: (doc, "nu"),
+    "alpha": lambda doc: (doc["alpha"], 0),
+    "gamma": lambda doc: (doc["gamma"], 0),
+    "beta": lambda doc: (doc["beta"], 0),
+    "index": lambda doc: (doc["vars"][1], "index"),
+    "target.index": lambda doc: (doc["vars"][1]["target"], "index"),
+    "max_iter": lambda doc: (doc["options"], "max_iter"),
+}
+
 RECTANGLES = [(5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (9, 2)]
 RECT_IDS = ["n5", "n6", "n7", "n8", "n9s1", "n9s2"]
 

@@ -42,6 +42,11 @@ class TestTraceSegment:
         ends = sorted([arc.start_point, arc.end_point], key=lambda w: w.real)
         assert abs(ends[0] + 1) < 1e-12 and abs(ends[1] - 1) < 1e-12
 
+    def test_too_few_steps_rejected(self):
+        assert arcs_module.MIN_STEPS == 64
+        with pytest.raises(ValueError, match="steps must be at least 64"):
+            trace(cheb2(), steps=63)
+
     def test_samples_stay_on_the_set(self):
         for arc in trace(cheb2(), steps=128):
             for s in arc.samples:
@@ -91,7 +96,7 @@ class TestTraceStar:
 
     def test_star_graph_is_not_a_tree(self):
         arcs = trace(star(5), steps=128)
-        graph = build_graph(arcs, crossing_points=find_crossings(star(5)))
+        graph = build_graph(arcs)
         assert not graph.is_tree
         assert graph.leaf_count == 10
         assert len(graph.edges) == 5

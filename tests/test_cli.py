@@ -9,7 +9,7 @@ import chebotarev.factor as factor_module
 from chebotarev import ComplexPoly, InconsistentFactorization, factorize
 from chebotarev.cli import build_parser, main
 
-from conftest import spy_everywhere
+from conftest import INTEGER_FIELDS, spy_everywhere
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 #: ``report.json`` of ``verify --resolution 256`` and ``trace.json`` of
@@ -130,6 +130,17 @@ class TestSolveCommand:
         bad.write_text(json.dumps(doc))
         assert run("solve", bad, "--out", tmp_path) == 2
         assert "expected a real number or an [re, im] pair" in capsys.readouterr().err
+        assert not (tmp_path / "solution.json").exists()
+
+    @pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+    def test_fractional_integer_field_exits_2(self, field, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "rect_n7.json").read_text())
+        holder, key = INTEGER_FIELDS[field](doc)
+        holder[key] += 0.5
+        bad = tmp_path / "fraction.json"
+        bad.write_text(json.dumps(doc))
+        assert run("solve", bad, "--out", tmp_path) == 2
+        assert "malformed problem document: expected an integer" in capsys.readouterr().err
         assert not (tmp_path / "solution.json").exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])

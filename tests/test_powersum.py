@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -24,7 +25,7 @@ from chebotarev import (
 )
 from chebotarev.powersum import _signed_points, jacobian, power_sums, resolve_points, unknown_layout
 
-from conftest import rect_spec, t4
+from conftest import INTEGER_FIELDS, rect_spec, t4
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -39,6 +40,33 @@ class TestSignConfig:
             SignConfig(5, (1, 1, -1, -1), (-1,), ())
         with pytest.raises(ValueError):
             SignConfig(4, (1, 1, -1, -1), (-1, 1), ())  # needs n >= 2 nu - 3
+
+    def test_triple_block_checked_before_degree(self):
+        with pytest.raises(ValueError, match="expected 2 triple signs, got 1"):
+            SignConfig(4, (1, 1, -1, -1), (-1,), ())
+
+    @pytest.mark.parametrize("nu, n", [(2, 5), (4, 4)])
+    def test_config_and_enumeration_give_one_message(self, nu, n):
+        with pytest.raises(ValueError) as from_config:
+            SignConfig(n, (1,) * nu, (1,) * max(nu - 2, 0), ())
+        with pytest.raises(ValueError) as from_enumeration:
+            enumerate_sign_configs(nu, n)
+        assert str(from_config.value) == str(from_enumeration.value)
+
+    @pytest.mark.parametrize("nu, n", [(3, 6), (3, 9), (4, 5), (4, 8), (5, 7)])
+    def test_enumerate_matches_brute_force(self, nu, n):
+        sizes = (nu, nu - 2, n - 2 * nu + 3)
+        expected = [
+            blocks
+            for blocks in itertools.product(
+                *(itertools.product((1, -1), repeat=k) for k in sizes))
+            if sum(blocks[0]) + 3 * sum(blocks[1]) + 2 * sum(blocks[2]) == 0
+            and all(list(b) == sorted(b, reverse=True) for b in blocks)
+        ]
+        expected.sort(key=lambda blocks: tuple(-b.count(1) for b in blocks))
+        got = [(c.simple_signs, c.triple_signs, c.double_signs)
+               for c in enumerate_sign_configs(nu, n)]
+        assert got == expected
 
     def test_enumerate_counts(self):
         assert len(enumerate_sign_configs(3, 6)) == 4
@@ -426,6 +454,29 @@ class TestWireFormat:
             doc["options"][field] = entry
         with pytest.raises(ValueError, match="malformed problem document: expected a real"):
             spec_from_dict(doc)
+
+    @pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+    @pytest.mark.parametrize("make", [str, lambda v: v + 0.5, lambda v: True],
+                             ids=["string", "fraction", "boolean"])
+    def test_integer_fields_take_integers_only(self, field, make):
+        # int() alone reads "7" as 7, 7.5 as 7 and true as 1
+        doc = json.loads((FIXTURES / "rect_n7.json").read_text())
+        holder, key = INTEGER_FIELDS[field](doc)
+        holder[key] = make(holder[key])
+        with pytest.raises(ValueError, match="malformed problem document: expected "
+                                             "(an integer|a real number)"):
+            spec_from_dict(doc)
+
+    def test_integral_floats_read_as_integers(self):
+        doc = json.loads((FIXTURES / "rect_n7.json").read_text())
+        for field in INTEGER_FIELDS:
+            holder, key = INTEGER_FIELDS[field](doc)
+            holder[key] = float(holder[key])
+        spec = spec_from_dict(doc)
+        assert spec == spec_from_dict(json.loads((FIXTURES / "rect_n7.json").read_text()))
+        assert type(spec.config.degree) is int and type(spec.options.max_iter) is int
+        assert all(type(v.index) is int for v in spec.vars)
+        assert type(spec.vars[1].target[1]) is int
 
     def test_solution_dict_shape(self):
         sol = solve(rect_spec(5))
