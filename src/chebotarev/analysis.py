@@ -246,7 +246,7 @@ def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float 
     if not verdict:
         raise ValueError("conditions are only defined for a connected inverse image")
     if fac is None:
-        fac = factorize(T, seed=seed)
+        fac = factorize(T, seed=seed, verdict=verdict)
     cset, dset = condition_points(fac, seed=seed)
     base = cset[base_index % len(cset)]
 

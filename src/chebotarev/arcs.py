@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connect import is_connected
+from .connect import ConnectivityVerdict, critical_table
 from .errors import MatchingAmbiguity, NotATree
-from .factor import factorize
+from .factor import LEVEL_FLOOR, factorize
 from .poly import (ComplexPoly, cluster_roots, find_roots, label_pairs, level_roots,
                    point_key, structured_roots)
 
@@ -290,7 +290,8 @@ def junction_angles(T: ComplexPoly, vertex: complex, seed: int = 0) -> list:
     """
     vertex = complex(vertex)
     sign = 1.0 if T(vertex).real >= 0 else -1.0
-    near = min(structured_roots(T - sign, seed=seed), key=lambda c: abs(c.center - vertex))
+    near = min(structured_roots(T - sign, seed=seed, floor=LEVEL_FLOOR),
+               key=lambda c: abs(c.center - vertex))
     kappa = near.multiplicity
     if abs(near.center - vertex) > 1e-6 * (1.0 + abs(vertex)) or kappa < 2:
         raise ValueError("vertex must be a multiple zero of T^2 - 1")
@@ -315,17 +316,19 @@ def junction_angles(T: ComplexPoly, vertex: complex, seed: int = 0) -> list:
     return sorted(out)
 
 
-def find_crossings(T: ComplexPoly, seed: int = 0) -> list:
+def find_crossings(T: ComplexPoly, seed: int = 0,
+                   verdict: ConnectivityVerdict = None) -> list:
     """Interior crossing points: critical points mapping strictly inside (-1, 1).
 
     These are places where arcs cross without branching; they are not zeros
     of T^2 - 1 and therefore not graph vertices.  They are the witnesses of
-    :func:`~chebotarev.connect.is_connected` within 1e-7 of the segment and
-    off its ends, merged by :func:`~chebotarev.poly.cluster_roots`.
+    ``verdict``, the :func:`~chebotarev.connect.critical_table` of T
+    (computed when not given), within 1e-7 of the segment and off its ends,
+    merged by :func:`~chebotarev.poly.cluster_roots`.
     """
-    if T.degree < 2:
-        return []
-    hits = [w.point for w in is_connected(T, seed=seed).witnesses
+    if verdict is None:
+        verdict = critical_table(T, seed=seed)
+    hits = [w.point for w in verdict.witnesses
             if w.margin < 1e-7 and abs(w.image) < 1.0 - 1e-6]
     return [c.center for c in cluster_roots(hits)]
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import capacity, check_chebotarev_conditions, condition_points, min_deviation
 from .arcs import MIN_STEPS, arcs_to_csv, arcs_to_svg, build_graph, find_crossings, trace
-from .connect import complement_connected, grid_oracle, is_connected
+from .connect import complement_connected, critical_table, grid_oracle, is_connected
 from .errors import ChebotarevError, DegenerateSolution
 from .factor import factorize
 from .poly import ComplexPoly
@@ -135,7 +135,8 @@ def cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else 1e-6
     report = {"manifest": asdict(manifest), "degree": T.degree}
 
-    fac = factorize(T, seed=args.seed)
+    verdict = is_connected(T, seed=args.seed)
+    fac = factorize(T, seed=args.seed, verdict=verdict)
     report["factorization"] = {
         "min_arcs": fac.min_arcs,
         "branch_points": [[b.real, b.imag] for b in fac.branch_points],
@@ -143,7 +144,6 @@ def cmd_verify(args) -> int:
         "derivative_product_residual": fac.derivative_residual,
         "passed": True,
     }
-    verdict = is_connected(T, seed=args.seed)
     report["connectivity"] = {
         "connected": verdict.connected,
         "witnesses": [
@@ -195,9 +195,10 @@ def cmd_trace(args) -> int:
         raise ValueError(f"steps must be at least {MIN_STEPS}")
     T = _read_poly(_load_json(args.poly))
 
-    fac = factorize(T, seed=args.seed)
+    verdict = critical_table(T, seed=args.seed)
+    fac = factorize(T, seed=args.seed, verdict=verdict)
     arcs = trace(T, steps=args.steps, seed=args.seed, fac=fac)
-    crossings = find_crossings(T, seed=args.seed)
+    crossings = find_crossings(T, seed=args.seed, verdict=verdict)
     graph = build_graph(arcs)
 
     cset, dset = condition_points(fac, seed=args.seed)

@@ -17,7 +17,8 @@ the inverse image of [-1, 1] under T consists of.
 :func:`~chebotarev.analysis.verify_cosh_representation` checks this
 identity by quadrature.
 
-The multiplicities are read from root clusters of T - 1 and T + 1.  A solved
+A zero of T -+ 1 of multiplicity k is one of T' of multiplicity k - 1, so
+the multiplicities are read from the critical points of T.  A solved
 polynomial carries its level form, the zeros and multiplicities it was built
 from, and :func:`factorize` then takes them from there without root finding;
 the reproduction checks run either way.
@@ -25,17 +26,17 @@ the reproduction checks run either way.
 
 from dataclasses import dataclass
 
+from .connect import ConnectivityVerdict, critical_table
 from .errors import InconsistentFactorization, RemainderTooLarge
 from .poly import ComplexPoly, cluster_roots, divide_exact, point_key, structured_roots
 
-#: Clustering radii tried on the roots of T^2 - 1, smallest first.  Triple
-#: roots smear over roughly (eps * coefficient scale)**(1/3) in double
-#: precision, which can reach 1e-3 for large coefficients; the reproduction
-#: checks decide which rung recovered the true multiplicity structure.
-CLUSTER_TOL_LADDER = (2e-4, 6e-4, 2e-3)
-
 #: Coefficient-residual tolerance for the reproduction checks.
 RESIDUAL_TOL = 1e-9
+
+#: Least tolerance on |T -+ 1| at a critical point on a zero of T -+ 1, in
+#: image units: a solve's residual leaves critical values up to 7.4e-11 on
+#: the split multiple zeros of rect_n9_system1, which must still count.
+LEVEL_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -60,50 +61,36 @@ class Factorization:
     clusters: tuple
 
 
-def factorize(T: ComplexPoly, seed: int = 0) -> Factorization:
+def factorize(T: ComplexPoly, seed: int = 0,
+              verdict: ConnectivityVerdict = None) -> Factorization:
     """Compute the unique splitting T^2 - 1 = B * U^2 and T' = n R U.
 
     A polynomial that carries its :class:`~chebotarev.poly.LevelForm` (every
     ``Solution.poly`` does) is split on those known zeros and
     multiplicities, with no root finding.  Otherwise, or when the level form
-    fails a check, multiplicities come from clustering the roots of T^2 - 1;
-    cluster centers are re-polished on the appropriate derivative so the
-    rebuilt products reproduce the inputs to ~1e-12.  The clustering radius
-    climbs the ladder until the reproduction checks pass; if no rung works,
-    :class:`InconsistentFactorization` propagates, signalling a root-finding
-    failure upstream.  Every candidate runs the same checks.
+    fails a check, :func:`~chebotarev.poly.structured_roots` finds the zeros
+    of T - 1 and T + 1, at the floor :data:`LEVEL_FLOOR`, from the critical
+    points in ``verdict``, the :func:`~chebotarev.connect.critical_table` of
+    T (computed when not given).  A structure that fails a reproduction
+    check raises :class:`InconsistentFactorization`.
     """
-    n = T.degree
-    if n < 1 or T.is_zero():
+    if T.degree < 1 or T.is_zero():
         raise ValueError("factorize needs degree >= 1")
-    last_exc = None
-    for clusters in _candidate_clusters(T, seed):
-        clusters.sort(key=lambda c: point_key(c.center))
-        try:
-            return _split(T, clusters)
-        except InconsistentFactorization as exc:
-            last_exc = exc
-    raise last_exc
-
-
-def _candidate_clusters(T: ComplexPoly, seed: int):
-    """Cluster lists of the zeros of T^2 - 1 to try, the level form first.
-
-    Each rung of the ladder is root-found only when the candidates before it
-    have failed.
-    """
     if T.level is not None:
-        yield T.level.clusters()
-    for tol in CLUSTER_TOL_LADDER:
-        # T^2 - 1 factors exactly into (T - 1)(T + 1), which share no zeros;
-        # rooting the halves separately halves the degree and the coefficient
-        # scale, which shrinks the multiple-root smear considerably.
-        yield (structured_roots(T - 1.0, seed=seed, tol=tol)
-               + structured_roots(T + 1.0, seed=seed, tol=tol))
+        try:
+            return _split(T, T.level.clusters())
+        except InconsistentFactorization:
+            pass
+    if verdict is None:
+        verdict = critical_table(T, seed=seed)
+    critical = [w.point for w in verdict.witnesses]
+    return _split(T, [c for s in (1.0, -1.0) for c in structured_roots(
+        T - s, seed=seed, critical=critical, floor=LEVEL_FLOOR)])
 
 
 def _split(T: ComplexPoly, clusters: list) -> Factorization:
-    """The factorization on the given sorted clusters, or InconsistentFactorization."""
+    """The factorization on the given clusters, sorted here, or InconsistentFactorization."""
+    clusters = sorted(clusters, key=lambda c: point_key(c.center))
     n = T.degree
     tau = T.leading
     p2 = T * T - 1.0

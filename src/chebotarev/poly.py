@@ -6,11 +6,12 @@ the moderate degrees that inverse-image constructions actually produce, so
 dense arithmetic in double precision is the right tool.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, PowerSumViolation, RemainderTooLarge
+from .errors import InconsistentFactorization, NoConvergence, PowerSumViolation, RemainderTooLarge
 
 MAX_DEGREE = 64
 
@@ -29,6 +30,10 @@ _GOLDEN_ANGLE = float(np.pi * (3.0 - np.sqrt(5.0)))
 #: Sweep cap of every Aberth iteration, cold (:func:`find_roots`) or warm
 #: (:func:`level_roots`).
 _MAX_SWEEPS = 500
+
+#: Relative radius within which :func:`structured_roots` merges the smeared
+#: critical points on one multiple zero.
+_STRUCTURE_TOL = 2e-4
 
 
 def _as_coeff_tuple(coeffs):
@@ -207,6 +212,16 @@ def divide_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
         raise RemainderTooLarge(
             f"divisor degree {dq} exceeds dividend degree {dp} with nonzero dividend"
         )
+    out, rem = _long_division(p, q)
+    worst = max(abs(r) for r in rem)
+    if worst > bound:
+        raise RemainderTooLarge(f"remainder magnitude {worst:.3e} exceeds bound {bound:.3e}")
+    return out
+
+
+def _long_division(p: ComplexPoly, q: ComplexPoly):
+    """The quotient of ``p`` by ``q`` (``deg p >= deg q``) and the remainder coefficients."""
+    dp, dq = p.degree, q.degree
     rem = list(p.coeffs)
     out = [0j] * (dp - dq + 1)
     qlead = q.coeffs[-1]
@@ -215,10 +230,7 @@ def divide_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
         out[k] = c
         for j in range(dq + 1):
             rem[k + j] -= c * q.coeffs[j]
-    worst = max(abs(r) for r in rem)
-    if worst > bound:
-        raise RemainderTooLarge(f"remainder magnitude {worst:.3e} exceeds bound {bound:.3e}")
-    return ComplexPoly(tuple(out))
+    return ComplexPoly(tuple(out)), rem
 
 
 def powers(z: np.ndarray, n: int) -> np.ndarray:
@@ -264,17 +276,18 @@ def _eval_sweep(H: np.ndarray, z: np.ndarray, shift=None):
 def find_roots(p: ComplexPoly, seed: int = 0) -> list:
     """All roots of ``p`` by Aberth-Ehrlich simultaneous iteration.
 
-    Starts from a randomly perturbed circle (deterministic for a given
-    ``seed``), iterates until every correction falls below ``1e-13 * scale``
+    A quadratic starts from the quadratic formula.  Otherwise the iteration
+    starts from a randomly perturbed circle (deterministic for a given
+    ``seed``) and runs until every correction falls below ``1e-13 * scale``
     or the residual is within 8 times Horner's running error bound, at most
-    ``_MAX_SWEEPS`` sweeps, then polishes with 3 Newton steps.  Each sweep
-    is one matrix product (see :func:`_aberth`); the polish evaluates ``p``
-    and ``p'`` by :meth:`ComplexPoly.__call__`.  Multiple roots come back
-    repeated, smeared over the usual ``eps**(1/multiplicity)`` disc; use
-    :func:`cluster_roots` together with :func:`refine_multiple_root` to
-    sharpen them.  A run stops with :class:`NoConvergence` at the first
-    sweep whose iterate is not finite, or at the sweep cap.  Warm solves
-    from nearby roots go through :func:`level_roots`.
+    ``_MAX_SWEEPS`` sweeps.  Either way 3 Newton steps polish the roots.  Each
+    sweep is one matrix product (see :func:`_aberth`); the polish evaluates
+    ``p`` and ``p'`` by :meth:`ComplexPoly.__call__`.  Multiple roots come
+    back repeated, smeared over the usual ``eps**(1/multiplicity)`` disc;
+    :func:`structured_roots` sharpens them.  A run stops with
+    :class:`NoConvergence` at the first sweep whose iterate is not finite,
+    or at the sweep cap.  Warm solves from nearby roots go through
+    :func:`level_roots`.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -283,7 +296,12 @@ def find_roots(p: ComplexPoly, seed: int = 0) -> list:
     n = len(a) - 1
     if n == 1:
         return [complex(-a[0])]
-    z = _aberth(_hankel(a), _circle_start(a, seed))
+    if n == 2:  # the quadratic formula, its sign chosen so that nothing cancels
+        d = np.sqrt(a[1] * a[1] - 4.0 * a[0])
+        q = -0.5 * (a[1] + d if abs(a[1] + d) >= abs(a[1] - d) else a[1] - d)
+        z = np.array([q, a[0] / q if q != 0 else 0j])
+    else:
+        z = _aberth(_hankel(a), _circle_start(a, seed))
 
     P, dP = ComplexPoly(a), ComplexPoly(a[1:] * np.arange(1, n + 1))
     pv = P(z)
@@ -482,13 +500,47 @@ def cluster_roots(roots, scale: float = None, tol: float = CLUSTER_TOL) -> list:
     return clusters
 
 
+def _halves(a: float):
+    """``a`` as ``h + l``, both of at most 26 bits, so their products are exact (Dekker)."""
+    t = 134217729.0 * a  # 2**27 + 1
+    h = t - (t - a)
+    return h, a - h
+
+
+def compensated_horner(p: ComplexPoly, z: complex) -> complex:
+    """``p(z)`` by Horner's scheme in double-double arithmetic, rounded once.
+
+    The running value is ``h + l``, an unevaluated sum of two complex
+    doubles.  With both split into halves (:func:`_halves`), ``h z`` is a sum
+    of exact products; with ``l z``, whose rounding is far below ``l``, and
+    the next coefficient, ``math.fsum`` rounds each part of the step to the
+    new ``h`` and its remainder to ``l``.  Near a root, where plain Horner
+    returns mostly rounding noise, this still returns the value.
+    """
+    x, y = z.real, z.imag
+    (xh, xl), (yh, yl) = _halves(x), _halves(y)
+    hr, hi, lr, li = p.leading.real, p.leading.imag, 0.0, 0.0
+    for c in p.coeffs[-2::-1]:
+        (a, b), (d, e) = _halves(hr), _halves(hi)
+        re = [a * xh, a * xl, b * xh, b * xl, -d * yh, -d * yl, -e * yh, -e * yl,
+              lr * x - li * y, c.real]
+        im = [a * yh, a * yl, b * yh, b * yl, d * xh, d * xl, e * xh, e * xl,
+              lr * y + li * x, c.imag]
+        hr, hi = math.fsum(re), math.fsum(im)
+        lr, li = math.fsum(re + [-hr]), math.fsum(im + [-hi])
+    return complex(hr + lr, hi + li)
+
+
 def refine_multiple_root(p: ComplexPoly, center: complex, multiplicity: int) -> complex:
-    """Sharpen a multiple-root estimate to full precision.
+    """Sharpen a root estimate of the given multiplicity to full precision.
 
     A root of multiplicity ``m`` of ``p`` is a simple root of the
     ``(m-1)``-th derivative, where Newton converges quadratically; this
     recovers the accuracy that plain root finding loses to the
-    ``eps**(1/m)`` smear.  Falls back to the input if Newton wanders off.
+    ``eps**(1/m)`` smear.  The residual is :func:`compensated_horner`'s, so
+    the iterate does not stall in the rounding noise of plain Horner, and a
+    step below ``1e-10 (1 + |z|)`` is the last: quadratic convergence leaves
+    an error near its square.  Falls back to the input if Newton wanders off.
     """
     q = p
     for _ in range(multiplicity - 1):
@@ -501,30 +553,49 @@ def refine_multiple_root(p: ComplexPoly, center: complex, multiplicity: int) -> 
         dv = dq(z)
         if dv == 0:
             break
-        step = q(z) / dv
+        step = compensated_horner(q, z) / dv
         z = z - step
-        if abs(step) < 1e-15 * (1.0 + abs(z)):
+        if abs(step) < 1e-10 * (1.0 + abs(z)):
             break
     if abs(z - center) > 0.01 * (1.0 + abs(center)):
         return complex(center)
     return z
 
 
-def structured_roots(p: ComplexPoly, seed: int = 0, tol: float = 2e-4) -> list:
-    """Roots of ``p`` as refined multiplicity clusters.
+def structured_roots(p: ComplexPoly, seed: int = 0, critical=None, floor: float = None) -> list:
+    """Roots of ``p`` as multiplicity clusters, the multiple ones read off ``p'``.
 
-    The wider default radius absorbs the smear of triple roots in double
-    precision; centers are then re-polished via :func:`refine_multiple_root`,
-    so downstream consumers see multiple roots at near machine accuracy.
+    A zero of ``p`` of multiplicity k is a zero of ``p'`` of multiplicity
+    k - 1.  Of the zeros of ``p'`` (``critical``, or found by
+    :func:`find_roots`), those where ``|p|`` is within ``max(64 *`` Horner's
+    running error bound, ``floor)`` lie on zeros of ``p``; the floor, by
+    default 1e-7 times the largest coefficient of ``p``, keeps multiple the
+    zeros that a solve's residual split apart.  m of them within
+    ``_STRUCTURE_TOL (1 + max |point|)`` of each other make a zero of
+    multiplicity m + 1, and a count past the degree of ``p`` raises
+    :class:`InconsistentFactorization`.  :func:`find_roots` finds the simple
+    zeros from the quotient of ``p`` by these, whose remainder a caller
+    checks if it needs to, as :func:`~chebotarev.factor.factorize` does.
+    :func:`refine_multiple_root` then sharpens every centre.
     """
-    raw = find_roots(p, seed=seed)
-    clusters = cluster_roots(raw, tol=tol)
-    refined = []
-    for c in clusters:
-        if c.multiplicity > 1:
-            center = refine_multiple_root(p, c.center, c.multiplicity)
-            refined.append(RootCluster(center, c.multiplicity, c.raw_members))
-        else:
-            refined.append(c)
-    refined.sort(key=lambda c: point_key(c.center))
-    return refined
+    if p.degree < 1:
+        raise ValueError("root finding needs degree >= 1")
+    if critical is None:
+        critical = find_roots(p.derivative(), seed=seed) if p.degree > 1 else []
+    if floor is None:
+        floor = 1e-7 * max(abs(c) for c in p.coeffs)
+    points = np.array(critical, dtype=complex)
+    values, _, bound = _eval_sweep(_hankel(np.array(p.coeffs)), points)
+    on_p = np.abs(values) <= np.maximum(64.0 * bound, floor)
+    zeros = [(refine_multiple_root(p, c.center, c.multiplicity + 1), c.multiplicity + 1)
+             for c in cluster_roots(points[on_p], tol=_STRUCTURE_TOL)]
+    count = sum(k for _, k in zeros)
+    if count > p.degree:
+        raise InconsistentFactorization(
+            f"critical points give {count} zeros to a polynomial of degree {p.degree}")
+    divisor = ComplexPoly.from_roots([z for z, k in zeros for _ in range(k)], p.leading)
+    if divisor.degree < p.degree:
+        zeros += [(refine_multiple_root(p, r, 1), 1)
+                  for r in find_roots(_long_division(p, divisor)[0], seed=seed)]
+    clusters = [RootCluster(z, k, (z,) * k) for z, k in zeros]
+    return sorted(clusters, key=lambda c: point_key(c.center))

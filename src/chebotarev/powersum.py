@@ -483,6 +483,8 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
             raise ValueError(f"nu={nu} does not match {config.num_simple} alpha entries")
         vars_ = []
         for item in doc["vars"]:
+            if not isinstance(item, dict):
+                raise TypeError(f"each vars entry must be an object, got {item!r}")
             target = item.get("target")
             if target is not None:
                 target = (target["role"], _read_int(target["index"]))
@@ -497,6 +499,8 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
                 initial=None if initial is None else _read_point(initial),
             ))
         opts = doc.get("options", {})
+        if not isinstance(opts, dict):
+            raise TypeError(f"options must be an object, got {opts!r}")
         options = SolverOptions(
             max_iter=_read_int(_read_finite(opts.get("max_iter", SolverOptions.max_iter))),
             damping=_read_finite(opts.get("damping", SolverOptions.damping)),

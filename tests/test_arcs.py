@@ -77,6 +77,9 @@ class TestTraceStar:
         assert len(crossings) == 1
         assert abs(crossings[0]) < 1e-7
 
+    def test_a_line_has_no_crossings(self):
+        assert find_crossings(ComplexPoly([0.5, 2.0])) == []
+
     def test_higher_order_interior_collisions(self):
         # ten arcs pass through the origin at one level; the matcher must
         # carry all ten chains through the pile-up

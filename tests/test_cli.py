@@ -9,14 +9,17 @@ import chebotarev.factor as factor_module
 from chebotarev import ComplexPoly, InconsistentFactorization, factorize
 from chebotarev.cli import build_parser, main
 
-from conftest import INTEGER_FIELDS, spy_everywhere
+from conftest import INTEGER_FIELDS, chebyshev, spy_everywhere
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 #: ``report.json`` of ``verify --resolution 256`` and ``trace.json`` of
 #: ``trace --steps 128``, manifest removed, as written before ``verify`` and
 #: ``trace`` shared one factorization between their stages; those of the two
 #: inputs with interior crossings as written before warm level solves
-#: stopped taking Newton polish steps.
+#: stopped taking Newton polish steps.  The two ``report.json`` documents
+#: were written again once ``factorize`` took the zeros of T -+ 1 from the
+#: critical points, sharpened by compensated Newton steps: their last digits
+#: moved by at most 1.3e-15 (Re Phi) and 6.1e-14 (quadrature error).
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FROZEN = {
     "rect_n7": ("verify", "trace"),
@@ -130,6 +133,20 @@ class TestSolveCommand:
         bad.write_text(json.dumps(doc))
         assert run("solve", bad, "--out", tmp_path) == 2
         assert "expected a real number or an [re, im] pair" in capsys.readouterr().err
+        assert not (tmp_path / "solution.json").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(options=[]),
+        lambda doc: doc["vars"].__setitem__(0, "x"),
+    ], ids=["options-list", "vars-entry-string"])
+    def test_non_object_container_exits_2(self, edit, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "rect_n5.json").read_text())
+        edit(doc)
+        bad = tmp_path / "non_object.json"
+        bad.write_text(json.dumps(doc))
+        assert run("solve", bad, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed problem document: ") and "must be an object" in err
         assert not (tmp_path / "solution.json").exists()
 
     @pytest.mark.parametrize("field", list(INTEGER_FIELDS))
@@ -442,6 +459,23 @@ class TestOneFactorizationPerRun:
         assert run("trace", FIXTURES / name, "--out", tmp_path, "--steps", "64") == 0
         assert len(factorize_calls) == 1
         assert _repeated(root_solves) == []
+
+    @pytest.mark.parametrize("command", ["verify", "trace"])
+    @pytest.mark.parametrize("name", ["rect_n7", "cheb16"])
+    def test_one_derivative_solve_and_no_level_solve(self, name, command, tmp_path, root_solves):
+        # factorize reads the multiple zeros of T -+ 1 off the roots of T'
+        # that is_connected found, so nothing roots a polynomial of degree n
+        if name == "cheb16":
+            path = tmp_path / "cheb16.json"
+            path.write_text(json.dumps({"coeffs": [c.real for c in chebyshev(16).coeffs]}))
+        else:
+            path = _solved_poly_file(tmp_path, f"{name}.json")
+        n = len(json.loads(path.read_text())["coeffs"]) - 1
+        root_solves.clear()
+        extra = ["--resolution", "64"] if command == "verify" else ["--steps", "64"]
+        assert run(command, path, "--out", tmp_path, *extra) == 0
+        degrees = [p.degree for p in root_solves]
+        assert degrees.count(n - 1) == 1 and n not in degrees, degrees
 
     @pytest.mark.parametrize("name", list(FROZEN))
     def test_outputs_match_frozen_documents(self, name, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from chebotarev import (
     ComplexPoly,
+    InconsistentFactorization,
     LevelForm,
     PathTooClose,
     dist_to_interval,
@@ -11,7 +12,7 @@ from chebotarev import (
     verify_cosh_representation,
 )
 
-from conftest import RECT_IDS, RECTANGLES, cheb2, cross, star, t3, t4
+from conftest import RECT_IDS, RECTANGLES, cheb2, chebyshev, cross, star, t3, t4
 
 
 def _max_coeff_diff(p, q):
@@ -135,6 +136,95 @@ class TestClassicalSegmentFamily:
         assert_factorization_consistent(T, fac)
 
 
+def _compose(outer, inner):
+    """``outer(inner(z))`` by Horner's scheme on polynomials."""
+    out = ComplexPoly([outer.leading])
+    for c in outer.coeffs[-2::-1]:
+        out = out * inner + c
+    return out
+
+
+def _multiplicities(fac):
+    return sorted(c.multiplicity for c in fac.clusters)
+
+
+class TestFactorizationLadder:
+    """Bare coefficients, so every multiplicity comes from the critical points."""
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 20, 24, 28, 32])
+    def test_chebyshev(self, n):
+        fac = factorize(chebyshev(n))
+        assert fac.min_arcs == 1
+        assert _multiplicities(fac) == [1, 1] + [2] * (n - 1)
+        exact = np.cos(np.pi * np.arange(n + 1) / n)
+        for c in fac.clusters:
+            assert np.min(np.abs(exact - c.center)) < 1e-14
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 20, 24, 28])
+    def test_shifted_chebyshev(self, n):
+        fac = factorize(chebyshev(n) + 0.5)
+        assert fac.min_arcs == n
+        assert _multiplicities(fac) == [1] * (2 * n)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_monomial(self, n):
+        fac = factorize(star(n))
+        assert fac.min_arcs == n
+        assert _multiplicities(fac) == [1] * (2 * n)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    def test_chebyshev_composition(self, m):
+        # T_m(P) -+ 1 with P = T_4 + 0.5: a double zero v of T_m -+ 1 pulls
+        # back to four double zeros, or, at P's critical value v = -0.5 (m = 3
+        # and 6), to two quadruple ones; the ends +-1 pull back to 8 simple zeros
+        fac = factorize(_compose(chebyshev(m), chebyshev(4) + 0.5))
+        quadruple = 2 if m in (3, 6) else 0
+        assert fac.min_arcs == 4
+        assert _multiplicities(fac) == ([1] * 8 + [2] * (4 * (m - 1) - 2 * quadruple)
+                                        + [4] * quadruple)
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_rectangle(self, key, solved_rect):
+        T = solved_rect(*key).poly
+        fac = factorize(ComplexPoly(T.coeffs))
+        assert fac.min_arcs == 3
+        for c in fac.clusters:
+            p, m = min(T.level.plus + T.level.minus, key=lambda pm: abs(pm[0] - c.center))
+            assert c.multiplicity == m and abs(p - c.center) < 1e-10
+
+    def test_high_multiplicities_far_from_the_origin(self):
+        # a quadruple, a triple and two double zeros of T - 1 out near |z| = 2:
+        # dividing them out of T - 1 leaves a remainder of 7.6e-5 against
+        # coefficients up to 2.7e4, over divide_exact's 1e-9 relative bound,
+        # so the simple zeros come from the quotient and _split judges the rest
+        pts = [0.7 - 1.217j, 1.334 - 0.583j, 1.716 - 0.763j, -1.796 + 1.012j,
+               -1.726 + 1.629j, -0.388 + 1.233j, -1.969 + 0.193j]
+        roots = pts[:3] + [pts[3]] * 3 + [pts[4]] * 2 + [pts[5]] * 2 + [pts[6]] * 4
+        fac = factorize(ComplexPoly.from_roots(roots, 0.531 - 1.111j) + 1.0)
+        assert fac.min_arcs == 9
+        assert _multiplicities(fac) == [1] * 17 + [2, 2, 3, 4]
+
+    def test_critical_value_under_the_floor_is_a_known_limit(self):
+        # a quadruple and a triple zero of T - 1 0.13 apart leave a critical
+        # point between them with |T - 1| = 8.6e-8, under LEVEL_FLOOR: it is
+        # counted as a double zero, one zero too many for degree 10; the true
+        # structure has min_arcs 6
+        pts = [2.033 + 1.724j, -0.589 + 0.936j, 0.824 + 2.059j, -0.642 + 0.815j]
+        roots = pts[:1] + [pts[1]] * 3 + [pts[2]] * 2 + [pts[3]] * 4
+        with pytest.raises(InconsistentFactorization, match="11 zeros .* degree 10"):
+            factorize(ComplexPoly.from_roots(roots, -0.216 + 1.478j) + 1.0)
+
+    @pytest.mark.parametrize("T", [chebyshev(32) + 0.5, star(18)], ids=["T32+0.5", "z18"])
+    def test_past_the_coefficient_wall(self, T):
+        # expanding B U^2 misses T^2 - 1 by more than the reproduction bound
+        with pytest.raises(InconsistentFactorization, match="reproduction residual"):
+            factorize(T)
+
+    def test_degree_cap(self):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            factorize(chebyshev(33))
+
+
 class TestUniqueness:
     def test_root_order_does_not_matter(self):
         T = t4(2.0)
@@ -185,8 +275,8 @@ class TestCoshRepresentation:
 class TestRandomStructuredPolynomials:
     def test_harder_regime(self):
         # wider roots, two triples allowed, degrees up to 12: the coefficient
-        # scale inflates the multiple-root smear, which the radius ladder and
-        # the split-level rooting must absorb
+        # scale inflates the smear of the critical points that meet at a
+        # multiple zero, which their clustering must absorb
         rng = np.random.default_rng(777)
         built = 0
         while built < 40:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from chebotarev import (
     ComplexPoly,
+    InconsistentFactorization,
     NoConvergence,
     RemainderTooLarge,
     cluster_roots,
@@ -15,7 +17,7 @@ from chebotarev import (
     structured_roots,
 )
 from chebotarev import poly as poly_module
-from chebotarev.poly import divide_exact
+from chebotarev.poly import compensated_horner, divide_exact
 
 
 def coeffs_close(p, q, tol=1e-12):
@@ -117,6 +119,11 @@ class TestFindRoots:
 
     def test_degree_one(self):
         assert find_roots(ComplexPoly([3, 1])) == [-3.0 + 0j]
+
+    def test_quadratic_with_roots_far_apart(self):
+        # z^2 - (1e8 + 1e-8) z + 1: the textbook formula loses the small root
+        roots = sorted(find_roots(ComplexPoly([1.0, -(1e8 + 1e-8), 1.0])), key=abs)
+        assert abs(roots[0] - 1e-8) < 1e-22 and abs(roots[1] - 1e8) < 1e-6
 
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
@@ -388,6 +395,20 @@ class TestClusterRoots:
         clusters = structured_roots(p)
         assert sum(c.multiplicity for c in clusters) == p.degree
 
+    def test_scale_does_not_make_zeros(self):
+        # the critical values of 1e-8 z(z-1)(z-2) are +-3.8e-9: small, but
+        # not zeros at the coefficients' own scale
+        p = 1e-8 * ComplexPoly.from_roots([0.0, 1.0, 2.0])
+        clusters = structured_roots(p)
+        assert [c.multiplicity for c in clusters] == [1, 1, 1]
+        assert max(abs(c.center - e) for c, e in zip(clusters, [0, 1, 2])) < 1e-14
+
+    def test_multiplicities_past_the_degree_raise(self):
+        # an absolute floor of 1e-7 takes both critical points for zeros
+        p = 1e-8 * ComplexPoly.from_roots([0.0, 1.0, 2.0])
+        with pytest.raises(InconsistentFactorization, match="4 zeros .* degree 3"):
+            structured_roots(p, floor=1e-7)
+
 
 def _flood(k, neighbours):
     """Groups of the nodes 0..k-1 by breadth-first flood over ``neighbours(i)``."""
@@ -470,6 +491,23 @@ class TestLabelPairs:
 
 
 class TestRefinement:
+    def test_compensated_horner_near_roots(self):
+        # T_28' at the rounded cos(k pi / 28): plain Horner returns rounding
+        # noise many times the value, the compensated sum the value itself
+        n = 28
+        dT = ComplexPoly(np.polynomial.chebyshev.cheb2poly([0] * n + [1])).derivative()
+        plain = compensated = 0.0
+        for k in range(1, n):
+            x = float(np.cos(k * np.pi / n))
+            exact = Fraction(0)
+            for c in reversed(dT.coeffs):
+                exact = exact * Fraction(x) + Fraction(c.real)
+            value = compensated_horner(dT, complex(x))
+            assert value.imag == 0.0
+            compensated = max(compensated, abs(value - float(exact)) / abs(float(exact)))
+            plain = max(plain, abs(dT(complex(x)) - float(exact)) / abs(float(exact)))
+        assert compensated < 1e-6 and plain > 1.0
+
     def test_multiple_root_recovered_to_machine_precision(self):
         z0 = 0.3 + 0.4j
         p = ComplexPoly.from_roots([z0, z0, z0, -1.0, 2.0])

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +466,20 @@ class TestWireFormat:
         holder[key] = make(holder[key])
         with pytest.raises(ValueError, match="malformed problem document: expected "
                                              "(an integer|a real number)"):
+            spec_from_dict(doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(options=[]), "options must be an object, got []"),
+        (lambda doc: doc.update(options="fast"), "options must be an object, got 'fast'"),
+        (lambda doc: doc.update(options=None), "options must be an object, got None"),
+        (lambda doc: doc["vars"].__setitem__(0, "x"), "each vars entry must be an object"),
+        (lambda doc: doc["vars"].__setitem__(2, [1, 2]), "each vars entry must be an object"),
+    ], ids=["options-list", "options-string", "options-null", "vars-string", "vars-list"])
+    def test_containers_must_be_objects(self, edit, message):
+        # these reached .get on a list or a string and escaped as AttributeError
+        doc = json.loads((FIXTURES / "rect_n5.json").read_text())
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(f"malformed problem document: {message}")):
             spec_from_dict(doc)
 
     def test_integral_floats_read_as_integers(self):
