@@ -3,21 +3,25 @@
 The inverse image of a degree-n polynomial consists of n analytic Jordan
 arcs whose endpoints are the zeros of T^2 - 1, counted with multiplicity.
 Writing the level as cos(theta), theta in [0, pi], each arc is swept by the
-n roots of T(z) - cos(theta).  The levels are solved in blocks of 16 by one
-Aberth iteration (:func:`~chebotarev.poly.level_roots`): each level starts
-at the chains' positions extrapolated linearly from the last accepted
-level, and its roots come back as the iteration settled, without Newton
-polish, so root i normally continues chain i.  One array test over the
-whole block (:func:`_clear_prefix`) accepts its leading levels on which
-every chain's nearest root, against its extrapolated position, is its own
-root and lies within the chain's allowance; on those levels the matcher
-would return the roots as they are.  From the first level the test
-refuses on, the levels are matched in order by :func:`_match`, a greedy
-global assignment against the chains' extrapolated positions that decides
-where two chains contend for one root.  At the first level that did not
-settle or whose match is in doubt, the tracer falls back to one-row
-``level_roots`` blocks, bisecting the step until every level settles and
-its match is clear, and the next block starts after that level.
+n roots of T(z) - cos(theta).  The levels are solved in blocks of 48 by one
+Aberth iteration (:func:`~chebotarev.poly.level_roots`), and every level
+starts on its curve: in the first block each chain starts on the
+first-order Puiseux branch leaving its endpoint (:func:`_puiseux_starts`),
+in later blocks on the cubic in theta through its last four accepted rows
+(:func:`_extrapolated`).  The roots come back as the iteration settled,
+without Newton polish, so root i normally continues chain i.  One array
+test over the block (:func:`_clear_prefix`) accepts its leading levels on
+which every chain's nearest root, against its linearly extrapolated
+position, is its own root and lies within the chain's allowance; on those
+levels the matcher would keep the roots as they are.  The first level of
+the trace and each level the test refuses go to :func:`_match`, a greedy
+global assignment against the chains' linearly extrapolated positions that
+decides where two chains contend for one root; the block's later levels
+then continue in the matched order and go back to the array test.  At the
+first level that did not settle or whose match is in doubt, the tracer
+falls back to one-row ``level_roots`` blocks, bisecting the step until
+every level settles and its match is clear, and the next block starts
+after that level.
 Extrapolation carries chains straight through interior crossing points
 where plain nearest-neighbor matching would turn the corner.  At such a
 crossing the split into n arcs, each mapped one to one onto
@@ -28,9 +32,12 @@ computed here, which takes them from a solved polynomial's level form when
 that form passes its checks.  A zero of T^2 - 1 of multiplicity kappa
 collects kappa arc ends meeting at equal angles 2*pi/kappa; at double zeros
 the two incident arcs are conjoined into one analytic arc when their
-tangents are anti-parallel.
+tangents are anti-parallel, and the joined arc runs from its end that comes
+first in :func:`~chebotarev.poly.point_key` order.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +76,9 @@ def _expanded(clusters):
 MIN_STEPS = 64
 
 #: Levels solved together in one :func:`~chebotarev.poly.level_roots` block.
-_BLOCK = 16
+#: Of 16, 24, 32, 48 and 64, blocks of 48 and 64 traced the benchmark
+#: polynomials at 256 steps in the least CPU time.
+_BLOCK = 48
 
 #: Length in SVG units of the longer side of :func:`arcs_to_svg`'s viewBox.
 SVG_SIZE = 720
@@ -104,6 +113,46 @@ def _greedy_assign(preds, candidates):
     return cols, dist[np.arange(len(preds)), cols]
 
 
+def _puiseux_starts(T, clusters, levels):
+    """Every chain's start at the ``levels`` c = cos(theta) of the first block.
+
+    At a zero p of T - 1 of multiplicity k, with ``c_k = T^(k)(p) / k!``,
+    the k arcs leave p along the first-order Puiseux branches
+    ``p + ((c - 1) / c_k)^(1/k) e^(2 pi i j / k)``; branch j starts the
+    cluster's j-th copy, in the column order of :func:`_expanded`.  A cluster
+    whose starts are not finite (``c_k`` evaluates to 0) starts at p.
+    """
+    c = np.asarray(levels)[:, None]
+    derivatives = [T]
+    columns = []
+    for cluster in clusters:
+        k = cluster.multiplicity
+        while len(derivatives) <= k:
+            derivatives.append(derivatives[-1].derivative())
+        ck = derivatives[k](cluster.center) / math.factorial(k)
+        roots_of_unity = np.exp(2j * np.pi * np.arange(k) / k)
+        with np.errstate(all="ignore"):
+            z = cluster.center + ((c - 1.0) / ck) ** (1.0 / k) * roots_of_unity
+        columns.append(z if np.isfinite(z).all() else np.full(z.shape, cluster.center))
+    return np.hstack(columns)
+
+
+def _extrapolated(rows, levels, thetas):
+    """Every chain's start at the levels ``thetas``.
+
+    Each chain is continued on the cubic in theta through its last four
+    accepted rows, in Lagrange form at their own levels, so rows that
+    bisection put between grid levels count where they lie; with fewer
+    rows the polynomial has lower degree.
+    """
+    t = levels[-4:]
+    x = np.asarray(thetas)
+    weights = np.ones((len(x), len(t)))
+    for i, j in itertools.permutations(range(len(t)), 2):
+        weights[:, i] *= (x - t[j]) / (t[i] - t[j])
+    return weights @ np.array(rows[-4:])
+
+
 def _predicted(rows):
     """Each chain's next position, extrapolated linearly from its last two samples."""
     return 2.0 * rows[-1] - rows[-2] if len(rows) > 1 else rows[-1]
@@ -115,7 +164,7 @@ def _allowance(last, before, scale):
 
 
 def _match(rows, roots, scale):
-    """A level's roots in chain order, or ``None`` when the step is in doubt.
+    """The index of each chain's root among ``roots``, or ``None`` when the step is in doubt.
 
     ``rows`` holds the chains' samples so far, one array per level.  Each
     chain takes a root by :func:`_greedy_assign` against its predicted
@@ -137,7 +186,7 @@ def _match(rows, roots, scale):
         spread = np.abs(contenders[:, None] - contenders[None, :]).max()
         if spread > 0.2 * dist[i]:
             return None
-    return roots[cols]
+    return cols
 
 
 def _clear_prefix(rows, solved, scale):
@@ -149,8 +198,8 @@ def _clear_prefix(rows, solved, scale):
     its first level), every chain's nearest root (first on ties) is its own
     root and lies within its allowance: the arithmetic of
     :func:`_predicted` and :func:`_match`, in one ``(K, n, n)`` distance
-    array.  :func:`_match` returns such a level's roots unpermuted, so the
-    accepted rows are the same.  The count stops at the first level that
+    array.  :func:`_match` gives such a level the identity permutation, so
+    the accepted rows are the same.  The count stops at the first level that
     is ``None`` or not clear; with only one row so far (the first level,
     whose allowance differs) it is 0.
     """
@@ -178,13 +227,13 @@ def _advance(rows, levels, T, theta_a, theta_b, scale, depth=0):
     if depth > 20:
         raise MatchingAmbiguity("level matching still ambiguous at refinement depth 20")
     roots = level_roots(T, [np.cos(theta_b)], _predicted(rows)[None])[0]
-    row = None if roots is None else _match(rows, roots, scale)
-    if row is None:
+    cols = None if roots is None else _match(rows, roots, scale)
+    if cols is None:
         mid = 0.5 * (theta_a + theta_b)
         _advance(rows, levels, T, theta_a, mid, scale, depth + 1)
         _advance(rows, levels, T, mid, theta_b, scale, depth + 1)
         return
-    rows.append(row)
+    rows.append(roots[cols])
     levels.append(float(theta_b))
 
 
@@ -206,16 +255,19 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
     of ``T`` (computed here when not given), split by the sign of ``T`` at
     each center, so arcs terminate on multiple zeros at full accuracy.  The
     interior levels are solved in blocks of ``_BLOCK`` by
-    :func:`~chebotarev.poly.level_roots`: level ``m + j`` starts at the
-    chains' positions extrapolated ``j`` steps ahead from level ``m``.  The
+    :func:`~chebotarev.poly.level_roots`, started on the curves: the first
+    block on the first-order Puiseux branches leaving the zeros of T - 1
+    (:func:`_puiseux_starts`), the later ones on the cubic in theta through
+    each chain's last four accepted rows (:func:`_extrapolated`).  The
     block's leading levels whose match is clear are accepted in one array
-    test (:func:`_clear_prefix`); :func:`_match` decides only the levels
-    that test refuses, in order from the first one.  At the first level that
+    test (:func:`_clear_prefix`).  :func:`_match` decides the first level
+    and each level that test refuses; the block's later levels keep the
+    order it chose and go back to the array test.  At the first level that
     did not settle or whose match is in doubt, that level is taken by
     one-row blocks with bisection (:func:`_advance`) and the next block
     starts after it.
     Chains whose shared endpoint is a double zero of T^2 - 1 are conjoined
-    when anti-parallel.
+    when anti-parallel (:func:`_conjoin`).
     """
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}")
@@ -235,29 +287,58 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
     m = 1
     while m < steps:
         block = range(m, min(m + _BLOCK, steps))
-        step = rows[-1] - rows[-2] if len(rows) > 1 else 0.0
-        starts = rows[-1] + np.arange(1, len(block) + 1)[:, None] * step
-        solved = level_roots(T, np.cos([grid[k] for k in block]), starts)
-        clear = _clear_prefix(rows, solved, scale)
-        rows.extend(solved[:clear])
-        levels.extend(grid[k] for k in block[:clear])
-        m = block.start + clear
-        for k, roots in zip(block[clear:], solved[clear:]):
-            m = k + 1
-            row = None if roots is None else _match(rows, roots, scale)
-            if row is None:
-                _advance(rows, levels, T, grid[k - 1], grid[k], scale)
+        thetas = [grid[k] for k in block]
+        cosines = np.cos(thetas)
+        if len(rows) == 1:
+            starts = _puiseux_starts(T, plus_clusters, cosines)
+        else:
+            starts = _extrapolated(rows, levels, thetas)
+        solved = level_roots(T, cosines, starts)
+        k = 0
+        while k < len(block):
+            clear = _clear_prefix(rows, solved[k:], scale)
+            rows.extend(solved[k:k + clear])
+            levels.extend(thetas[k:k + clear])
+            k += clear
+            if k == len(block):
                 break
-            rows.append(row)
-            levels.append(grid[k])
+            cols = None if solved[k] is None else _match(rows, solved[k], scale)
+            if cols is None:
+                _advance(rows, levels, T, grid[block[k] - 1], grid[block[k]], scale)
+                k += 1
+                break
+            # the block's later levels continue in the matched order
+            solved[k:] = [None if roots is None else roots[cols] for roots in solved[k:]]
+            rows.append(solved[k])
+            levels.append(thetas[k])
+            k += 1
+        m = block.start + k
 
     minus = np.array(minus_roots)
     cols, _ = _greedy_assign(_predicted(rows), minus)
     rows.append(minus[cols])
     levels.append(float(np.pi))
     arcs = [_arc(samples, levels) for samples in np.array(rows).T.tolist()]
-
     doubles = [c.center for c in plus_clusters + minus_clusters if c.multiplicity == 2]
+    return _conjoin(arcs, doubles, scale)
+
+
+def _from_end(arc, end):
+    """The samples, levels and conjoined points of ``arc``, read from its end ``end``."""
+    if end == 0:
+        return arc.samples, arc.levels, arc.conjoined_through
+    return arc.samples[::-1], arc.levels[::-1], arc.conjoined_through[::-1]
+
+
+def _conjoin(arcs, doubles, scale):
+    """Join the two arcs at each double zero in ``doubles`` where they are anti-parallel.
+
+    A joined arc runs from its end that comes first in
+    :func:`~chebotarev.poly.point_key` order, with its samples, levels and
+    conjoined points in order along it, so it does not depend on which of
+    the two chains leaving the double zero took which column.  Returns the
+    arcs sorted by their ends.
+    """
     for q in doubles:
         incident = [(arc, end) for arc in arcs for end in (0, -1)
                     if abs(arc.samples[end] - q) <= 1e-9 * scale]
@@ -266,15 +347,17 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
         (a, ea), (b, eb) = incident
         if a is b:
             continue  # would close a loop; leave the arcs separate
-        sa, la = (a.samples, a.levels) if ea == 0 else (a.samples[::-1], a.levels[::-1])
-        sb, lb = (b.samples, b.levels) if eb == 0 else (b.samples[::-1], b.levels[::-1])
+        sa, la, ta = _from_end(a, ea)
+        sb, lb, tb = _from_end(b, eb)
         turn = _tangent_at_start(sa) - _tangent_at_start(sb) - np.pi
         if abs(float(np.angle(np.exp(1j * turn)))) > 1e-2:
             continue
         arcs.remove(a)
         arcs.remove(b)
-        arcs.append(_arc(sa[::-1] + sb[1:], la[::-1] + lb[1:],
-                         a.conjoined_through + (q,) + b.conjoined_through))
+        joined = _arc(sa[::-1] + sb[1:], la[::-1] + lb[1:], ta[::-1] + (q,) + tb)
+        if point_key(joined.end_point) < point_key(joined.start_point):
+            joined = _arc(*_from_end(joined, -1))
+        arcs.append(joined)
 
     arcs.sort(key=lambda a: (point_key(a.start_point), point_key(a.end_point)))
     return arcs

@@ -22,6 +22,7 @@ from chebotarev import (
     junction_angles,
     trace,
 )
+from chebotarev.poly import point_key
 
 from conftest import cheb2, chebyshev, star, t4, two_intervals
 
@@ -356,7 +357,7 @@ class TestBlockFallback:
         with pytest.raises(MatchingAmbiguity):
             trace(cheb2(), steps=64)
         # the first block, then one one-row solve per bisection depth 0..20
-        assert calls == [16] + [1] * 21
+        assert calls == [arcs_module._BLOCK] + [1] * 21
 
 
 class TestTraceCubicFamily:
@@ -505,6 +506,24 @@ class TestBlockAcceptance:
         monkeypatch.setattr(arcs_module, "_clear_prefix", lambda rows, solved, scale: 0)
         assert trace(T, steps=steps) == arcs  # samples and levels compare exactly
 
+    @pytest.mark.parametrize("steps", [128, 256])
+    @pytest.mark.parametrize("name", ["rect_n7", "cheb16"])
+    def test_only_the_first_level_goes_to_the_matcher(self, name, steps, solved_rect,
+                                                      monkeypatch):
+        # without crossings the matcher decides level 1 alone, even where it
+        # permutes the roots there: the first block's later levels keep its order
+        T = solved_rect(7).poly if name == "rect_n7" else chebyshev(16)
+        real_match = arcs_module._match
+        matched = []
+
+        def spy_match(rows, roots, scale):
+            matched.append(len(rows))
+            return real_match(rows, roots, scale)
+
+        monkeypatch.setattr(arcs_module, "_match", spy_match)
+        trace(T, steps=steps)
+        assert matched == [1]
+
     @staticmethod
     def _block(levels=6):
         # three chains on straight lines, one step of 1e-3 per level, the
@@ -522,8 +541,8 @@ class TestBlockAcceptance:
         solved[j] = solved[j][[1, 0, 2]]
         assert arcs_module._clear_prefix(rows, solved, scale) == j
         # the matcher puts that level back in chain order
-        matched = arcs_module._match(rows + solved[:j], solved[j], scale)
-        assert matched.tolist() == solved[j][[1, 0, 2]].tolist()
+        cols = arcs_module._match(rows + solved[:j], solved[j], scale)
+        assert solved[j][cols].tolist() == solved[j][[1, 0, 2]].tolist()
 
     @pytest.mark.parametrize("j", range(6))
     def test_unsettled_or_distant_level_ends_the_prefix(self, j):
@@ -537,6 +556,128 @@ class TestBlockAcceptance:
     def test_first_level_goes_to_the_matcher(self):
         rows, solved, scale = self._block()
         assert arcs_module._clear_prefix(rows[-1:], solved, scale) == 0
+
+
+class TestLevelStarts:
+    """Every level block starts on its curve, so it settles in a few sweeps."""
+
+    @pytest.mark.parametrize("name", ["rect_n7", "cheb16", "cheb24"])
+    def test_blocks_settle_in_few_sweeps(self, name, solved_rect, monkeypatch):
+        T = solved_rect(7).poly if name == "rect_n7" else chebyshev(int(name[4:]))
+        fac = factorize(T)
+        real_sweep, real_levels = poly_module._eval_sweep, arcs_module.level_roots
+        count, blocks = [], []
+
+        def sweep(*args):
+            count.append(1)
+            return real_sweep(*args)
+
+        def spy_levels(T, levels, starts):
+            count.clear()
+            solved = real_levels(T, levels, starts)
+            blocks.append(len(count))
+            return solved
+
+        monkeypatch.setattr(poly_module, "_eval_sweep", sweep)
+        monkeypatch.setattr(arcs_module, "level_roots", spy_levels)
+        trace(T, steps=256, fac=fac)
+        assert len(blocks) == -(-255 // arcs_module._BLOCK)  # no level was bisected
+        assert blocks[0] <= 4  # the first block, from the Puiseux branches
+        assert max(blocks[1:-1]) <= 3  # the interior blocks, from the cubic
+
+    def test_puiseux_starts_follow_the_branches(self):
+        # T_4 - 1 = 8 z^2 (z^2 - 1): simple zeros at -1 and 1, a double one at 0
+        T = chebyshev(4)
+        plus = [c for c in factorize(T).clusters if T(c.center).real >= 0]
+        assert [c.multiplicity for c in plus] == [1, 2, 1]
+        levels = np.cos(np.pi * np.arange(1, 6) / 64)
+        starts = arcs_module._puiseux_starts(T, plus, levels)
+        assert starts.shape == (5, 4)
+        for row, c in zip(starts, levels):
+            assert np.all(np.abs(T(row) - c) < 0.05 * (1.0 - c))  # first order
+        # the two branches leave the double zero in opposite directions
+        assert np.allclose(starts[:, 1], -starts[:, 2], rtol=0, atol=1e-12)
+
+    def test_zero_derivative_value_starts_at_the_endpoint(self, monkeypatch):
+        T = chebyshev(4)
+        plus = [c for c in factorize(T).clusters if T(c.center).real >= 0]
+        # a "derivative" that vanishes at 1 only: c_1 is 0 for that cluster alone
+        monkeypatch.setattr(ComplexPoly, "derivative",
+                            lambda self: ComplexPoly.from_roots([1.0]))
+        starts = arcs_module._puiseux_starts(T, plus, np.cos(np.pi * np.arange(1, 6) / 64))
+        assert np.isfinite(starts).all()
+        assert np.all(starts[:, 3] == 1.0)
+        assert np.all(starts[:, :3] != np.array([-1.0, 0.0, 0.0]))
+
+    def test_trace_from_the_endpoints_gives_the_same_arcs(self, solved_rect, monkeypatch):
+        T = solved_rect(7).poly
+        fac = factorize(T)
+        expected = trace(T, steps=128, fac=fac)
+        monkeypatch.setattr(ComplexPoly, "derivative", lambda self: ComplexPoly.zero())
+        arcs = trace(T, steps=128, fac=fac)
+        assert len(arcs) == len(expected)
+        for a, b in zip(arcs, expected):
+            assert (a.start_point, a.end_point) == (b.start_point, b.end_point)
+            assert a.levels == b.levels
+            assert max(abs(x - y) for x, y in zip(a.samples, b.samples)) < 1e-9
+
+    @pytest.mark.parametrize("spacing", [[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.5, 2.0]])
+    def test_extrapolation_is_exact_on_cubics(self, spacing):
+        # three chains moving on cubics in theta; the second set of levels
+        # has a bisected step before the last row
+        h = 0.01
+
+        def curve(t):
+            return np.array([1 + t - 2j * t**3, 0.5j + t**2 + t**3, -2.0 + 3j * t])
+
+        levels = [h * s for s in spacing]
+        rows = [curve(t) for t in levels]
+        thetas = [levels[-1] + h * j for j in range(1, 49)]
+        starts = arcs_module._extrapolated(rows, levels, thetas)
+        # 48 steps ahead the weights reach ~1e4, so the rounding grows to ~1e-10
+        assert np.allclose(starts, [curve(t) for t in thetas], rtol=0, atol=1e-9)
+        # with two rows, the line through them
+        slope = (rows[-1] - rows[-2]) / (levels[-1] - levels[-2])
+        line = arcs_module._extrapolated(rows[-2:], levels[-2:], thetas)
+        assert np.allclose(line, [rows[-1] + (t - levels[-1]) * slope for t in thetas],
+                           rtol=0, atol=1e-12)
+
+
+class TestConjoinedOrientation:
+    @pytest.mark.parametrize("steps", [128, 256])
+    def test_rect_n6_arc_through_the_origin(self, solved_rect, steps):
+        arcs = trace(solved_rect(6).poly, steps=steps)
+        joined = [a for a in arcs if a.conjoined_through]
+        assert len(joined) == 1 and abs(joined[0].conjoined_through[0]) < 1e-12
+        arc = joined[0]
+        assert point_key(arc.start_point) <= point_key(arc.end_point)
+        assert arc.start_point.real < 0 < arc.end_point.real
+        assert (arc.samples[0], arc.samples[-1]) == (arc.start_point, arc.end_point)
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_conjoined_points_in_order_along_the_arc(self, n):
+        (arc,) = trace(chebyshev(n), steps=128)
+        assert point_key(arc.start_point) <= point_key(arc.end_point)
+        through = [q.real for q in arc.conjoined_through]
+        assert len(through) == n - 1 and through == sorted(through)
+
+    def test_swapped_chains_conjoin_to_the_same_arcs(self, solved_rect, monkeypatch):
+        real_conjoin = arcs_module._conjoin
+        calls = []
+
+        def spy(arcs, doubles, scale):
+            calls.append((list(arcs), doubles, scale))
+            return real_conjoin(arcs, doubles, scale)
+
+        monkeypatch.setattr(arcs_module, "_conjoin", spy)
+        traced = trace(solved_rect(6).poly, steps=256)
+        chains, doubles, scale = calls[0]
+        # the two chains leaving the double zero of T - 1 at the origin
+        i, j = [k for k, a in enumerate(chains) if abs(a.start_point) < 1e-12]
+        swapped = list(chains)
+        swapped[i], swapped[j] = chains[j], chains[i]
+        assert real_conjoin(list(chains), doubles, scale) == traced
+        assert real_conjoin(swapped, doubles, scale) == traced
 
 
 def _csv_reference(arcs):
