@@ -28,7 +28,7 @@ import numpy as np
 
 from .connect import ConnectivityVerdict, is_connected
 from .factor import Factorization, factorize
-from .poly import ComplexPoly, cluster_roots, divide_exact, point_key, structured_roots
+from .poly import ComplexPoly, cluster_roots, point_key, refine_multiple_root
 from .quadrature import SINGULAR_TOL, check_clearance, path_integral, point_segment_distance
 
 #: Branch points are kept at least this far from any integration segment.
@@ -135,7 +135,7 @@ def hyperelliptic_integral(cset, dset, path):
     return path_integral(ComplexPoly.from_roots(numer_roots, 1.0), sqrt_roots, waypoints)
 
 
-def condition_points(fac: Factorization, seed: int = 0):
+def condition_points(fac: Factorization):
     """Split the factorization data into prescribed and bifurcation points.
 
     Returns ``(cset, dset)``: the simple zeros of T^2 - 1 and the zero
@@ -144,18 +144,14 @@ def condition_points(fac: Factorization, seed: int = 0):
     are the zeros of odd multiplicity >= 3.  A zero of T^2 - 1 of
     multiplicity ``k >= 3`` is a ``(k - 1) // 2``-fold zero of the cofactor,
     so it enters ``dset`` ``k - 2`` times straight from ``fac.clusters``;
-    only the quotient ``Q`` of the cofactor by those zeros is root-found, and
-    each zero of ``Q`` enters twice.  On a level-form factorization of a
-    solved configuration ``Q`` is constant and nothing is root-found.
+    each other m-fold zero of the cofactor, a cluster of ``fac.free``, enters
+    ``2 m`` times, refined by :func:`~chebotarev.poly.refine_multiple_root`.
     """
     cset = [c.center for c in fac.clusters if c.multiplicity == 1]
-    known = [c for c in fac.clusters if c.multiplicity >= 3]
-    dset = [c.center for c in known for _ in range(c.multiplicity - 2)]
-    q = divide_exact(fac.cofactor, ComplexPoly.from_roots(
-        [c.center for c in known for _ in range((c.multiplicity - 1) // 2)], 1.0))
-    if q.degree >= 1:
-        for cl in structured_roots(q, seed=seed):
-            dset.extend([cl.center] * (2 * cl.multiplicity))
+    dset = [c.center for c in fac.clusters for _ in range(c.multiplicity - 2)]
+    for c in fac.free:
+        m = c.multiplicity
+        dset += [refine_multiple_root(fac.cofactor, c.center, m)] * (2 * m)
     return cset, sorted(dset, key=point_key)
 
 
@@ -247,7 +243,7 @@ def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float 
         raise ValueError("conditions are only defined for a connected inverse image")
     if fac is None:
         fac = factorize(T, seed=seed, verdict=verdict)
-    cset, dset = condition_points(fac, seed=seed)
+    cset, dset = condition_points(fac)
     base = cset[base_index % len(cset)]
 
     targets = [(p, "prescribed") for p in cset if p != base]

@@ -42,11 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connect import ConnectivityVerdict, critical_table
+from .connect import dist_to_interval
 from .errors import MatchingAmbiguity, NotATree
-from .factor import LEVEL_FLOOR, factorize
-from .poly import (ComplexPoly, cluster_roots, find_roots, label_pairs, level_roots,
-                   point_key, structured_roots)
+from .factor import factorize
+from .poly import ComplexPoly, cluster_roots, find_roots, label_pairs, level_roots, point_key
 
 
 @dataclass(frozen=True)
@@ -369,12 +368,11 @@ def junction_angles(T: ComplexPoly, vertex: complex, seed: int = 0) -> list:
     Measured by solving the level equation at two small offsets from the
     vertex level and extrapolating each incident direction to radius zero.
     Returns the sorted list of angles; successive gaps are 2*pi/kappa for a
-    zero of multiplicity kappa, read off the nearest root cluster of T -+ 1.
+    zero of multiplicity kappa, read off the nearest cluster of ``factorize``.
     """
     vertex = complex(vertex)
     sign = 1.0 if T(vertex).real >= 0 else -1.0
-    near = min(structured_roots(T - sign, seed=seed, floor=LEVEL_FLOOR),
-               key=lambda c: abs(c.center - vertex))
+    near = min(factorize(T, seed=seed).clusters, key=lambda c: abs(c.center - vertex))
     kappa = near.multiplicity
     if abs(near.center - vertex) > 1e-6 * (1.0 + abs(vertex)) or kappa < 2:
         raise ValueError("vertex must be a multiple zero of T^2 - 1")
@@ -399,21 +397,17 @@ def junction_angles(T: ComplexPoly, vertex: complex, seed: int = 0) -> list:
     return sorted(out)
 
 
-def find_crossings(T: ComplexPoly, seed: int = 0,
-                   verdict: ConnectivityVerdict = None) -> list:
-    """Interior crossing points: critical points mapping strictly inside (-1, 1).
+def find_crossings(T: ComplexPoly, seed: int = 0, fac=None) -> list:
+    """Interior crossing points: critical points mapping into [-1, 1] off its ends.
 
     These are places where arcs cross without branching; they are not zeros
-    of T^2 - 1 and therefore not graph vertices.  They are the witnesses of
-    ``verdict``, the :func:`~chebotarev.connect.critical_table` of T
-    (computed when not given), within 1e-7 of the segment and off its ends,
-    merged by :func:`~chebotarev.poly.cluster_roots`.
+    of T^2 - 1 and therefore not graph vertices.  They are the centres of the
+    free critical point clusters of ``fac``, the factorization of T
+    (computed when not given), whose image lies within 1e-7 of [-1, 1].
     """
-    if verdict is None:
-        verdict = critical_table(T, seed=seed)
-    hits = [w.point for w in verdict.witnesses
-            if w.margin < 1e-7 and abs(w.image) < 1.0 - 1e-6]
-    return [c.center for c in cluster_roots(hits)]
+    if fac is None:
+        fac = factorize(T, seed=seed)
+    return [c.center for c in fac.free if dist_to_interval(T(c.center)) < 1e-7]
 
 
 @dataclass(frozen=True)

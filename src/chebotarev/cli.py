@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import capacity, check_chebotarev_conditions, condition_points, min_deviation
 from .arcs import MIN_STEPS, arcs_to_csv, arcs_to_svg, build_graph, find_crossings, trace
-from .connect import complement_connected, critical_table, grid_oracle, is_connected
+from .connect import complement_connected, grid_oracle, is_connected
 from .errors import ChebotarevError, DegenerateSolution
 from .factor import factorize
 from .poly import ComplexPoly
@@ -195,13 +195,12 @@ def cmd_trace(args) -> int:
         raise ValueError(f"steps must be at least {MIN_STEPS}")
     T = _read_poly(_load_json(args.poly))
 
-    verdict = critical_table(T, seed=args.seed)
-    fac = factorize(T, seed=args.seed, verdict=verdict)
+    fac = factorize(T, seed=args.seed)
     arcs = trace(T, steps=args.steps, seed=args.seed, fac=fac)
-    crossings = find_crossings(T, seed=args.seed, verdict=verdict)
+    crossings = find_crossings(T, fac=fac)
     graph = build_graph(arcs)
 
-    cset, dset = condition_points(fac, seed=args.seed)
+    cset, dset = condition_points(fac)
     distinct_d = list(dict.fromkeys(dset))
     doubles = [q for a in arcs for q in a.conjoined_through]
 

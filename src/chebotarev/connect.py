@@ -81,11 +81,6 @@ def is_connected(T: ComplexPoly, tol: float = None, seed: int = 0) -> Connectivi
     return ConnectivityVerdict(ok, tuple(witnesses))
 
 
-def critical_table(T: ComplexPoly, seed: int = 0) -> ConnectivityVerdict:
-    """The :func:`is_connected` verdict of T as its table of critical points; a line has none."""
-    return is_connected(T, seed=seed) if T.degree > 1 else ConnectivityVerdict(True, ())
-
-
 @dataclass
 class GridReport:
     """Rasterized membership of the inverse image over a bounding box."""

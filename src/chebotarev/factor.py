@@ -17,26 +17,25 @@ the inverse image of [-1, 1] under T consists of.
 :func:`~chebotarev.analysis.verify_cosh_representation` checks this
 identity by quadrature.
 
-A zero of T -+ 1 of multiplicity k is one of T' of multiplicity k - 1, so
-the multiplicities are read from the critical points of T.  A solved
+A zero of T -+ 1 of multiplicity k is one of T' of multiplicity k - 1 and of
+R of multiplicity (k - 1) // 2; the other critical points, where T is not
++-1, are the zeros of ``Q = R / prod (z - c)^((k - 1) // 2)``.  A solved
 polynomial carries its level form, the zeros and multiplicities it was built
-from, and :func:`factorize` then takes them from there without root finding;
-the reproduction checks run either way.
+from, and :func:`factorize` then takes them from there without root finding
+when Q is constant; the reproduction checks run either way.
 """
 
 from dataclasses import dataclass
 
-from .connect import ConnectivityVerdict, critical_table
+import numpy as np
+
+from .connect import ConnectivityVerdict
 from .errors import InconsistentFactorization, RemainderTooLarge
-from .poly import ComplexPoly, cluster_roots, divide_exact, point_key, structured_roots
+from .poly import (STRUCTURE_TOL, ComplexPoly, cluster_roots, divide_exact, find_roots,
+                   point_key, structured_roots, vanishes)
 
 #: Coefficient-residual tolerance for the reproduction checks.
 RESIDUAL_TOL = 1e-9
-
-#: Least tolerance on |T -+ 1| at a critical point on a zero of T -+ 1, in
-#: image units: a solve's residual leaves critical values up to 7.4e-11 on
-#: the split multiple zeros of rect_n9_system1, which must still count.
-LEVEL_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,8 @@ class Factorization:
     residuals are the relative coefficient residuals of the rebuilt products
     ``B * U^2`` against ``T^2 - 1`` and ``n R U`` against ``T'``.
     ``clusters`` holds the sorted root clusters of ``T - 1`` and ``T + 1``.
+    ``free`` clusters at :data:`~chebotarev.poly.STRUCTURE_TOL` the critical
+    points where T is not +-1: m of them make an m-fold zero of Q.
     """
 
     min_arcs: int
@@ -59,6 +60,7 @@ class Factorization:
     level_residual: float
     derivative_residual: float
     clusters: tuple
+    free: tuple
 
 
 def factorize(T: ComplexPoly, seed: int = 0,
@@ -67,33 +69,42 @@ def factorize(T: ComplexPoly, seed: int = 0,
 
     A polynomial that carries its :class:`~chebotarev.poly.LevelForm` (every
     ``Solution.poly`` does) is split on those known zeros and
-    multiplicities, with no root finding.  Otherwise, or when the level form
-    fails a check, :func:`~chebotarev.poly.structured_roots` finds the zeros
-    of T - 1 and T + 1, at the floor :data:`LEVEL_FLOOR`, from the critical
-    points in ``verdict``, the :func:`~chebotarev.connect.critical_table` of
-    T (computed when not given).  A structure that fails a reproduction
-    check raises :class:`InconsistentFactorization`.
+    multiplicities, with no root finding, when Q is constant.  Otherwise, or
+    when the level form fails a check, :func:`~chebotarev.poly.vanishes`
+    sorts the critical points of T, the witnesses of ``verdict`` (the roots
+    of T' when not given), onto T = 1, onto T = -1 or into ``free``, and
+    :func:`~chebotarev.poly.structured_roots` finds the zeros of T -+ 1.
+    A structure that fails a check raises :class:`InconsistentFactorization`.
     """
     if T.degree < 1 or T.is_zero():
         raise ValueError("factorize needs degree >= 1")
     if T.level is not None:
         try:
-            return _split(T, T.level.clusters())
+            return _split(T, T.level.clusters(), ())
         except InconsistentFactorization:
             pass
-    if verdict is None:
-        verdict = critical_table(T, seed=seed)
-    critical = [w.point for w in verdict.witnesses]
-    return _split(T, [c for s in (1.0, -1.0) for c in structured_roots(
-        T - s, seed=seed, critical=critical, floor=LEVEL_FLOOR)])
+    if verdict is not None:
+        critical = [w.point for w in verdict.witnesses]
+    else:
+        critical = find_roots(T.derivative(), seed=seed) if T.degree > 1 else []
+    critical = np.array(critical, dtype=complex)
+    plus_poly, minus_poly = T - 1.0, T + 1.0
+    plus, minus = vanishes(plus_poly, critical), vanishes(minus_poly, critical)
+    clusters = (structured_roots(plus_poly, critical[plus], seed=seed)
+                + structured_roots(minus_poly, critical[minus], seed=seed))
+    free = cluster_roots(critical[~(plus | minus)], tol=STRUCTURE_TOL)
+    return _split(T, clusters, tuple(free))
 
 
-def _split(T: ComplexPoly, clusters: list) -> Factorization:
-    """The factorization on the given clusters, sorted here, or InconsistentFactorization."""
+def _split(T: ComplexPoly, clusters: list, free: tuple) -> Factorization:
+    """The factorization on the zeros ``clusters`` and critical points ``free``, or raises."""
     clusters = sorted(clusters, key=lambda c: point_key(c.center))
     n = T.degree
     tau = T.leading
     p2 = T * T - 1.0
+    # a zero of T -+ 1 of multiplicity k holds k - 1 of the n - 1 critical points
+    if sum(c.multiplicity - 1 for c in clusters) + sum(c.multiplicity for c in free) != n - 1:
+        raise InconsistentFactorization("not every critical point of T is accounted for")
 
     odd = [c for c in clusters if c.multiplicity % 2 == 1]
     if len(odd) % 2 != 0:
@@ -129,13 +140,9 @@ def _split(T: ComplexPoly, clusters: list) -> Factorization:
         raise InconsistentFactorization("derivative cofactor is not monic")
     cofactor = cofactor.monic()
 
-    # cross-check the division against the multiplicity bookkeeping:
-    # a zero of T^2-1 of multiplicity k leaves (k-1)//2 zeros in R when k is
-    # odd and k//2 - 1 when k is even.
+    # cross-check the division against the multiplicity bookkeeping
     for c in clusters:
-        k = c.multiplicity
-        expected = (k - 1) // 2 if k % 2 == 1 else k // 2 - 1
-        if expected >= 1:
+        if c.multiplicity >= 3:
             mag = abs(cofactor(c.center))
             bound = 1e-6 * (1.0 + max(abs(x) for x in cofactor.coeffs)) * scale ** cofactor.degree
             if mag > bound:
@@ -147,7 +154,7 @@ def _split(T: ComplexPoly, clusters: list) -> Factorization:
     derivative_residual = _check_reproduction(dT, n * (cofactor * square_part), "T'")
 
     return Factorization(ell, branch_poly, square_part, cofactor, branch_points,
-                         level_residual, derivative_residual, tuple(clusters))
+                         level_residual, derivative_residual, tuple(clusters), free)
 
 
 def _check_reproduction(target: ComplexPoly, rebuilt: ComplexPoly, label: str) -> float:

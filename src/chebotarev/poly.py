@@ -32,8 +32,13 @@ _GOLDEN_ANGLE = float(np.pi * (3.0 - np.sqrt(5.0)))
 _MAX_SWEEPS = 500
 
 #: Relative radius within which :func:`structured_roots` merges the smeared
-#: critical points on one multiple zero.
-_STRUCTURE_TOL = 2e-4
+#: critical points on one multiple zero; ``factorize`` those off +-1 too.
+STRUCTURE_TOL = 2e-4
+
+#: Least tolerance on ``|p|`` at a critical point on a zero of ``p``: a
+#: solve's residual leaves ``|T -+ 1|`` up to 7.4e-11 at the critical points
+#: on the split multiple zeros of rect_n9_system1, which must still count.
+LEVEL_FLOOR = 1e-7
 
 
 def _as_coeff_tuple(coeffs):
@@ -562,16 +567,22 @@ def refine_multiple_root(p: ComplexPoly, center: complex, multiplicity: int) -> 
     return z
 
 
-def structured_roots(p: ComplexPoly, seed: int = 0, critical=None, floor: float = None) -> list:
+def vanishes(p: ComplexPoly, points: np.ndarray) -> np.ndarray:
+    """Which of ``points`` lie on zeros of ``p``: the one on-level test.
+
+    ``|p|`` there must be within ``max(64 *`` Horner's running error bound, :data:`LEVEL_FLOOR`).
+    """
+    values, _, bound = _eval_sweep(_hankel(np.array(p.coeffs)), points)
+    return np.abs(values) <= np.maximum(64.0 * bound, LEVEL_FLOOR)
+
+
+def structured_roots(p: ComplexPoly, critical, seed: int = 0) -> list:
     """Roots of ``p`` as multiplicity clusters, the multiple ones read off ``p'``.
 
     A zero of ``p`` of multiplicity k is a zero of ``p'`` of multiplicity
-    k - 1.  Of the zeros of ``p'`` (``critical``, or found by
-    :func:`find_roots`), those where ``|p|`` is within ``max(64 *`` Horner's
-    running error bound, ``floor)`` lie on zeros of ``p``; the floor, by
-    default 1e-7 times the largest coefficient of ``p``, keeps multiple the
-    zeros that a solve's residual split apart.  m of them within
-    ``_STRUCTURE_TOL (1 + max |point|)`` of each other make a zero of
+    k - 1.  Of the zeros of ``p'`` in ``critical``, those where :func:`vanishes`
+    holds lie on zeros of ``p``.  m of them within
+    ``STRUCTURE_TOL (1 + max |point|)`` of each other make a zero of
     multiplicity m + 1, and a count past the degree of ``p`` raises
     :class:`InconsistentFactorization`.  :func:`find_roots` finds the simple
     zeros from the quotient of ``p`` by these, whose remainder a caller
@@ -580,15 +591,9 @@ def structured_roots(p: ComplexPoly, seed: int = 0, critical=None, floor: float 
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    if critical is None:
-        critical = find_roots(p.derivative(), seed=seed) if p.degree > 1 else []
-    if floor is None:
-        floor = 1e-7 * max(abs(c) for c in p.coeffs)
     points = np.array(critical, dtype=complex)
-    values, _, bound = _eval_sweep(_hankel(np.array(p.coeffs)), points)
-    on_p = np.abs(values) <= np.maximum(64.0 * bound, floor)
     zeros = [(refine_multiple_root(p, c.center, c.multiplicity + 1), c.multiplicity + 1)
-             for c in cluster_roots(points[on_p], tol=_STRUCTURE_TOL)]
+             for c in cluster_roots(points[vanishes(p, points)], tol=STRUCTURE_TOL)]
     count = sum(k for _, k in zeros)
     if count > p.degree:
         raise InconsistentFactorization(

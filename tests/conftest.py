@@ -1,6 +1,8 @@
 """Shared builders for the polynomial families and rectangle problems."""
 
+import json
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,6 +51,19 @@ def two_intervals():
 def chebyshev(n):
     """The Chebyshev polynomial T_n; the continuum is the segment [-1, 1]."""
     return ComplexPoly(np.polynomial.chebyshev.cheb2poly([0] * n + [1]))
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+#: The fixture documents that hold a polynomial rather than a problem.
+POLYNOMIAL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.json")
+                             if "coeffs" in json.loads(p.read_text()))
+
+
+def fixture_poly(name):
+    """The polynomial of ``fixtures/<name>.json``."""
+    coeffs = json.loads((FIXTURES / f"{name}.json").read_text())["coeffs"]
+    return ComplexPoly([complex(*c) if isinstance(c, list) else c for c in coeffs])
 
 
 #: The rectangle problems of :func:`rect_spec` as ``(n, system)``, with test ids.

@@ -16,6 +16,7 @@ from chebotarev import (
     check_chebotarev_conditions,
     dist_to_interval,
     factorize,
+    find_roots,
     green_function,
     green_via_integral,
     grid_oracle,
@@ -265,8 +266,9 @@ def test_criterion_10_power_sum_identity(solved_rect):
     worst = 0.0
     for n, system in [(5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (9, 2)]:
         sol = solved_rect(n, system)
-        plus = _expand(structured_roots(sol.poly - 1.0))
-        minus = _expand(structured_roots(sol.poly + 1.0))
+        critical = find_roots(sol.poly.derivative())
+        plus = _expand(structured_roots(sol.poly - 1.0, critical=critical))
+        minus = _expand(structured_roots(sol.poly + 1.0, critical=critical))
         gap = np.max(np.abs(power_sums(plus, n - 1) - power_sums(minus, n - 1)))
         worst = max(worst, float(gap))
 

@@ -10,6 +10,8 @@ from chebotarev import (
     condition_points,
     dist_to_interval,
     factorize,
+    find_crossings,
+    find_roots,
     green_function,
     green_via_integral,
     hyperelliptic_integral,
@@ -17,9 +19,10 @@ from chebotarev import (
     min_deviation,
     verify_cosh_representation,
 )
-from chebotarev.poly import point_key
+from chebotarev.poly import divide_exact, point_key
 
-from conftest import RECT_IDS, RECTANGLES, cheb2, cross, star, t3, t4
+from conftest import (POLYNOMIAL_FIXTURES, RECT_IDS, RECTANGLES, cheb2, cross, fixture_poly,
+                      star, t3, t4)
 
 
 class TestCapacity:
@@ -289,6 +292,41 @@ class TestConditions:
         json.dumps(doc)
         assert doc["passed"] is True
         assert len(doc["points"]) == 2
+
+
+class TestConditionPointsFromTheFactorization:
+    """``condition_points`` and ``find_crossings`` read the critical points that
+    ``factorize`` sorted; neither roots a polynomial."""
+
+    @pytest.mark.parametrize("name", ["star5", "t4_alpha2", "cross_alpha1", "t3_alpha2"])
+    def test_no_root_solve(self, name, root_solves):
+        T = fixture_poly(name)
+        fac = factorize(T)
+        root_solves.clear()
+        cset, dset = condition_points(fac)
+        crossings = find_crossings(T, fac=fac)
+        assert root_solves == []
+        assert len(dset) == 2 * sum(c.multiplicity for c in fac.free) > 0
+        assert len(crossings) == (0 if name == "t3_alpha2" else len(fac.free))
+
+    @pytest.mark.parametrize("name", POLYNOMIAL_FIXTURES)
+    def test_same_zeros_as_the_cofactor_quotient(self, name):
+        # the route the factorization replaced: root Q, the cofactor divided
+        # by the (k - 1) // 2-fold zeros it has at each zero of T^2 - 1
+        fac = factorize(fixture_poly(name))
+        q = divide_exact(fac.cofactor, ComplexPoly.from_roots(
+            [c.center for c in fac.clusters for _ in range((c.multiplicity - 1) // 2)]))
+        expected = [c.center for c in fac.clusters for _ in range(c.multiplicity - 2)]
+        if q.degree >= 1:
+            expected += [r for r in find_roots(q) for _ in range(2)]
+        _, dset = condition_points(fac)
+        assert len(dset) == len(expected)
+        # star5's Q is z^4, a fourfold zero at 0
+        tol = 1e-6 if name == "star5" else 1e-12
+        for d in dset:
+            nearest = min(expected, key=lambda e: abs(e - d))
+            assert abs(nearest - d) < tol
+            expected.remove(nearest)
 
 
 class TestGreenConsistency:

@@ -1,6 +1,4 @@
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +22,7 @@ from chebotarev import (
 )
 from chebotarev.poly import point_key
 
-from conftest import cheb2, chebyshev, star, t4, two_intervals
+from conftest import cheb2, chebyshev, fixture_poly, star, t4, two_intervals
 
 
 def _gaps(angles):
@@ -256,10 +254,10 @@ class TestTraceFromFactorization:
         expected = trace(T, steps=128)
         fac = factorize(T)
 
-        def no_clusters(*args, **kwargs):
-            raise AssertionError("level roots solved although fac was given")
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factorized although fac was given")
 
-        monkeypatch.setattr(arcs_module, "structured_roots", no_clusters)
+        monkeypatch.setattr(arcs_module, "factorize", no_factorization)
         assert trace(T, steps=128, fac=fac) == expected
 
     def test_level_form_endpoints_are_the_solved_points(self, solved_rect):
@@ -474,14 +472,6 @@ class TestEmission:
         assert svg1.count("<circle") == 2
 
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def _fixture_poly(name):
-    coeffs = json.loads((FIXTURES / f"{name}.json").read_text())["coeffs"]
-    return ComplexPoly([complex(*c) if isinstance(c, list) else c for c in coeffs])
-
-
 class TestBlockAcceptance:
     @pytest.mark.parametrize("steps", [128, 256])
     @pytest.mark.parametrize("name", ["star5", "t4_alpha2", "cross_alpha1", "t3_alpha05",
@@ -492,7 +482,7 @@ class TestBlockAcceptance:
         elif name == "cheb16":
             T = chebyshev(16)
         else:
-            T = _fixture_poly(name)
+            T = fixture_poly(name)
         real_prefix = arcs_module._clear_prefix
         accepted = []
 

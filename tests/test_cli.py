@@ -477,6 +477,22 @@ class TestOneFactorizationPerRun:
         degrees = [p.degree for p in root_solves]
         assert degrees.count(n - 1) == 1 and n not in degrees, degrees
 
+    @pytest.mark.parametrize("command", ["verify", "trace"])
+    @pytest.mark.parametrize("name", ["star5", "t4_alpha2", "cross_alpha1", "t3_alpha2",
+                                      "rect_n7"])
+    def test_at_most_three_root_solves(self, name, command, tmp_path, root_solves):
+        # T', and the simple zeros of T - 1 and of T + 1: the critical points
+        # off +-1 come from the same roots of T'
+        if name.startswith("rect_"):
+            path = _solved_poly_file(tmp_path, f"{name}.json")
+        else:
+            path = FIXTURES / f"{name}.json"
+        root_solves.clear()
+        extra = ["--resolution", "64"] if command == "verify" else ["--steps", "64"]
+        code = run(command, path, "--out", tmp_path, *extra)
+        assert code == (3 if (command, name) == ("verify", "t3_alpha2") else 0)
+        assert len(root_solves) <= 3, [p.degree for p in root_solves]
+
     @pytest.mark.parametrize("name", list(FROZEN))
     def test_outputs_match_frozen_documents(self, name, tmp_path):
         if name.startswith("rect_"):

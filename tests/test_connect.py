@@ -1,7 +1,5 @@
-import json
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +7,7 @@ import pytest
 from chebotarev import (
     ComplexPoly,
     GridReport,
+    InconsistentFactorization,
     complement_connected,
     dist_to_interval,
     find_roots,
@@ -20,12 +19,8 @@ import chebotarev.connect as connect_module
 from chebotarev import factorize
 from chebotarev.connect import LIPSCHITZ_FACTOR, TOL_MEMBER, count_components
 
-from conftest import (RECT_IDS, RECTANGLES, cheb2, chebyshev, cross, star, t3, t4,
-                      two_intervals)
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-COEFF_FIXTURES = sorted(f.stem for f in FIXTURES.glob("*.json")
-                        if "coeffs" in json.loads(f.read_text()))
+from conftest import (POLYNOMIAL_FIXTURES, RECT_IDS, RECTANGLES, cheb2, chebyshev, cross,
+                      fixture_poly, star, t3, t4, two_intervals)
 
 
 class TestDistToInterval:
@@ -159,6 +154,15 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_oracle(cheb2(), resolution=32)
 
+    def test_box_without_factorization_where_factorize_refuses(self):
+        # without fac the box comes from cold roots of T -+ 1, the one route
+        # for a polynomial that factorize refuses: expanding B U^2 over the
+        # 36 zeros of z^36 - 1 misses its coefficients by 7e-9
+        T = star(18)
+        with pytest.raises(InconsistentFactorization, match="reproduction residual"):
+            factorize(T)
+        assert grid_oracle(T, resolution=256).component_count == 1
+
     def test_peak_memory_is_a_few_rasters(self):
         # the raster is filled band by band: no full-grid complex or float
         # temporary, and labels only for member cells
@@ -208,10 +212,9 @@ class TestMatrixRaster:
         T = solved_rect(7).poly if source == "rect_n7" else chebyshev(16)
         self._check(T, resolution)
 
-    @pytest.mark.parametrize("name", COEFF_FIXTURES)
+    @pytest.mark.parametrize("name", POLYNOMIAL_FIXTURES)
     def test_fixtures(self, name):
-        coeffs = json.loads((FIXTURES / f"{name}.json").read_text())["coeffs"]
-        self._check(ComplexPoly(coeffs))
+        self._check(fixture_poly(name))
 
     @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
     def test_solved_rectangles(self, key, solved_rect):

@@ -381,9 +381,10 @@ class TestSolvedLevelSets:
         # recover the level roots from the coefficients alone (multiplicity
         # aware, so triple roots carry full precision) and check the sums
         sol = solved_rect(n, system)
-        plus = [c.center for c in structured_roots(sol.poly - 1.0)
+        critical = find_roots(sol.poly.derivative())
+        plus = [c.center for c in structured_roots(sol.poly - 1.0, critical=critical)
                 for _ in range(c.multiplicity)]
-        minus = [c.center for c in structured_roots(sol.poly + 1.0)
+        minus = [c.center for c in structured_roots(sol.poly + 1.0, critical=critical)
                  for _ in range(c.multiplicity)]
         sp = power_sums(plus, n - 1)
         sm = power_sums(minus, n - 1)
@@ -403,8 +404,11 @@ class TestLevelExtractionRoundTrip:
             from chebotarev import ComplexPoly
 
             T = ComplexPoly.from_roots(roots, tau) + 1.0
-            plus = [(c.center, c.multiplicity) for c in structured_roots(T - 1.0)]
-            minus = [(c.center, c.multiplicity) for c in structured_roots(T + 1.0)]
+            critical = find_roots(T.derivative())
+            plus = [(c.center, c.multiplicity)
+                    for c in structured_roots(T - 1.0, critical=critical)]
+            minus = [(c.center, c.multiplicity)
+                     for c in structured_roots(T + 1.0, critical=critical)]
             rebuilt = level_polynomial(plus, minus)
             assert abs(rebuilt.level.tau - tau) < 1e-7 * (1 + abs(tau))
             scale = 1.0 + max(abs(c) for c in T.coeffs)
