@@ -27,8 +27,7 @@ _EPS = float(np.finfo(float).eps)
 _NUDGE = 1e-6
 _GOLDEN_ANGLE = float(np.pi * (3.0 - np.sqrt(5.0)))
 
-#: Sweep cap of every Aberth iteration, cold (:func:`find_roots`) or warm
-#: (:func:`level_roots`).
+#: Sweep cap of the Aberth iteration of :func:`level_roots`.
 _MAX_SWEEPS = 500
 
 #: Relative radius within which :func:`structured_roots` merges the smeared
@@ -279,34 +278,32 @@ def _eval_sweep(H: np.ndarray, z: np.ndarray, shift=None):
 
 
 def find_roots(p: ComplexPoly, seed: int = 0) -> list:
-    """All roots of ``p`` by Aberth-Ehrlich simultaneous iteration.
+    """All roots of ``p``: the eigenvalues of the companion matrix, then 3 Newton steps.
 
-    A quadratic starts from the quadratic formula.  Otherwise the iteration
-    starts from a randomly perturbed circle (deterministic for a given
-    ``seed``) and runs until every correction falls below ``1e-13 * scale``
-    or the residual is within 8 times Horner's running error bound, at most
-    ``_MAX_SWEEPS`` sweeps.  Either way 3 Newton steps polish the roots.  Each
-    sweep is one matrix product (see :func:`_aberth`); the polish evaluates
-    ``p`` and ``p'`` by :meth:`ComplexPoly.__call__`.  Multiple roots come
-    back repeated, smeared over the usual ``eps**(1/multiplicity)`` disc;
-    :func:`structured_roots` sharpens them.  A run stops with
-    :class:`NoConvergence` at the first sweep whose iterate is not finite,
-    or at the sweep cap.  Warm solves from nearby roots go through
-    :func:`level_roots`.
+    ``np.roots`` of the monic coefficients makes one LAPACK eigenvalue solve
+    of the balanced companion matrix, which is backward stable (Edelman &
+    Murakami, "Polynomial roots from companion matrix eigenvalues", Math.
+    Comp. 1995); it strips zero trailing coefficients first, so zero roots
+    come back exact.  3 Newton steps, each kept only where it does not raise
+    ``|p|``, polish the roots; they evaluate ``p`` and ``p'`` by
+    :meth:`ComplexPoly.__call__`.  Multiple roots come back repeated, smeared
+    over the usual ``eps**(1/multiplicity)`` disc; :func:`structured_roots`
+    sharpens them.  A failed eigenvalue solve, or an eigenvalue that is not
+    finite, raises :class:`NoConvergence`.  The result does not depend on
+    ``seed``, which callers still pass.  Warm solves from nearby roots go
+    through :func:`level_roots`.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     a = np.array(p.coeffs, dtype=complex)
     a = a / a[-1]
     n = len(a) - 1
-    if n == 1:
-        return [complex(-a[0])]
-    if n == 2:  # the quadratic formula, its sign chosen so that nothing cancels
-        d = np.sqrt(a[1] * a[1] - 4.0 * a[0])
-        q = -0.5 * (a[1] + d if abs(a[1] + d) >= abs(a[1] - d) else a[1] - d)
-        z = np.array([q, a[0] / q if q != 0 else 0j])
-    else:
-        z = _aberth(_hankel(a), _circle_start(a, seed))
+    try:
+        z = np.roots(a[::-1])
+    except np.linalg.LinAlgError as err:
+        raise NoConvergence(f"companion matrix eigenvalues failed: {err}") from err
+    if not np.isfinite(z).all():
+        raise NoConvergence("companion matrix has a non-finite eigenvalue")
 
     P, dP = ComplexPoly(a), ComplexPoly(a[1:] * np.arange(1, n + 1))
     pv = P(z)
@@ -321,16 +318,6 @@ def find_roots(p: ComplexPoly, seed: int = 0) -> list:
     return [complex(v) for v in z]
 
 
-def _circle_start(a, seed):
-    """Randomly perturbed circle enclosing the roots, deterministic per seed."""
-    n = len(a) - 1
-    rng = np.random.default_rng(seed)
-    radius = 1.0 + float(np.max(np.abs(a[:-1])))
-    ang = 2.0 * np.pi * (np.arange(n) + 0.37) / n + rng.uniform(-0.2, 0.2, n)
-    rad = radius * (0.85 + 0.2 * rng.uniform(0.0, 1.0, n))
-    return rad * np.exp(1j * ang)
-
-
 def level_roots(T: ComplexPoly, levels, starts) -> list:
     """Roots of ``T - c`` for every level ``c``, by one Aberth iteration over the block.
 
@@ -341,6 +328,9 @@ def level_roots(T: ComplexPoly, levels, starts) -> list:
     conjugate-closed start sets, which Aberth iteration on a real
     polynomial would otherwise keep for ever (real starts never reach a
     complex root pair); root ``i`` usually comes back near start ``i``.
+    That order, which the tracer's chains follow, and the 2-4 sweeps a warm
+    block takes to settle are why level solves stay with Aberth iteration
+    and do not take the eigenvalues of :func:`find_roots`.
 
     The level polynomials share every coefficient but the constant, so each
     sweep evaluates all levels in one product against the Hankel matrix of
@@ -368,25 +358,27 @@ def level_roots(T: ComplexPoly, levels, starts) -> list:
         block = _aberth(_hankel(a / tau), z, shift)
     except NoConvergence:
         return [None] * len(z)
-    return [row if np.isfinite(row).all() else None for row in block]
+    finite = np.isfinite(block).all(axis=1)
+    return [row if ok else None for row, ok in zip(block, finite)]
 
 
-def _aberth(H, z, shift=None):
-    """Aberth-Ehrlich sweeps from ``z`` until every root settles.
+def _aberth(H, z, shift):
+    """Aberth-Ehrlich sweeps from the rows of ``z`` until every root settles.
 
-    ``H`` is the Hankel matrix of a monic polynomial (:func:`_hankel`).
-    ``z`` is a start vector, or a ``(K, n)`` block of them with ``shift``
-    holding each row's change of the constant coefficient; the whole block
-    is evaluated in one matrix product per sweep (:func:`_eval_sweep`).  A
-    root has settled when its correction is below ``1e-13 * (1 + |z|)`` or
-    ``|p(z)|`` is within 8 times Horner's running error bound; a row whose
-    roots have all settled is frozen and leaves the sweeps.  A row that
-    reaches the cap of ``_MAX_SWEEPS`` sweeps, or whose iterate stops being
-    finite (overflow spreads NaNs that never settle), comes back as NaN;
-    when no row settles, :class:`NoConvergence` is raised instead, at the
-    sweep where the last row failed.  The floating-point warnings on the way are silenced.
+    The solver of :func:`level_roots`; cold solves take eigenvalues
+    (:func:`find_roots`).  ``H`` is the Hankel matrix of a monic polynomial
+    (:func:`_hankel`), ``z`` a ``(K, n)`` block of starts and ``shift`` each
+    row's change of the constant coefficient; the whole block is evaluated
+    in one matrix product per sweep (:func:`_eval_sweep`).  A root has
+    settled when its correction is below ``1e-13 * (1 + |z|)`` or ``|p(z)|``
+    is within 8 times Horner's running error bound; a row whose roots have
+    all settled is frozen and leaves the sweeps.  A row that reaches the cap
+    of ``_MAX_SWEEPS`` sweeps, or whose iterate stops being finite (overflow
+    spreads NaNs that never settle), comes back as NaN; when no row
+    settles, :class:`NoConvergence` is raised instead, at the sweep where
+    the last row failed.  The floating-point warnings on the way are silenced.
     """
-    block = np.array(z, dtype=complex, ndmin=2)
+    block = np.array(z, dtype=complex)
     n = block.shape[1]
     out = np.full_like(block, np.nan)
     rows = np.arange(len(block))
@@ -394,8 +386,7 @@ def _aberth(H, z, shift=None):
     reason = f"roots did not settle in {_MAX_SWEEPS} sweeps; consider rescaling"
     with np.errstate(all="ignore"):
         for sweep in range(1, _MAX_SWEEPS + 1):
-            pv, dv, bound = _eval_sweep(
-                H, block.ravel(), None if shift is None else np.repeat(shift[rows], n))
+            pv, dv, bound = _eval_sweep(H, block.ravel(), np.repeat(shift[rows], n))
             dv = np.where(dv == 0, 1e-300, dv)
             w = (pv / dv).reshape(-1, n)
             diff = block[:, :, None] - block[:, None, :]
@@ -425,7 +416,7 @@ def _aberth(H, z, shift=None):
             rows, block = rows[keep], block[keep]
     if not settled:
         raise NoConvergence(reason)
-    return out.reshape(np.shape(z))
+    return out
 
 
 def point_key(w):

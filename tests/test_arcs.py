@@ -131,8 +131,7 @@ class TestTraceQuartic:
 
 class TestWarmStartedLevels:
     def test_every_level_solve_is_warm_and_settles(self, monkeypatch):
-        real_levels = arcs_module.level_roots
-        real_circle = poly_module._circle_start
+        real_levels, real_find = arcs_module.level_roots, poly_module.find_roots
         settled, retries = [], []
 
         def spy_levels(T, levels, starts):
@@ -143,14 +142,14 @@ class TestWarmStartedLevels:
         def no_find(p, *args, **kwargs):
             raise AssertionError("trace solved a level with find_roots")
 
-        def spy_circle(a, seed):
+        def spy_find(p, *args, **kwargs):
             if settled:  # the cold endpoint solves of factorize come first
-                retries.append(seed)
-            return real_circle(a, seed)
+                retries.append(p)
+            return real_find(p, *args, **kwargs)
 
         monkeypatch.setattr(arcs_module, "level_roots", spy_levels)
         monkeypatch.setattr(arcs_module, "find_roots", no_find)
-        monkeypatch.setattr(poly_module, "_circle_start", spy_circle)
+        monkeypatch.setattr(poly_module, "find_roots", spy_find)
         T = ComplexPoly(np.polynomial.chebyshev.cheb2poly([0] * 24 + [1]))
         arcs = trace(T, steps=256)
         assert len(arcs) == 1
@@ -274,8 +273,7 @@ class TestTraceFromFactorization:
         sol = solved_rect(7)
         plain = trace(ComplexPoly(sol.poly.coeffs), steps=128)  # no level form
         real_levels, real_find = arcs_module.level_roots, poly_module.find_roots
-        real_circle = poly_module._circle_start
-        settled, finds, circles = [], [], []
+        settled, finds = [], []
 
         def spy_levels(T, levels, starts):
             solved = real_levels(T, levels, starts)
@@ -286,17 +284,12 @@ class TestTraceFromFactorization:
             finds.append(p)
             return real_find(p, *args, **kwargs)
 
-        def spy_circle(a, seed):
-            circles.append(seed)
-            return real_circle(a, seed)
-
         monkeypatch.setattr(arcs_module, "level_roots", spy_levels)
         monkeypatch.setattr(arcs_module, "find_roots", spy_find)
         monkeypatch.setattr(poly_module, "find_roots", spy_find)
-        monkeypatch.setattr(poly_module, "_circle_start", spy_circle)
         arcs = trace(sol.poly, steps=128)
         assert len(settled) >= 127 and all(settled)
-        assert not finds and not circles
+        assert not finds
         assert len(arcs) == len(plain)
         for a, b in zip(arcs, plain):
             assert abs(a.start_point - b.start_point) < 1e-10

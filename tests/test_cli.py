@@ -1,11 +1,13 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
 import chebotarev.cli as cli_module
 import chebotarev.factor as factor_module
+import chebotarev.poly as poly_module
 from chebotarev import ComplexPoly, InconsistentFactorization, factorize
 from chebotarev.cli import build_parser, main
 
@@ -20,6 +22,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 #: were written again once ``factorize`` took the zeros of T -+ 1 from the
 #: critical points, sharpened by compensated Newton steps: their last digits
 #: moved by at most 1.3e-15 (Re Phi) and 6.1e-14 (quadrature error).
+#: Both ``report.json`` documents and the ``trace.json`` of star5 and
+#: t4_alpha2 were written again once cold root solves took the eigenvalues
+#: of the companion matrix: the critical points on rect_n7's double zeros of
+#: T' moved by at most 6.6e-9 (their images by 1.3e-15), and those on star5's
+#: fourfold zero and the crossings of star5 and t4_alpha2 became exact.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FROZEN = {
     "rect_n7": ("verify", "trace"),
@@ -360,6 +367,31 @@ class TestParserReuse:
         assert run("trace", FIXTURES / "cheb2.json", "--out", tmp_path, "--steps", "64") == 0
         summary = json.loads((tmp_path / "trace.json").read_text())
         assert summary["manifest"]["steps"] == 64 and summary["arcs"] == 1
+
+
+class TestAberthOnlyForLevels:
+    @pytest.mark.parametrize("command", ["verify", "trace"])
+    @pytest.mark.parametrize("name", ["star5", "rect_n7", "cheb24"])
+    def test_cold_solves_take_eigenvalues(self, name, command, tmp_path, monkeypatch):
+        # every cold solve is one eigenvalue solve; Aberth sweeps serve the
+        # tracer's level blocks alone
+        if name == "cheb24":
+            path = tmp_path / "cheb24.json"
+            path.write_text(json.dumps({"coeffs": [c.real for c in chebyshev(24).coeffs]}))
+        elif name == "rect_n7":
+            path = _solved_poly_file(tmp_path, "rect_n7.json")
+        else:
+            path = FIXTURES / "star5.json"
+        real_aberth, callers = poly_module._aberth, []
+
+        def aberth(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_aberth(*args)
+
+        monkeypatch.setattr(poly_module, "_aberth", aberth)
+        extra = ["--resolution", "64"] if command == "verify" else ["--steps", "64"]
+        assert run(command, path, "--out", tmp_path, *extra) == 0
+        assert set(callers) == ({"level_roots"} if command == "trace" else set()), callers
 
 
 class TestSolvedPolynomialRoundTrip:

@@ -49,6 +49,14 @@ class TestCriterion:
         assert len(verdict.witnesses) == 4  # quadruple critical point at 0
         assert all(w.margin < 1e-9 for w in verdict.witnesses)
 
+    @pytest.mark.parametrize("n", [32, 40, 48, 64])
+    def test_high_monomials_connected(self, n):
+        # the companion matrix of z^(n-1) is nilpotent: every critical point is 0
+        verdict = is_connected(star(n))
+        assert verdict
+        assert len(verdict.witnesses) == n - 1
+        assert all(w.point == 0 and w.image == 0 and w.margin == 0 for w in verdict.witnesses)
+
     def test_cubic_connected_below_threshold(self):
         assert is_connected(t3(0.5))
 

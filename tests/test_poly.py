@@ -158,7 +158,6 @@ class TestWarmStart:
         for i, s in enumerate(start):
             assert min(range(24), key=lambda j: abs(warm[j] - s)) == i
         # the monomial form of T_24 - c fixes its simple roots only to ~1e-9
-        # (cold solves from seeds 0 and 5 differ by 6e-10)
         exact = [math.cos((0.3 + 2 * math.pi * k) / 24) for k in range(24)]
         assert _max_matched_gap(warm, cold) < 5e-9
         assert _max_matched_gap(warm, exact) < 5e-9
@@ -172,24 +171,15 @@ class TestWarmStart:
         assert min(abs(r + 1.0) for r in warm) < 1e-13
         assert sum(abs(r - 0.3) < 1e-7 for r in warm) == 2
 
-    def test_does_not_depend_on_seed(self, monkeypatch):
-        # warm solves never start from the seeded circle
+    def test_does_not_depend_on_seed(self):
+        # warm solves take no seed: the same starts give the same roots
         T = _chebyshev(16)
         start = find_roots(T - math.cos(0.5))
-
-        def no_circle(a, seed):
-            raise AssertionError("warm solve used the seeded circle")
-
-        monkeypatch.setattr(poly_module, "_circle_start", no_circle)
         runs = {tuple(_warm(T, start, math.cos(0.51))) for _ in range(4)}
         assert len(runs) == 1
 
-    def test_real_starts_reach_complex_roots(self, monkeypatch):
+    def test_real_starts_reach_complex_roots(self):
         # real starts on a real polynomial would stay real without the nudge
-        def no_circle(a, seed):
-            raise AssertionError("warm start did not settle")
-
-        monkeypatch.setattr(poly_module, "_circle_start", no_circle)
         roots = _warm(ComplexPoly([0.0123, 0, 1]), [0.11, -0.11])
         assert _max_matched_gap(roots, [0.0123 ** 0.5 * 1j, -(0.0123 ** 0.5) * 1j]) < 1e-13
 
@@ -239,11 +229,6 @@ class TestLevelRoots:
         levels, starts = self._block(T, count=4)
         monkeypatch.setattr(poly_module, "_MAX_SWEEPS", 1)
         assert poly_module.level_roots(T, levels, starts) == [None] * 4
-
-    def test_cold_solve_shares_the_sweep_cap(self, monkeypatch):
-        monkeypatch.setattr(poly_module, "_MAX_SWEEPS", 1)
-        with pytest.raises(NoConvergence, match="did not settle in 1 sweeps"):
-            find_roots(_chebyshev(9))
 
     def test_bad_starts_rejected(self):
         T = _chebyshev(4)
@@ -295,12 +280,35 @@ class TestPolishOnlyColdSolves:
     def test_cold_solve_is_polished(self, monkeypatch):
         p = ComplexPoly.from_roots([0.5, -1.0, 2.0j, 1.5])
         log, settled = self._spy(monkeypatch)
+        real_roots = np.roots
+
+        def eigenvalues(coeffs):
+            log.append("eigenvalues")
+            return real_roots(coeffs)
+
+        monkeypatch.setattr(np, "roots", eigenvalues)
         roots = find_roots(p)
-        assert len(settled) == 1
-        last_sweep = len(log) - 1 - log[::-1].index("sweep")
-        # p at the settled iterate, then 3 Newton steps of p' and p each
-        assert log[last_sweep + 1:] == ["horner"] * 7
+        # no Aberth sweep: p at the eigenvalues, then 3 Newton steps of p' and p each
+        assert not settled
+        assert log == ["eigenvalues"] + ["horner"] * 7
         assert _max_matched_gap(roots, [0.5, -1.0, 2.0j, 1.5]) < 1e-13
+
+
+class TestColdSolveErrors:
+    """A failed eigenvalue solve keeps the typed error that the CLI maps to exit 3."""
+
+    def test_eigenvalue_failure_is_no_convergence(self, monkeypatch):
+        def fail(coeffs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np, "roots", fail)
+        with pytest.raises(NoConvergence, match="did not converge"):
+            find_roots(_chebyshev(9))
+
+    def test_non_finite_eigenvalue_is_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(np, "roots", lambda coeffs: np.full(len(coeffs) - 1, np.nan))
+        with pytest.raises(NoConvergence, match="non-finite eigenvalue"):
+            find_roots(_chebyshev(9))
 
 
 class TestSweepEvaluation:
@@ -329,21 +337,26 @@ class TestSweepEvaluation:
 
 
 class TestNonFiniteIterate:
-    def test_stops_at_first_non_finite_sweep(self):
-        # a 32-fold zero: the iterates collapse until a quotient overflows
+    def test_stops_at_first_non_finite_sweep(self, monkeypatch):
+        # a 32-fold zero from a circle of starts: the iterates collapse until
+        # a quotient overflows, and the level comes back as None
+        real_aberth, reasons = poly_module._aberth, []
+
+        def aberth(*args):
+            try:
+                return real_aberth(*args)
+            except NoConvergence as err:
+                reasons.append(str(err))
+                raise
+
+        monkeypatch.setattr(poly_module, "_aberth", aberth)
+        circle = 2.0 * np.exp(2j * np.pi * (np.arange(32) + 0.37) / 32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NoConvergence, match="non-finite at sweep") as info:
-                find_roots(ComplexPoly([0] * 32 + [1]))
-        assert int(str(info.value).rsplit(" ", 1)[1]) < 500
-
-    def test_is_connected_reports_it(self):
-        from chebotarev import is_connected
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NoConvergence, match="non-finite"):
-                is_connected(ComplexPoly([0] * 32 + [1]))
+            solved = poly_module.level_roots(ComplexPoly([0] * 32 + [1]), [0.0], [circle])
+        assert solved == [None]
+        assert len(reasons) == 1 and "non-finite at sweep" in reasons[0]
+        assert int(reasons[0].rsplit(" ", 1)[1]) < 500
 
 
 class TestClusterRoots:
