@@ -9,13 +9,27 @@ Two independent routes to the same verdict:
   components with :func:`~chebotarev.poly.label_pairs`.
 
 Tests require the two to agree on every fixture.
+
+The oracle evaluates only the cells that a Taylor bound cannot rule out.
+For the Taylor coefficients ``a_j`` of T at the centre of a block of cells,
+``|T(z) - a_0| <= V = sum_(j>=1) |a_j| rho^j`` and
+``|T'(z)| <= M = sum_(j>=1) j |a_j| rho^(j - 1)`` within ``rho`` of the
+centre (the exclusion test of subdivision root finders: Becker, Sagraloff,
+Sharma & Yap, J. Symb. Comput. 2018).  A block is skipped only when
+``dist(a_0, [-1, 1]) - V`` is at least ``max(TOL_MEMBER,
+LIPSCHITZ_FACTOR * h * M)`` plus a rounding margin above Horner's
+a-priori error bound.  Every cell centre of the block then lies at least
+that far from [-1, 1], and no cell's threshold exceeds that bound, so a
+skipped cell is never a member: the raster is the one that evaluating
+every cell gives.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
-from .poly import ComplexPoly, find_roots, label_pairs, point_key, powers
+from .poly import _EPS, ComplexPoly, find_roots, label_pairs, point_key, powers
 
 #: Lipschitz safety factor for the grid membership threshold.
 LIPSCHITZ_FACTOR = 1.5
@@ -25,6 +39,12 @@ TOL_MEMBER = 1e-9
 
 #: Cell-centre rows of the grid raster evaluated together in one band.
 _BAND = 32
+
+#: Cell columns of one screened block; a block spans one band.
+_BLOCK = 4
+
+#: Share of a band's blocks kept by the screen from which the whole band is evaluated.
+_FULL_BAND = 0.75
 
 
 def dist_to_interval(w):
@@ -89,6 +109,7 @@ class GridReport:
     resolution: int
     component_count: int
     member: np.ndarray     # bool (ny, nx), indexed [iy, ix]
+    evaluated: int         # cells whose centre was evaluated
 
 
 def grid_oracle(T: ComplexPoly, resolution: int = 512, seed: int = 0, fac=None) -> GridReport:
@@ -118,6 +139,16 @@ def grid_oracle(T: ComplexPoly, resolution: int = 512, seed: int = 0, fac=None) 
     rows takes r + 1 corner rows; the corner row two bands share is
     evaluated in both.  Within a band the distance to [-1, 1] is computed
     only for cells whose two legs both lie under the threshold.
+
+    Before that, :func:`_screen` splits each band into blocks of
+    ``_BLOCK`` columns and skips the blocks whose Taylor bound keeps every
+    cell centre farther from [-1, 1] than any cell's threshold can reach
+    (see the module docstring); the rule is exact, so skipping changes no
+    member.  A band that keeps at least ``_FULL_BAND`` of its blocks is
+    evaluated whole, as above.  The other bands are evaluated on their
+    kept columns only, stacked a few at a time so that a stack holds
+    about one band of cells.  ``evaluated`` in the report counts the cells
+    whose centre was evaluated.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
@@ -151,25 +182,141 @@ def grid_oracle(T: ComplexPoly, resolution: int = 512, seed: int = 0, fac=None) 
     slope_rows = (rows[nx:, 1:] * np.arange(1, T.degree + 1)).T
     center_powers = powers(1j * (yc - cy), T.degree)
     corner_powers = powers(1j * (yg - cy), T.degree - 1)
-    member = np.empty((ny, nx), dtype=bool)
-    for r0 in range(0, ny, _BAND):
+    keep = _screen(T.coeffs, rows[nx:], xg, yg, cy, h)
+    count = np.count_nonzero(keep, axis=1)
+    whole = ny // _BAND
+    # a band that keeps most blocks, and a short last band, is evaluated whole
+    full = (count >= _FULL_BAND * keep.shape[1]) | ((count > 0) & (np.arange(len(keep)) >= whole))
+    member = np.zeros((ny, nx), dtype=bool)
+    evaluated = 0
+    for r0 in _BAND * np.flatnonzero(full):
         r1 = min(r0 + _BAND, ny)
         dmag = np.abs(corner_powers[r0:r1 + 1] @ slope_rows)
-        cellmax = np.maximum(
-            np.maximum(dmag[:-1, :-1], dmag[:-1, 1:]),
-            np.maximum(dmag[1:, :-1], dmag[1:, 1:]),
-        )
-        thresh = np.maximum(TOL_MEMBER, LIPSCHITZ_FACTOR * h * cellmax)
-        # dist_to_interval's legs; a faithfully rounded hypot is never below
-        # the larger leg, so only cells with both legs under the threshold
-        # can be members
-        w = center_powers[r0:r1] @ at_centers
-        x = np.maximum(np.abs(w.real) - 1.0, 0.0)
-        y = np.abs(w.imag)
-        near = (x < thresh) & (y < thresh)
-        near[near] = np.hypot(x[near], y[near]) < thresh[near]
-        member[r0:r1] = near
-    return GridReport(bbox, resolution, count_components(member), member)
+        cellmax = np.maximum(np.maximum(dmag[:-1, :-1], dmag[:-1, 1:]),
+                             np.maximum(dmag[1:, :-1], dmag[1:, 1:]))
+        member[r0:r1] = _members(cellmax, center_powers[r0:r1] @ at_centers, h)
+        evaluated += (r1 - r0) * nx
+    # the other bands with kept blocks go in stacks of about one band of
+    # cells: each band's kept blocks, padded with others to the most kept;
+    # a short last block is evaluated as the last _BLOCK columns
+    sparse = np.flatnonzero((count > 0) & ~full)
+    stack = nx // (_BLOCK * count[sparse].max(initial=1))
+    grid = member[:whole * _BAND].reshape(whole, _BAND, nx)
+    centers = center_powers[:whole * _BAND].reshape(whole, _BAND, -1)
+    for i in range(0, len(sparse), stack):
+        bands = sparse[i:i + stack]
+        blocks = np.argsort(~keep[bands], axis=1, kind="stable")[:, :count[bands].max()]
+        first = np.minimum(_BLOCK * blocks, nx - _BLOCK)[..., None]
+        corners = (first + np.arange(_BLOCK + 1)).reshape(len(bands), -1)
+        cols = first + np.arange(_BLOCK)                    # [band, block, column]
+        dmag = np.abs(corner_powers[_BAND * bands[:, None] + np.arange(_BAND + 1)]
+                      @ slope_rows.T[corners].transpose(0, 2, 1))
+        dmag = dmag.reshape(len(bands), _BAND + 1, -1, _BLOCK + 1)
+        dmag = np.maximum(dmag[:, :-1], dmag[:, 1:])
+        cellmax = np.maximum(dmag[..., :-1], dmag[..., 1:]).reshape(len(bands), _BAND, -1)
+        w = centers[bands] @ rows[cols.reshape(len(bands), -1)].transpose(0, 2, 1)
+        near = _members(cellmax, w, h).reshape(len(bands), _BAND, -1, _BLOCK)
+        grid[bands[:, None, None], :, cols] = near.transpose(0, 2, 3, 1)
+        done = np.zeros((len(bands), nx), dtype=bool)      # a clipped last block overlaps
+        done[np.arange(len(bands))[:, None, None], cols] = True
+        evaluated += _BAND * np.count_nonzero(done)
+    return GridReport(bbox, resolution, count_components(member), member, evaluated)
+
+
+def _members(cellmax: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
+    """Membership of cells with ``T`` at their centres ``w`` and ``max |T'|`` at their corners."""
+    thresh = np.maximum(TOL_MEMBER, LIPSCHITZ_FACTOR * h * cellmax)
+    # dist_to_interval's legs; a faithfully rounded hypot is never below
+    # the larger leg, so only cells with both legs under the threshold
+    # can be members
+    x = np.maximum(np.abs(w.real) - 1.0, 0.0)
+    y = np.abs(w.imag)
+    near = (x < thresh) & (y < thresh)
+    near[near] = np.hypot(x[near], y[near]) < thresh[near]
+    return near
+
+
+@np.errstate(over="ignore", invalid="ignore")   # a NaN or an overflow keeps the block
+def _screen(coeffs, corner_rows: np.ndarray, xg: np.ndarray, yg: np.ndarray,
+            cy: float, h: float) -> np.ndarray:
+    """``keep[band, block]``: False only for a block of the raster that holds no member.
+
+    A block is one band of ``_BAND`` cell rows by ``_BLOCK`` cell columns.
+    Its centre ``z_b`` is a grid corner, and every cell centre and corner of
+    the block lies within ``rho`` of it.  The Taylor coefficients ``a_j`` of
+    ``T`` at ``z_b`` come from ``corner_rows``, those on the centre line at
+    the abscissa of ``z_b``, shifted by ``t = i (Im z_b - cy)``:
+    ``a_j = sum_k C(k, j) t^(k - j) b_k``, one real product against the
+    binomial-weighted powers of ``Im z_b - cy`` after a factor ``i^k`` on
+    ``b_k``.  :func:`_excluded` drops a block on them.
+
+    The rounding margins are ``gamma (1 + sum |c_k| r^k)`` for ``T`` and
+    ``gamma sum k |c_k| r^(k - 1)`` for ``T'``, with ``gamma = 16 (n + 1)
+    eps`` and ``r`` the largest ``|x + i cy| + |y - cy|`` over the blocks
+    and ``rho`` around them: Horner's a-priori bounds, which cover the
+    Taylor shift, the products that fill the raster and this screen.
+
+    The first three Taylor terms bound ``V`` and ``M`` from below, so a
+    block they cannot drop is kept.  Only a band where they drop enough
+    blocks to take it off the full-band path of :func:`grid_oracle` gets
+    the test on every term.
+    """
+    n = len(coeffs) - 1
+    ny, nx = len(yg) - 1, len(xg) - 1
+    r0 = np.arange(0, ny, _BAND)
+    c0 = np.arange(0, nx, _BLOCK)
+    # a short last band or block is within rho of its centre too
+    mid_rows = r0 + (np.minimum(_BAND, ny - r0) + 1) // 2
+    mid_cols = c0 + (np.minimum(_BLOCK, nx - c0) + 1) // 2
+    rho = np.hypot((yg[1] - yg[0]) * _BAND / 2, (xg[1] - xg[0]) * _BLOCK / 2)
+    d = yg[mid_rows] - cy
+    k = np.arange(n + 1)
+    rotated = np.ascontiguousarray((corner_rows[mid_cols] * np.array([1, 1j, -1, -1j])[k % 4]).T)
+    dpow = powers(d, n).real
+    gap = np.maximum(k - k[:, None], 0)
+
+    def taylor(bands, terms):
+        """``i^j a_j`` at the block centres of ``bands``, as ``[band, j, block]``, j < terms."""
+        binom = np.ones((terms, n + 1))             # C(k, j), exact while below 2^53
+        for j in range(1, terms):
+            binom[j] = binom[j - 1] * (k - j + 1) / j
+        w = (binom * dpow[bands][:, gap[:terms]]).reshape(-1, n + 1)   # C(k, j) d^(k - j)
+        return (w @ rotated.view(float)).view(complex).reshape(len(bands), terms, len(c0))
+
+    # Horner's a-priori bounds for T and T', at the largest radius of any block
+    r = np.abs(d).max() + np.abs(xg[mid_cols] + 1j * cy).max() + 2.0 * rho
+    cabs = np.abs(np.asarray(coeffs, dtype=complex))
+    gamma = 16 * (n + 1) * _EPS
+    bounds = (gamma, gamma * (1.0 + polyval(r, cabs)), gamma * polyval(r, k[1:] * cabs[1:]))
+    keep = np.ones((len(r0), len(c0)), dtype=bool)
+    head = _excluded(taylor(np.arange(len(r0)), min(3, n + 1)), rho, h, *bounds)
+    bands = np.flatnonzero(np.count_nonzero(head, axis=1) > (1.0 - _FULL_BAND) * len(c0))
+    if len(bands):
+        keep[bands] = ~_excluded(taylor(bands, n + 1), rho, h, *bounds)
+    return keep
+
+
+def _excluded(a: np.ndarray, rho: float, h: float, gamma: float, margin: float,
+              slope_margin: float) -> np.ndarray:
+    """True where the Taylor terms ``a[band, j, block]`` prove a block holds no member.
+
+    Within ``rho`` of the centre, ``|T - a_0| <= V = sum_(j>=1) |a_j| rho^j``
+    and ``|T'| <= M = sum_(j>=1) j |a_j| rho^(j - 1)``.  A block is excluded
+    when ``dist(a_0, [-1, 1]) - V - margin`` is at least
+    ``max(TOL_MEMBER, LIPSCHITZ_FACTOR * h * (M + slope_margin))``, by a
+    relative ``gamma``: no cell centre then maps within its cell's threshold
+    of [-1, 1].  With fewer terms than ``T`` has, ``V`` and ``M`` are only
+    lower bounds, and the test is a necessary condition.  A NaN or an
+    overflow excludes nothing.
+    """
+    j = np.arange(a.shape[1])
+    reach = np.zeros((2, len(j)))
+    reach[0, 1:] = rho ** j[1:]
+    reach[1, 1:] = j[1:] * rho ** j[:-1]
+    spread, slope = (reach @ np.abs(a)).transpose(1, 0, 2)
+    lower = dist_to_interval(a[:, 0]) - spread - margin
+    bound = np.maximum(TOL_MEMBER, LIPSCHITZ_FACTOR * h * (slope + slope_margin))
+    return lower >= bound * (1.0 + gamma)
 
 
 def _taylor_rows(coeffs, u: np.ndarray) -> np.ndarray:
@@ -229,9 +376,15 @@ def complement_connected(report: GridReport) -> bool:
     (4-connected pieces of the complement cut off from the ring), and it is a
     sum over 2x2 windows: (Q1 - Q3 - 2 QD) / 4, counting windows with one
     member, three members and a diagonal pair (Gray 1971, "Local properties
-    of binary images in two dimensions", IEEE Trans. Computers).
+    of binary images in two dimensions", IEEE Trans. Computers).  A window
+    of four non-members adds nothing, so the sum runs over the members'
+    bounding box padded by that ring; with no members it is 0.
     """
-    m = np.pad(report.member, 1).view(np.uint8)
+    rows = np.flatnonzero(report.member.any(axis=1))
+    if len(rows) == 0:
+        return report.component_count == 0
+    cols = np.flatnonzero(report.member[rows[0]:rows[-1] + 1].any(axis=0))
+    m = np.pad(report.member[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1], 1).view(np.uint8)
     nw, ne, sw, se = m[:-1, :-1], m[:-1, 1:], m[1:, :-1], m[1:, 1:]
     s = nw + ne + sw + se
     q1 = np.count_nonzero(s == 1)

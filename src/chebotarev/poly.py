@@ -571,8 +571,9 @@ def structured_roots(p: ComplexPoly, critical, seed: int = 0) -> list:
     """Roots of ``p`` as multiplicity clusters, the multiple ones read off ``p'``.
 
     A zero of ``p`` of multiplicity k is a zero of ``p'`` of multiplicity
-    k - 1.  Of the zeros of ``p'`` in ``critical``, those where :func:`vanishes`
-    holds lie on zeros of ``p``.  m of them within
+    k - 1.  ``critical`` holds the zeros of ``p'`` that lie on zeros of
+    ``p``, already sorted there by :func:`vanishes`, as
+    :func:`~chebotarev.factor.factorize` does.  m of them within
     ``STRUCTURE_TOL (1 + max |point|)`` of each other make a zero of
     multiplicity m + 1, and a count past the degree of ``p`` raises
     :class:`InconsistentFactorization`.  :func:`find_roots` finds the simple
@@ -582,9 +583,8 @@ def structured_roots(p: ComplexPoly, critical, seed: int = 0) -> list:
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    points = np.array(critical, dtype=complex)
     zeros = [(refine_multiple_root(p, c.center, c.multiplicity + 1), c.multiplicity + 1)
-             for c in cluster_roots(points[vanishes(p, points)], tol=STRUCTURE_TOL)]
+             for c in cluster_roots(critical, tol=STRUCTURE_TOL)]
     count = sum(k for _, k in zeros)
     if count > p.degree:
         raise InconsistentFactorization(

@@ -158,6 +158,12 @@ def solved_rect():
     return get
 
 
+def on_zeros(p, points):
+    """The ``points`` that lie on zeros of ``p``, sorted there by ``poly.vanishes``."""
+    points = np.array(points, dtype=complex)
+    return points[poly_module.vanishes(p, points)]
+
+
 def spy_everywhere(monkeypatch, real):
     """Replace ``real`` in every chebotarev module that holds it; return the call list."""
     calls = []

@@ -30,7 +30,7 @@ from chebotarev import (
 )
 from chebotarev.powersum import power_sums
 
-from conftest import cheb2, cross, rect_spec, star, t3, t4, two_intervals
+from conftest import cheb2, cross, on_zeros, rect_spec, star, t3, t4, two_intervals
 
 
 def _criterion(num, ok, detail):
@@ -267,8 +267,9 @@ def test_criterion_10_power_sum_identity(solved_rect):
     for n, system in [(5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (9, 2)]:
         sol = solved_rect(n, system)
         critical = find_roots(sol.poly.derivative())
-        plus = _expand(structured_roots(sol.poly - 1.0, critical=critical))
-        minus = _expand(structured_roots(sol.poly + 1.0, critical=critical))
+        plus_poly, minus_poly = sol.poly - 1.0, sol.poly + 1.0
+        plus = _expand(structured_roots(plus_poly, on_zeros(plus_poly, critical)))
+        minus = _expand(structured_roots(minus_poly, on_zeros(minus_poly, critical)))
         gap = np.max(np.abs(power_sums(plus, n - 1) - power_sums(minus, n - 1)))
         worst = max(worst, float(gap))
 

@@ -18,6 +18,7 @@ from chebotarev import (
 import chebotarev.connect as connect_module
 from chebotarev import factorize
 from chebotarev.connect import LIPSCHITZ_FACTOR, TOL_MEMBER, count_components
+from chebotarev.poly import powers
 
 from conftest import (POLYNOMIAL_FIXTURES, RECT_IDS, RECTANGLES, cheb2, chebyshev, cross,
                       fixture_poly, star, t3, t4, two_intervals)
@@ -246,6 +247,86 @@ class TestMatrixRaster:
         self._check(star(n))
 
 
+def _unscreened(T, report):
+    """The raster of every band evaluated in full, and the screen's ``keep``.
+
+    This is the band loop from before the screen: the Taylor rows about the
+    centre line of the box from the roots of T -+ 1, and in each band of 32
+    centre rows the two products, the Lipschitz thresholds and the distance
+    test on every cell.
+    """
+    ys = [r.imag for r in find_roots(T - 1.0) + find_roots(T + 1.0)]
+    cy = (min(ys) + max(ys)) / 2
+    n = report.resolution
+    x0, y0, x1, y1 = report.bbox
+    hx, hy = (x1 - x0) / n, (y1 - y0) / n
+    h = max(hx, hy)
+    xc = x0 + hx * (np.arange(n) + 0.5)
+    yc = y0 + hy * (np.arange(n) + 0.5)
+    xg = x0 + hx * np.arange(n + 1)
+    yg = y0 + hy * np.arange(n + 1)
+    rows = connect_module._taylor_rows(T.coeffs, np.concatenate([xc, xg]) + 1j * cy)
+    at_centers = rows[:n].T
+    slope_rows = (rows[n:, 1:] * np.arange(1, T.degree + 1)).T
+    center_powers = powers(1j * (yc - cy), T.degree)
+    corner_powers = powers(1j * (yg - cy), T.degree - 1)
+    member = np.empty((n, n), dtype=bool)
+    for r0 in range(0, n, 32):
+        r1 = min(r0 + 32, n)
+        dmag = np.abs(corner_powers[r0:r1 + 1] @ slope_rows)
+        cellmax = np.maximum(np.maximum(dmag[:-1, :-1], dmag[:-1, 1:]),
+                             np.maximum(dmag[1:, :-1], dmag[1:, 1:]))
+        thresh = np.maximum(TOL_MEMBER, LIPSCHITZ_FACTOR * h * cellmax)
+        w = center_powers[r0:r1] @ at_centers
+        x = np.maximum(np.abs(w.real) - 1.0, 0.0)
+        y = np.abs(w.imag)
+        near = (x < thresh) & (y < thresh)
+        near[near] = np.hypot(x[near], y[near]) < thresh[near]
+        member[r0:r1] = near
+    return member, connect_module._screen(T.coeffs, rows[n:], xg, yg, cy, h)
+
+
+SCREENED = ([("fixture", name) for name in POLYNOMIAL_FIXTURES]
+            + [("rect", key) for key in RECTANGLES]
+            + [("cheb", n) for n in range(8, 33)]
+            + [("star", 8), ("star", 16)]
+            + [("shifted", n) for n in (9, 13, 17)]
+            + [("noise", 20)])
+SCREENED_IDS = ([str(name) for name in POLYNOMIAL_FIXTURES] + [f"rect_{i}" for i in RECT_IDS]
+                + [f"T{n}" for n in range(8, 33)] + ["z8", "z16"]
+                + [f"T{n}+0.5" for n in (9, 13, 17)] + ["(z-3)^20"])
+
+
+class TestScreen:
+    """Skipping the blocks that a Taylor bound rules out changes no member."""
+
+    @pytest.mark.parametrize("resolution", [64, 256, 512, 513])
+    @pytest.mark.parametrize("source", SCREENED, ids=SCREENED_IDS)
+    def test_member_is_the_unscreened_raster(self, source, resolution, solved_rect):
+        kind, arg = source
+        T = {"fixture": fixture_poly, "rect": lambda key: solved_rect(*key).poly,
+             "cheb": chebyshev, "star": star,
+             "shifted": lambda n: chebyshev(n) + 0.5,
+             # expanded, its raster near z = 3 is rounding noise at 512^2: only
+             # the screen's rounding margin keeps it from dropping members
+             "noise": lambda n: ComplexPoly.from_roots([3.0] * n, 1.0)}[kind](arg)
+        report = grid_oracle(T, resolution=resolution)
+        member, keep = _unscreened(T, report)
+        assert np.array_equal(report.member, member)
+        assert report.component_count == count_components(member)
+        # no skipped block holds a member of the unscreened raster
+        kept = np.repeat(np.repeat(keep, connect_module._BAND, axis=0),
+                         connect_module._BLOCK, axis=1)[:resolution, :resolution]
+        assert not (member & ~kept).any()
+        assert np.count_nonzero(kept) <= report.evaluated <= member.size
+
+    def test_most_cells_are_skipped(self, solved_rect):
+        # a screen that keeps every block still gives the right raster, so
+        # only the count of evaluated cells shows that it works
+        report = grid_oracle(solved_rect(7).poly, resolution=512)
+        assert report.evaluated < report.member.size / 2
+
+
 class TestAgreement:
     @pytest.mark.parametrize("T", [star(5), cheb2(), cross(1.0), t3(0.5),
                                    t3(2.0), t4(2.0), two_intervals()],
@@ -289,7 +370,7 @@ def _report(member):
         cells -= _flood(cells, [next(iter(cells))], N8)
         count += 1
     n = member.shape[0]
-    return GridReport((0.0, 0.0, 1.0, 1.0), n, count, member)
+    return GridReport((0.0, 0.0, 1.0, 1.0), n, count, member, member.size)
 
 
 def _reference_complement_connected(member):

@@ -26,7 +26,7 @@ from chebotarev import (
 )
 from chebotarev.powersum import _signed_points, jacobian, power_sums, resolve_points, unknown_layout
 
-from conftest import INTEGER_FIELDS, rect_spec, t4
+from conftest import INTEGER_FIELDS, on_zeros, rect_spec, t4
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -382,9 +382,10 @@ class TestSolvedLevelSets:
         # aware, so triple roots carry full precision) and check the sums
         sol = solved_rect(n, system)
         critical = find_roots(sol.poly.derivative())
-        plus = [c.center for c in structured_roots(sol.poly - 1.0, critical=critical)
+        plus_poly, minus_poly = sol.poly - 1.0, sol.poly + 1.0
+        plus = [c.center for c in structured_roots(plus_poly, on_zeros(plus_poly, critical))
                 for _ in range(c.multiplicity)]
-        minus = [c.center for c in structured_roots(sol.poly + 1.0, critical=critical)
+        minus = [c.center for c in structured_roots(minus_poly, on_zeros(minus_poly, critical))
                  for _ in range(c.multiplicity)]
         sp = power_sums(plus, n - 1)
         sm = power_sums(minus, n - 1)
@@ -406,9 +407,9 @@ class TestLevelExtractionRoundTrip:
             T = ComplexPoly.from_roots(roots, tau) + 1.0
             critical = find_roots(T.derivative())
             plus = [(c.center, c.multiplicity)
-                    for c in structured_roots(T - 1.0, critical=critical)]
+                    for c in structured_roots(T - 1.0, critical=on_zeros(T - 1.0, critical))]
             minus = [(c.center, c.multiplicity)
-                     for c in structured_roots(T + 1.0, critical=critical)]
+                     for c in structured_roots(T + 1.0, critical=on_zeros(T + 1.0, critical))]
             rebuilt = level_polynomial(plus, minus)
             assert abs(rebuilt.level.tau - tau) < 1e-7 * (1 + abs(tau))
             scale = 1.0 + max(abs(c) for c in T.coeffs)
