@@ -51,10 +51,11 @@ print(f"\n3. stationarity: max |Re Phi| = {report.max_abs_re:.2e} over "
 residual = verify_cosh_representation(T, fac, 2.0, [1.0, 2.0])
 print(f"\n4. cosh identity at z = 2: residual {residual:.2e}")
 
-# 5. Green function, closed form vs quadrature
+# 5. Green function, closed form vs quadrature (T keeps the factorization
+#    of step 1, so this and step 3 factorize nothing again)
 z = 1.8 + 1.1j
 g_direct = green_function(T, z)
-g_quad, err = green_via_integral(T, z, fac=fac)
+g_quad, err = green_via_integral(T, z)
 print(f"\n5. green function at {z}: closed form {g_direct:.10f}, "
       f"quadrature {g_quad:.10f} (gap {abs(g_direct - g_quad):.1e})")
 

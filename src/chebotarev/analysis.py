@@ -227,22 +227,21 @@ def verify_cosh_representation(T: ComplexPoly, fac: Factorization, z: complex, p
 
 
 def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float = 1e-6,
-                                base_index: int = 0, fac: Factorization = None,
+                                base_index: int = 0,
                                 verdict: ConnectivityVerdict = None) -> ConditionReport:
     """Evaluate Re Phi at every prescribed and bifurcation point.
 
     The continuum solves the minimal-capacity problem for its prescribed
     points exactly when all these real parts vanish; the report carries the
     measured values and quadrature error estimates.  Requires a connected
-    inverse image.  ``fac`` and ``verdict``, when given, are the factorization
-    and the :func:`is_connected` verdict of ``T`` already at hand.
+    inverse image.  ``verdict``, when given, is the :func:`is_connected`
+    verdict of ``T`` already at hand.
     """
     if verdict is None:
         verdict = is_connected(T, seed=seed)
     if not verdict:
         raise ValueError("conditions are only defined for a connected inverse image")
-    if fac is None:
-        fac = factorize(T, seed=seed, verdict=verdict)
+    fac = factorize(T, seed=seed, verdict=verdict)
     cset, dset = condition_points(fac)
     base = cset[base_index % len(cset)]
 
@@ -259,15 +258,13 @@ def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float 
     return ConditionReport(tuple(entries), max_abs, max_err, threshold, max_abs < threshold)
 
 
-def green_via_integral(T: ComplexPoly, z: complex, seed: int = 0, fac: Factorization = None):
+def green_via_integral(T: ComplexPoly, z: complex, seed: int = 0):
     """|Re Phi(z)| by quadrature -- the integral route to the Green function.
 
     Starts from the first branch point and routes around the others.
     Returns ``(value, error_estimate)`` for cross-checking against
-    :func:`green_function`.  ``fac``, when given, is the factorization of
-    ``T`` already at hand.
+    :func:`green_function`.
     """
-    if fac is None:
-        fac = factorize(T, seed=seed)
+    fac = factorize(T, seed=seed)
     phi, err = _phi(fac, fac.branch_points[0], complex(z))
     return abs(phi.real), float(err)

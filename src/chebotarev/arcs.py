@@ -27,13 +27,13 @@ where plain nearest-neighbor matching would turn the corner.  At such a
 crossing the split into n arcs, each mapped one to one onto
 [-1, 1], is not unique: which ends pair up through it follows the last
 digits of the level roots, though not the seed.  The endpoints are the
-zeros of T^2 - 1 from :func:`~chebotarev.factor.factorize`, given or
-computed here, which takes them from a solved polynomial's level form when
-that form passes its checks.  A zero of T^2 - 1 of multiplicity kappa
-collects kappa arc ends meeting at equal angles 2*pi/kappa; at double zeros
-the two incident arcs are conjoined into one analytic arc when their
-tangents are anti-parallel, and the joined arc runs from its end that comes
-first in :func:`~chebotarev.poly.point_key` order.
+zeros of T^2 - 1 from :func:`~chebotarev.factor.factorize`, which takes
+them from a solved polynomial's level form when that form passes its
+checks.  A zero of T^2 - 1 of multiplicity kappa collects kappa arc ends
+meeting at equal angles 2*pi/kappa; at double zeros the two incident arcs
+are conjoined into one analytic arc when their tangents are anti-parallel,
+and the joined arc runs from its end that comes first in
+:func:`~chebotarev.poly.point_key` order.
 """
 
 import itertools
@@ -247,22 +247,21 @@ def _tangent_at_start(samples):
     return 1.5 * a1 - 0.5 * a2
 
 
-def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
+def trace(T: ComplexPoly, steps: int = 256, seed: int = 0) -> list:
     """Sweep the level parameter and chain the roots into analytic arcs.
 
-    The arcs end on the refined root clusters of ``fac``, the factorization
-    of ``T`` (computed here when not given), split by the sign of ``T`` at
-    each center, so arcs terminate on multiple zeros at full accuracy.  The
-    interior levels are solved in blocks of ``_BLOCK`` by
-    :func:`~chebotarev.poly.level_roots`, started on the curves: the first
-    block on the first-order Puiseux branches leaving the zeros of T - 1
-    (:func:`_puiseux_starts`), the later ones on the cubic in theta through
-    each chain's last four accepted rows (:func:`_extrapolated`).  The
-    block's leading levels whose match is clear are accepted in one array
-    test (:func:`_clear_prefix`).  :func:`_match` decides the first level
-    and each level that test refuses; the block's later levels keep the
-    order it chose and go back to the array test.  At the first level that
-    did not settle or whose match is in doubt, that level is taken by
+    The arcs end on the refined root clusters of ``factorize(T)``, split by
+    the sign of ``T`` at each center, so arcs terminate on multiple zeros at
+    full accuracy.  The interior levels are solved in blocks of ``_BLOCK``
+    by :func:`~chebotarev.poly.level_roots`, started on the curves: the
+    first block on the first-order Puiseux branches leaving the zeros of
+    T - 1 (:func:`_puiseux_starts`), the later ones on the cubic in theta
+    through each chain's last four accepted rows (:func:`_extrapolated`).
+    The block's leading levels whose match is clear are accepted in one
+    array test (:func:`_clear_prefix`).  :func:`_match` decides the first
+    level and each level that test refuses; the block's later levels keep
+    the order it chose and go back to the array test.  At the first level
+    that did not settle or whose match is in doubt, that level is taken by
     one-row blocks with bisection (:func:`_advance`) and the next block
     starts after it.
     Chains whose shared endpoint is a double zero of T^2 - 1 are conjoined
@@ -271,8 +270,7 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0, fac=None) -> list:
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}")
     n = T.degree
-    if fac is None:
-        fac = factorize(T, seed=seed)
+    fac = factorize(T, seed=seed)
     plus_clusters = [c for c in fac.clusters if T(c.center).real >= 0]
     minus_clusters = [c for c in fac.clusters if T(c.center).real < 0]
     plus_roots = _expanded(plus_clusters)
@@ -397,17 +395,15 @@ def junction_angles(T: ComplexPoly, vertex: complex, seed: int = 0) -> list:
     return sorted(out)
 
 
-def find_crossings(T: ComplexPoly, seed: int = 0, fac=None) -> list:
+def find_crossings(T: ComplexPoly, seed: int = 0) -> list:
     """Interior crossing points: critical points mapping into [-1, 1] off its ends.
 
     These are places where arcs cross without branching; they are not zeros
     of T^2 - 1 and therefore not graph vertices.  They are the centres of the
-    free critical point clusters of ``fac``, the factorization of T
-    (computed when not given), whose image lies within 1e-7 of [-1, 1].
+    free critical point clusters of ``factorize(T)`` whose image lies within
+    1e-7 of [-1, 1].
     """
-    if fac is None:
-        fac = factorize(T, seed=seed)
-    return [c.center for c in fac.free if dist_to_interval(T(c.center)) < 1e-7]
+    return [c.center for c in factorize(T, seed=seed).free if dist_to_interval(T(c.center)) < 1e-7]
 
 
 @dataclass(frozen=True)

@@ -166,8 +166,7 @@ def cmd_verify(args) -> int:
     report["min_deviation"] = min_deviation(T)
 
     if verdict.connected:
-        conditions = check_chebotarev_conditions(T, seed=args.seed, threshold=tol, fac=fac,
-                                                 verdict=verdict)
+        conditions = check_chebotarev_conditions(T, seed=args.seed, threshold=tol, verdict=verdict)
         report["conditions"] = conditions.to_dict()
         conditions_ok = conditions.passed
     else:
@@ -196,8 +195,8 @@ def cmd_trace(args) -> int:
     T = _read_poly(_load_json(args.poly))
 
     fac = factorize(T, seed=args.seed)
-    arcs = trace(T, steps=args.steps, seed=args.seed, fac=fac)
-    crossings = find_crossings(T, fac=fac)
+    arcs = trace(T, steps=args.steps, seed=args.seed)
+    crossings = find_crossings(T, seed=args.seed)
     graph = build_graph(arcs)
 
     cset, dset = condition_points(fac)

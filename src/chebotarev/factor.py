@@ -63,9 +63,8 @@ class Factorization:
     free: tuple
 
 
-def factorize(T: ComplexPoly, seed: int = 0,
-              verdict: ConnectivityVerdict = None) -> Factorization:
-    """Compute the unique splitting T^2 - 1 = B * U^2 and T' = n R U.
+def factorize(T: ComplexPoly, seed: int = 0, verdict: ConnectivityVerdict = None) -> Factorization:
+    """Compute the unique splitting T^2 - 1 = B * U^2 and T' = n R U, once per polynomial.
 
     A polynomial that carries its :class:`~chebotarev.poly.LevelForm` (every
     ``Solution.poly`` does) is split on those known zeros and
@@ -74,8 +73,13 @@ def factorize(T: ComplexPoly, seed: int = 0,
     sorts the critical points of T, the witnesses of ``verdict`` (the roots
     of T' when not given), onto T = 1, onto T = -1 or into ``free``, and
     :func:`~chebotarev.poly.structured_roots` finds the zeros of T -+ 1.
-    A structure that fails a check raises :class:`InconsistentFactorization`.
+    A structure that fails a check raises :class:`InconsistentFactorization`
+    and stores nothing.  The checked result is stored on ``T`` (arithmetic
+    drops it, as it drops ``level``): a later call on the same object returns
+    it with no split, check or root solve, whatever its ``verdict``.
     """
+    if T._factorization is not None:
+        return T._factorization
     if T.degree < 1 or T.is_zero():
         raise ValueError("factorize needs degree >= 1")
     if T.level is not None:
@@ -97,7 +101,7 @@ def factorize(T: ComplexPoly, seed: int = 0,
 
 
 def _split(T: ComplexPoly, clusters: list, free: tuple) -> Factorization:
-    """The factorization on the zeros ``clusters`` and critical points ``free``, or raises."""
+    """The factorization on the zeros ``clusters`` and critical points ``free``, stored on T."""
     clusters = sorted(clusters, key=lambda c: point_key(c.center))
     n = T.degree
     tau = T.leading
@@ -153,8 +157,10 @@ def _split(T: ComplexPoly, clusters: list, free: tuple) -> Factorization:
     level_residual = _check_reproduction(p2, branch_poly * (square_part * square_part), "T^2 - 1")
     derivative_residual = _check_reproduction(dT, n * (cofactor * square_part), "T'")
 
-    return Factorization(ell, branch_poly, square_part, cofactor, branch_points,
-                         level_residual, derivative_residual, tuple(clusters), free)
+    fac = Factorization(ell, branch_poly, square_part, cofactor, branch_points,
+                        level_residual, derivative_residual, tuple(clusters), free)
+    object.__setattr__(T, "_factorization", fac)
+    return fac
 
 
 def _check_reproduction(target: ComplexPoly, rebuilt: ComplexPoly, label: str) -> float:

@@ -76,12 +76,14 @@ class ComplexPoly:
 
     The zero polynomial is represented as the single coefficient ``(0j,)``;
     every other instance has a nonzero leading coefficient.  ``level``, when
-    present, is the :class:`LevelForm` the polynomial was built from; it
-    takes no part in equality, hashing or repr, and arithmetic drops it.
+    present, is the :class:`LevelForm` the polynomial was built from, and
+    ``_factorization`` what :func:`~chebotarev.factor.factorize` stored; they
+    take no part in equality, hashing or repr, and arithmetic drops both.
     """
 
     coeffs: tuple
     level: LevelForm = field(default=None, compare=False, hash=False, repr=False)
+    _factorization: object = field(default=None, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeff_tuple(self.coeffs))

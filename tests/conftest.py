@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import chebotarev.factor as factor_module
 import chebotarev.poly as poly_module
 from chebotarev import ComplexPoly, PointVar, ProblemSpec, SignConfig, solve
 
@@ -164,9 +165,12 @@ def on_zeros(p, points):
     return points[poly_module.vanishes(p, points)]
 
 
-def spy_everywhere(monkeypatch, real):
-    """Replace ``real`` in every chebotarev module that holds it; return the call list."""
-    calls = []
+def spy_everywhere(monkeypatch, real, calls=None):
+    """Replace ``real`` in every chebotarev module that holds it; return the call list.
+
+    The first arguments are appended to ``calls`` when given, else to a new list.
+    """
+    calls = [] if calls is None else calls
 
     def spy(*args, **kwargs):
         calls.append(args[0])
@@ -182,3 +186,21 @@ def spy_everywhere(monkeypatch, real):
 def root_solves(monkeypatch):
     """The polynomials passed to ``poly.find_roots``, through which every cold solve goes."""
     return spy_everywhere(monkeypatch, poly_module.find_roots)
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """The polynomials passed to ``factor._split``, which every factorization that
+    is not a lookup of a stored result ends in."""
+    return spy_everywhere(monkeypatch, factor_module._split)
+
+
+@pytest.fixture
+def factorization_work(monkeypatch):
+    """The polynomials passed to ``factor._split``, ``poly.find_roots`` and
+    ``poly.structured_roots``: the work a ``factorize`` call that is not a
+    lookup of the stored result does."""
+    calls = []
+    for real in (factor_module._split, poly_module.find_roots, poly_module.structured_roots):
+        spy_everywhere(monkeypatch, real, calls)
+    return calls

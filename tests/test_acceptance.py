@@ -213,7 +213,7 @@ def test_criterion_08_green_consistency(solved_rect):
             if dist_to_interval(T(z)) < 0.1:
                 continue
             g_direct = green_function(T, z)
-            g_integral, err = green_via_integral(T, z, fac=fac)
+            g_integral, err = green_via_integral(T, z)
             worst_gap = max(worst_gap, abs(g_direct - g_integral))
             count += 1
         assert count == 20

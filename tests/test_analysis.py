@@ -251,7 +251,8 @@ class TestConditions:
         # the triple zeros of the level form are the d points, and the
         # cofactor divided by them is constant
         sol = solved_rect(*key)
-        cset, dset = condition_points(factorize(sol.poly))
+        T = ComplexPoly(sol.poly.coeffs, sol.poly.level)  # nothing stored on it yet
+        cset, dset = condition_points(factorize(T))
         assert dset == sorted(sol.points["d"], key=point_key)
         assert root_solves == []
 
@@ -261,17 +262,16 @@ class TestConditions:
             check_chebotarev_conditions(T, verdict=is_connected(T))
 
     @pytest.mark.parametrize("T", [star(5), t4(2.0)], ids=["star5", "t4a2"])
-    def test_given_factorization_is_used(self, T, monkeypatch):
-        import chebotarev.analysis as analysis_module
-
-        fac = factorize(T)
-        expected = check_chebotarev_conditions(T)
-
-        def no_factorize(*args, **kwargs):
-            raise AssertionError("factorize called although fac was given")
-
-        monkeypatch.setattr(analysis_module, "factorize", no_factorize)
-        assert check_chebotarev_conditions(T, fac=fac) == expected
+    def test_given_factorization_is_used(self, T, factorization_work):
+        # the factorization stored by a first call serves the conditions:
+        # nothing is split, checked or root-solved again
+        expected = check_chebotarev_conditions(ComplexPoly(T.coeffs))
+        verdict = is_connected(T)
+        fac = factorize(T, verdict=verdict)
+        factorization_work.clear()
+        assert check_chebotarev_conditions(T, verdict=verdict) == expected
+        assert factorization_work == []
+        assert factorize(T) is fac
 
     @pytest.mark.parametrize("T", [star(5), t4(2.0)], ids=["star5", "t4a2"])
     def test_given_verdict_is_used(self, T, monkeypatch):
@@ -304,7 +304,7 @@ class TestConditionPointsFromTheFactorization:
         fac = factorize(T)
         root_solves.clear()
         cset, dset = condition_points(fac)
-        crossings = find_crossings(T, fac=fac)
+        crossings = find_crossings(T)
         assert root_solves == []
         assert len(dset) == 2 * sum(c.multiplicity for c in fac.free) > 0
         assert len(crossings) == (0 if name == "t3_alpha2" else len(fac.free))
@@ -355,22 +355,20 @@ class TestGreenConsistency:
         T = solved_rect(5).poly
         fac = factorize(T)
         for b in fac.branch_points:
-            g_integral, _ = green_via_integral(T, b, fac=fac)
+            g_integral, _ = green_via_integral(T, b)
             assert g_integral < 1e-9
 
     @pytest.mark.parametrize("T", [star(5), t4(2.0)], ids=["star5", "t4a2"])
-    def test_given_factorization_is_used(self, T, monkeypatch):
-        import chebotarev.analysis as analysis_module
-
-        fac = factorize(T)
+    def test_given_factorization_is_used(self, T, factorization_work):
+        # the factorization stored by a first call serves the Green
+        # integral: nothing is split, checked or root-solved again
         z = 2.5 * np.exp(0.7j)
-        expected = green_via_integral(T, z)
-
-        def no_factorize(*args, **kwargs):
-            raise AssertionError("factorize called although fac was given")
-
-        monkeypatch.setattr(analysis_module, "factorize", no_factorize)
-        assert green_via_integral(T, z, fac=fac) == expected
+        expected = green_via_integral(ComplexPoly(T.coeffs), z)
+        fac = factorize(T)
+        factorization_work.clear()
+        assert green_via_integral(T, z) == expected
+        assert factorization_work == []
+        assert factorize(T) is fac
 
 
 class TestProductFormAccuracy:
@@ -382,17 +380,15 @@ class TestProductFormAccuracy:
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_conditions_vanish_to_rounding(self, n, solved_rect):
         T = solved_rect(n).poly
-        fac = factorize(T)
-        worst = max(check_chebotarev_conditions(T, base_index=b, fac=fac).max_abs_re
+        worst = max(check_chebotarev_conditions(T, base_index=b).max_abs_re
                     for b in range(4))
         assert worst < 5e-13
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_green_integral_matches_closed_form(self, n, solved_rect):
         sol = solved_rect(n)
-        fac = factorize(sol.poly)
         r = 2.5 + max(abs(p) for pts in sol.points.values() for p in pts)
         for k in range(24):
             z = r * np.exp(2j * np.pi * (k + 0.2) / 24) * (0.5 + 0.05 * k)
-            g_integral, _ = green_via_integral(sol.poly, z, fac=fac)
+            g_integral, _ = green_via_integral(sol.poly, z)
             assert abs(green_function(sol.poly, z) - g_integral) < 1e-12, k

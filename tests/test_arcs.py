@@ -249,20 +249,22 @@ class TestSolvedRectangleStructure:
 class TestTraceFromFactorization:
     @pytest.mark.parametrize("T", [cheb2(), star(5), t4(2.0)],
                              ids=["cheb2", "star5", "t4a2"])
-    def test_same_arcs_as_own_level_roots(self, T, monkeypatch):
-        expected = trace(T, steps=128)
+    def test_same_arcs_as_own_level_roots(self, T, factorization_work):
+        # the factorization stored by a first call gives the endpoints:
+        # nothing is split, checked or root-solved again
+        expected = trace(ComplexPoly(T.coeffs), steps=128)
+        crossings = find_crossings(ComplexPoly(T.coeffs))
         fac = factorize(T)
-
-        def no_factorization(*args, **kwargs):
-            raise AssertionError("factorized although fac was given")
-
-        monkeypatch.setattr(arcs_module, "factorize", no_factorization)
-        assert trace(T, steps=128, fac=fac) == expected
+        factorization_work.clear()
+        assert trace(T, steps=128) == expected
+        assert find_crossings(T) == crossings
+        assert factorization_work == []
+        assert factorize(T) is fac
 
     def test_level_form_endpoints_are_the_solved_points(self, solved_rect):
         sol = solved_rect(7)
         points = {p for pts in sol.points.values() for p in pts}
-        arcs = trace(sol.poly, steps=128, fac=factorize(sol.poly))
+        arcs = trace(sol.poly, steps=128)
         ends = {e for a in arcs for e in (a.start_point, a.end_point)}
         ends |= {q for a in arcs for q in a.conjoined_through}
         assert ends == points
@@ -287,7 +289,7 @@ class TestTraceFromFactorization:
         monkeypatch.setattr(arcs_module, "level_roots", spy_levels)
         monkeypatch.setattr(arcs_module, "find_roots", spy_find)
         monkeypatch.setattr(poly_module, "find_roots", spy_find)
-        arcs = trace(sol.poly, steps=128)
+        arcs = trace(ComplexPoly(sol.poly.coeffs, sol.poly.level), steps=128)
         assert len(settled) >= 127 and all(settled)
         assert not finds
         assert len(arcs) == len(plain)
@@ -300,7 +302,7 @@ class TestTraceFromFactorization:
         # checks; the endpoints then come from the roots of T -+ 1
         T = ComplexPoly(solved_rect(7).poly.coeffs, solved_rect(8).poly.level)
         arcs = trace(T, steps=64)
-        assert arcs == trace(T, steps=64, fac=factorize(T))
+        assert arcs == trace(ComplexPoly(T.coeffs), steps=64)
         graph = build_graph(arcs, expect_tree=True)
         assert graph.leaf_count == 4 and len(graph.edges) == 5
 
@@ -547,7 +549,6 @@ class TestLevelStarts:
     @pytest.mark.parametrize("name", ["rect_n7", "cheb16", "cheb24"])
     def test_blocks_settle_in_few_sweeps(self, name, solved_rect, monkeypatch):
         T = solved_rect(7).poly if name == "rect_n7" else chebyshev(int(name[4:]))
-        fac = factorize(T)
         real_sweep, real_levels = poly_module._eval_sweep, arcs_module.level_roots
         count, blocks = [], []
 
@@ -563,7 +564,7 @@ class TestLevelStarts:
 
         monkeypatch.setattr(poly_module, "_eval_sweep", sweep)
         monkeypatch.setattr(arcs_module, "level_roots", spy_levels)
-        trace(T, steps=256, fac=fac)
+        trace(T, steps=256)
         assert len(blocks) == -(-255 // arcs_module._BLOCK)  # no level was bisected
         assert blocks[0] <= 4  # the first block, from the Puiseux branches
         assert max(blocks[1:-1]) <= 3  # the interior blocks, from the cubic
@@ -594,10 +595,9 @@ class TestLevelStarts:
 
     def test_trace_from_the_endpoints_gives_the_same_arcs(self, solved_rect, monkeypatch):
         T = solved_rect(7).poly
-        fac = factorize(T)
-        expected = trace(T, steps=128, fac=fac)
+        expected = trace(T, steps=128)  # stores the factorization the second trace reads
         monkeypatch.setattr(ComplexPoly, "derivative", lambda self: ComplexPoly.zero())
-        arcs = trace(T, steps=128, fac=fac)
+        arcs = trace(T, steps=128)
         assert len(arcs) == len(expected)
         for a, b in zip(arcs, expected):
             assert (a.start_point, a.end_point) == (b.start_point, b.end_point)

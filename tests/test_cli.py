@@ -478,18 +478,25 @@ def _solved_poly_file(tmp_path, problem):
 
 
 class TestOneFactorizationPerRun:
+    """Every stage factorizes the one polynomial the run read; the first call
+    splits it and stores the result, and the later ones look it up."""
+
     @pytest.mark.parametrize("name", ["star5.json", "t4_alpha2.json"])
-    def test_verify_factorizes_once(self, name, tmp_path, factorize_calls, root_solves):
+    def test_verify_factorizes_once(self, name, tmp_path, factorize_calls, splits, root_solves):
         assert run("verify", FIXTURES / name, "--out", tmp_path, "--resolution", "64") == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["conditions"]["passed"] is True
-        assert len(factorize_calls) == 1
+        assert len(factorize_calls) == 2  # cmd_verify, then the conditions
+        assert len({id(T) for T in factorize_calls}) == 1
+        assert len(splits) == 1
         assert _repeated(root_solves) == []
 
     @pytest.mark.parametrize("name", ["star5.json", "t4_alpha2.json", "cheb2.json"])
-    def test_trace_factorizes_once(self, name, tmp_path, factorize_calls, root_solves):
+    def test_trace_factorizes_once(self, name, tmp_path, factorize_calls, splits, root_solves):
         assert run("trace", FIXTURES / name, "--out", tmp_path, "--steps", "64") == 0
-        assert len(factorize_calls) == 1
+        assert len(factorize_calls) == 3  # cmd_trace, trace and find_crossings
+        assert len({id(T) for T in factorize_calls}) == 1
+        assert len(splits) == 1
         assert _repeated(root_solves) == []
 
     @pytest.mark.parametrize("command", ["verify", "trace"])

@@ -6,13 +6,17 @@ from chebotarev import (
     InconsistentFactorization,
     LevelForm,
     PathTooClose,
+    check_chebotarev_conditions,
     dist_to_interval,
     factorize,
     find_roots,
+    green_via_integral,
+    is_connected,
     verify_cosh_representation,
 )
 
-from conftest import RECT_IDS, RECTANGLES, cheb2, chebyshev, cross, star, t3, t4
+from conftest import (POLYNOMIAL_FIXTURES, RECT_IDS, RECTANGLES, cheb2, chebyshev, cross,
+                      fixture_poly, star, t3, t4)
 
 
 def _max_coeff_diff(p, q):
@@ -347,9 +351,10 @@ class TestLevelForm:
     @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
     def test_factorize_makes_no_root_solve(self, key, solved_rect, root_solves):
         sol = solved_rect(*key)
-        fac = factorize(sol.poly)
+        T = ComplexPoly(sol.poly.coeffs, sol.poly.level)  # nothing stored on it yet
+        fac = factorize(T)
         assert root_solves == []
-        assert_factorization_consistent(sol.poly, fac)
+        assert_factorization_consistent(T, fac)
 
         plain = factorize(ComplexPoly(sol.poly.coeffs))
         assert len(root_solves) >= 2
@@ -399,3 +404,72 @@ class TestLevelForm:
         fac = factorize(wrong)
         assert len(root_solves) >= 2
         assert fac == factorize(ComplexPoly(T.coeffs))
+
+
+class TestStoredFactorization:
+    """``factorize`` stores its checked result on the polynomial object, so
+    the later stages that factorize the same ``T`` only look it up."""
+
+    @staticmethod
+    def _fresh(solved_rect, key):
+        # the session's solved polynomials may carry a stored result already
+        T = solved_rect(*key).poly
+        return ComplexPoly(T.coeffs, T.level)
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_second_call_returns_the_same_object(self, key, solved_rect):
+        T = self._fresh(solved_rect, key)
+        assert factorize(T) is factorize(T)
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_construct_and_certify_splits_once(self, key, solved_rect, splits):
+        # the certifying calls of a construct-and-certify loop: the Re Phi
+        # conditions, then the Green integral at 8 points off the continuum
+        sol = solved_rect(*key)
+        T = self._fresh(solved_rect, key)
+        assert check_chebotarev_conditions(T).passed
+        radius = 2.5 + max(abs(p) for pts in sol.points.values() for p in pts)
+        for k in range(8):
+            value, err = green_via_integral(T, radius * np.exp(2j * np.pi * (k + 0.3) / 8))
+            assert value > 0 and err < 1e-7
+        assert splits == [T]
+
+    def test_refused_polynomial_stores_nothing(self):
+        T = star(18)
+        for _ in range(2):
+            with pytest.raises(InconsistentFactorization, match="reproduction residual"):
+                factorize(T)
+            assert T._factorization is None
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_new_polynomials_carry_no_stored_result(self, key, solved_rect):
+        T = self._fresh(solved_rect, key)
+        fac = factorize(T)
+        assert T._factorization is fac
+        for other in (T + 0, T.monic(), T.derivative(), ComplexPoly(T.coeffs, T.level)):
+            assert other._factorization is None
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_stored_result_leaves_identity_alone(self, key, solved_rect):
+        T = self._fresh(solved_rect, key)
+        plain = ComplexPoly(T.coeffs)
+        before = (T == plain, hash(T), repr(T))
+        factorize(T)
+        assert (T == plain, hash(T), repr(T)) == before == (True, hash(plain), repr(plain))
+        assert plain._factorization is None
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_FIXTURES + [f"rect_{key}" for key in RECT_IDS]
+                         + ["T16", "T24"])
+def test_stored_result_does_not_depend_on_the_first_caller(name, solved_rect):
+    # the stored result is whatever the first call computed, from the roots
+    # of T' or from the witnesses of a connectivity verdict; both give the same
+    def build():
+        if name.startswith("rect_"):
+            return ComplexPoly(solved_rect(*RECTANGLES[RECT_IDS.index(name[5:])]).poly.coeffs)
+        if name in ("T16", "T24"):
+            return chebyshev(int(name[1:]))
+        return fixture_poly(name)
+
+    from_roots, from_verdict = build(), build()
+    assert factorize(from_roots) == factorize(from_verdict, verdict=is_connected(from_verdict))
