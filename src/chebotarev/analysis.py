@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connect import ConnectivityVerdict, is_connected
+from .connect import is_connected
 from .factor import Factorization, factorize
 from .poly import ComplexPoly, cluster_roots, point_key, refine_multiple_root
 from .quadrature import SINGULAR_TOL, check_clearance, path_integral, point_segment_distance
@@ -227,21 +227,20 @@ def verify_cosh_representation(T: ComplexPoly, fac: Factorization, z: complex, p
 
 
 def check_chebotarev_conditions(T: ComplexPoly, seed: int = 0, threshold: float = 1e-6,
-                                base_index: int = 0,
-                                verdict: ConnectivityVerdict = None) -> ConditionReport:
+                                base_index: int = 0) -> ConditionReport:
     """Evaluate Re Phi at every prescribed and bifurcation point.
 
     The continuum solves the minimal-capacity problem for its prescribed
     points exactly when all these real parts vanish; the report carries the
     measured values and quadrature error estimates.  Requires a connected
-    inverse image.  ``verdict``, when given, is the :func:`is_connected`
-    verdict of ``T`` already at hand.
+    inverse image.  A factorization that puts every critical point on
+    T = +-1 is connected by the criterion itself; only one with ``free``
+    critical points asks :func:`is_connected`, whose verdict ``T`` may
+    already store.
     """
-    if verdict is None:
-        verdict = is_connected(T, seed=seed)
-    if not verdict:
+    fac = factorize(T, seed=seed)
+    if fac.free and not is_connected(T, seed=seed):
         raise ValueError("conditions are only defined for a connected inverse image")
-    fac = factorize(T, seed=seed, verdict=verdict)
     cset, dset = condition_points(fac)
     base = cset[base_index % len(cset)]
 

@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
     report = {"manifest": asdict(manifest), "degree": T.degree}
 
     verdict = is_connected(T, seed=args.seed)
-    fac = factorize(T, seed=args.seed, verdict=verdict)
+    fac = factorize(T, seed=args.seed)
     report["factorization"] = {
         "min_arcs": fac.min_arcs,
         "branch_points": [[b.real, b.imag] for b in fac.branch_points],
@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
     report["min_deviation"] = min_deviation(T)
 
     if verdict.connected:
-        conditions = check_chebotarev_conditions(T, seed=args.seed, threshold=tol, verdict=verdict)
+        conditions = check_chebotarev_conditions(T, seed=args.seed, threshold=tol)
         report["conditions"] = conditions.to_dict()
         conditions_ok = conditions.passed
     else:

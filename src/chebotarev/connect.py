@@ -78,17 +78,21 @@ class ConnectivityVerdict:
         return self.connected
 
 
-def is_connected(T: ComplexPoly, tol: float = None, seed: int = 0) -> ConnectivityVerdict:
-    """Critical-point criterion for connectivity of the inverse image.
+def is_connected(T: ComplexPoly, seed: int = 0) -> ConnectivityVerdict:
+    """Critical-point criterion for connectivity of the inverse image, once per polynomial.
 
-    Connected iff every zero of T' has its image within ``tol`` of [-1, 1].
-    The default tolerance scales with the coefficients because constructed
-    polynomials place critical values exactly on the boundary +-1.
+    Connected iff every zero of T' has its image within
+    ``1e-7 (1 + max |coeff|)`` of [-1, 1]; the tolerance scales with the
+    coefficients because constructed polynomials place critical values
+    exactly on the boundary +-1.  The verdict is stored on ``T`` (arithmetic
+    drops it, as it drops ``level``): a later call on the same object
+    returns it with no root solve.
     """
+    if T._verdict is not None:
+        return T._verdict
     if T.degree < 2:
         raise ValueError("connectivity criterion needs degree >= 2")
-    if tol is None:
-        tol = 1e-7 * (1.0 + max(abs(c) for c in T.coeffs))
+    tol = 1e-7 * (1.0 + max(abs(c) for c in T.coeffs))
     crits = find_roots(T.derivative(), seed=seed)
     witnesses = []
     ok = True
@@ -98,7 +102,9 @@ def is_connected(T: ComplexPoly, tol: float = None, seed: int = 0) -> Connectivi
         witnesses.append(Witness(c, image, margin))
         if margin >= tol:
             ok = False
-    return ConnectivityVerdict(ok, tuple(witnesses))
+    verdict = ConnectivityVerdict(ok, tuple(witnesses))
+    object.__setattr__(T, "_verdict", verdict)
+    return verdict
 
 
 @dataclass
@@ -255,11 +261,6 @@ def _screen(coeffs, corner_rows: np.ndarray, xg: np.ndarray, yg: np.ndarray,
     eps`` and ``r`` the largest ``|x + i cy| + |y - cy|`` over the blocks
     and ``rho`` around them: Horner's a-priori bounds, which cover the
     Taylor shift, the products that fill the raster and this screen.
-
-    The first three Taylor terms bound ``V`` and ``M`` from below, so a
-    block they cannot drop is kept.  Only a band where they drop enough
-    blocks to take it off the full-band path of :func:`grid_oracle` gets
-    the test on every term.
     """
     n = len(coeffs) - 1
     ny, nx = len(yg) - 1, len(xg) - 1
@@ -275,25 +276,18 @@ def _screen(coeffs, corner_rows: np.ndarray, xg: np.ndarray, yg: np.ndarray,
     dpow = powers(d, n).real
     gap = np.maximum(k - k[:, None], 0)
 
-    def taylor(bands, terms):
-        """``i^j a_j`` at the block centres of ``bands``, as ``[band, j, block]``, j < terms."""
-        binom = np.ones((terms, n + 1))             # C(k, j), exact while below 2^53
-        for j in range(1, terms):
-            binom[j] = binom[j - 1] * (k - j + 1) / j
-        w = (binom * dpow[bands][:, gap[:terms]]).reshape(-1, n + 1)   # C(k, j) d^(k - j)
-        return (w @ rotated.view(float)).view(complex).reshape(len(bands), terms, len(c0))
+    binom = np.ones((n + 1, n + 1))                 # C(k, j), exact while below 2^53
+    for j in range(1, n + 1):
+        binom[j] = binom[j - 1] * (k - j + 1) / j
+    w = (binom * dpow[:, gap]).reshape(-1, n + 1)   # C(k, j) d^(k - j)
+    a = (w @ rotated.view(float)).view(complex).reshape(len(r0), n + 1, len(c0))
 
     # Horner's a-priori bounds for T and T', at the largest radius of any block
     r = np.abs(d).max() + np.abs(xg[mid_cols] + 1j * cy).max() + 2.0 * rho
     cabs = np.abs(np.asarray(coeffs, dtype=complex))
     gamma = 16 * (n + 1) * _EPS
-    bounds = (gamma, gamma * (1.0 + polyval(r, cabs)), gamma * polyval(r, k[1:] * cabs[1:]))
-    keep = np.ones((len(r0), len(c0)), dtype=bool)
-    head = _excluded(taylor(np.arange(len(r0)), min(3, n + 1)), rho, h, *bounds)
-    bands = np.flatnonzero(np.count_nonzero(head, axis=1) > (1.0 - _FULL_BAND) * len(c0))
-    if len(bands):
-        keep[bands] = ~_excluded(taylor(bands, n + 1), rho, h, *bounds)
-    return keep
+    return ~_excluded(a, rho, h, gamma, gamma * (1.0 + polyval(r, cabs)),
+                      gamma * polyval(r, k[1:] * cabs[1:]))
 
 
 def _excluded(a: np.ndarray, rho: float, h: float, gamma: float, margin: float,
@@ -305,9 +299,7 @@ def _excluded(a: np.ndarray, rho: float, h: float, gamma: float, margin: float,
     when ``dist(a_0, [-1, 1]) - V - margin`` is at least
     ``max(TOL_MEMBER, LIPSCHITZ_FACTOR * h * (M + slope_margin))``, by a
     relative ``gamma``: no cell centre then maps within its cell's threshold
-    of [-1, 1].  With fewer terms than ``T`` has, ``V`` and ``M`` are only
-    lower bounds, and the test is a necessary condition.  A NaN or an
-    overflow excludes nothing.
+    of [-1, 1].  A NaN or an overflow excludes nothing.
     """
     j = np.arange(a.shape[1])
     reach = np.zeros((2, len(j)))

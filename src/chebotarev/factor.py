@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connect import ConnectivityVerdict
+from .connect import is_connected
 from .errors import InconsistentFactorization, RemainderTooLarge
-from .poly import (STRUCTURE_TOL, ComplexPoly, cluster_roots, divide_exact, find_roots,
-                   point_key, structured_roots, vanishes)
+from .poly import (STRUCTURE_TOL, ComplexPoly, cluster_roots, divide_exact, point_key,
+                   structured_roots, vanishes)
 
 #: Coefficient-residual tolerance for the reproduction checks.
 RESIDUAL_TOL = 1e-9
@@ -63,20 +63,22 @@ class Factorization:
     free: tuple
 
 
-def factorize(T: ComplexPoly, seed: int = 0, verdict: ConnectivityVerdict = None) -> Factorization:
+def factorize(T: ComplexPoly, seed: int = 0) -> Factorization:
     """Compute the unique splitting T^2 - 1 = B * U^2 and T' = n R U, once per polynomial.
 
     A polynomial that carries its :class:`~chebotarev.poly.LevelForm` (every
     ``Solution.poly`` does) is split on those known zeros and
     multiplicities, with no root finding, when Q is constant.  Otherwise, or
     when the level form fails a check, :func:`~chebotarev.poly.vanishes`
-    sorts the critical points of T, the witnesses of ``verdict`` (the roots
-    of T' when not given), onto T = 1, onto T = -1 or into ``free``, and
-    :func:`~chebotarev.poly.structured_roots` finds the zeros of T -+ 1.
-    A structure that fails a check raises :class:`InconsistentFactorization`
-    and stores nothing.  The checked result is stored on ``T`` (arithmetic
-    drops it, as it drops ``level``): a later call on the same object returns
-    it with no split, check or root solve, whatever its ``verdict``.
+    sorts the critical points of T, the witnesses of
+    :func:`~chebotarev.connect.is_connected` (stored on ``T`` too, so the
+    roots of T' are found once per object), onto T = 1, onto T = -1 or into
+    ``free``, and :func:`~chebotarev.poly.structured_roots` finds the zeros
+    of T -+ 1.  A structure that fails a check raises
+    :class:`InconsistentFactorization` and stores nothing.  The checked
+    result is stored on ``T`` (arithmetic drops it, as it drops ``level``):
+    a later call on the same object returns it with no split, check or root
+    solve.
     """
     if T._factorization is not None:
         return T._factorization
@@ -87,11 +89,8 @@ def factorize(T: ComplexPoly, seed: int = 0, verdict: ConnectivityVerdict = None
             return _split(T, T.level.clusters(), ())
         except InconsistentFactorization:
             pass
-    if verdict is not None:
-        critical = [w.point for w in verdict.witnesses]
-    else:
-        critical = find_roots(T.derivative(), seed=seed) if T.degree > 1 else []
-    critical = np.array(critical, dtype=complex)
+    witnesses = is_connected(T, seed=seed).witnesses if T.degree > 1 else ()
+    critical = np.array([w.point for w in witnesses], dtype=complex)
     plus_poly, minus_poly = T - 1.0, T + 1.0
     plus, minus = vanishes(plus_poly, critical), vanishes(minus_poly, critical)
     clusters = (structured_roots(plus_poly, critical[plus], seed=seed)

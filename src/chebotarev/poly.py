@@ -76,14 +76,17 @@ class ComplexPoly:
 
     The zero polynomial is represented as the single coefficient ``(0j,)``;
     every other instance has a nonzero leading coefficient.  ``level``, when
-    present, is the :class:`LevelForm` the polynomial was built from, and
-    ``_factorization`` what :func:`~chebotarev.factor.factorize` stored; they
-    take no part in equality, hashing or repr, and arithmetic drops both.
+    present, is the :class:`LevelForm` the polynomial was built from;
+    ``_factorization`` and ``_verdict`` are the answers that
+    :func:`~chebotarev.factor.factorize` and
+    :func:`~chebotarev.connect.is_connected` stored.  They take no part in
+    equality, hashing or repr, and arithmetic drops all three.
     """
 
     coeffs: tuple
     level: LevelForm = field(default=None, compare=False, hash=False, repr=False)
     _factorization: object = field(default=None, init=False, compare=False, hash=False, repr=False)
+    _verdict: object = field(default=None, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeff_tuple(self.coeffs))
@@ -356,10 +359,7 @@ def level_roots(T: ComplexPoly, levels, starts) -> list:
         raise ValueError("starts must be finite")
     turn = 0.5 + _GOLDEN_ANGLE * np.arange(T.degree)
     z = z + _NUDGE * (1.0 + np.abs(z)) * np.exp(1j * turn)
-    try:
-        block = _aberth(_hankel(a / tau), z, shift)
-    except NoConvergence:
-        return [None] * len(z)
+    block = _aberth(_hankel(a / tau), z, shift)
     finite = np.isfinite(block).all(axis=1)
     return [row if ok else None for row, ok in zip(block, finite)]
 
@@ -376,18 +376,15 @@ def _aberth(H, z, shift):
     is within 8 times Horner's running error bound; a row whose roots have
     all settled is frozen and leaves the sweeps.  A row that reaches the cap
     of ``_MAX_SWEEPS`` sweeps, or whose iterate stops being finite (overflow
-    spreads NaNs that never settle), comes back as NaN; when no row
-    settles, :class:`NoConvergence` is raised instead, at the sweep where
-    the last row failed.  The floating-point warnings on the way are silenced.
+    spreads NaNs that never settle), comes back as NaN and leaves the sweeps
+    then.  The floating-point warnings on the way are silenced.
     """
     block = np.array(z, dtype=complex)
     n = block.shape[1]
     out = np.full_like(block, np.nan)
     rows = np.arange(len(block))
-    settled = False
-    reason = f"roots did not settle in {_MAX_SWEEPS} sweeps; consider rescaling"
     with np.errstate(all="ignore"):
-        for sweep in range(1, _MAX_SWEEPS + 1):
+        for _ in range(_MAX_SWEEPS):
             pv, dv, bound = _eval_sweep(H, block.ravel(), np.repeat(shift[rows], n))
             dv = np.where(dv == 0, 1e-300, dv)
             w = (pv / dv).reshape(-1, n)
@@ -406,18 +403,13 @@ def _aberth(H, z, shift):
                     continue
                 keep = ~done
             else:
-                reason = f"root iterate became non-finite at sweep {sweep}"
                 finite = np.isfinite(block).all(axis=1)
                 done &= finite
                 keep = finite & ~done
-            if done.any():
-                out[rows[done]] = block[done]
-                settled = True
+            out[rows[done]] = block[done]
             if not keep.any():
                 break
             rows, block = rows[keep], block[keep]
-    if not settled:
-        raise NoConvergence(reason)
     return out
 
 

@@ -246,6 +246,13 @@ class TestConditions:
         with pytest.raises(ValueError):
             check_chebotarev_conditions(t3(2.0))
 
+    def test_segment_of_a_line(self):
+        # T = 2z + 0.5 has no critical point: its inverse image is the
+        # segment [-0.75, 0.25], connected with no call to the criterion
+        report = check_chebotarev_conditions(ComplexPoly([0.5, 2.0]))
+        assert [e.point for e in report.entries] == [-0.75, 0.25]
+        assert report.passed and report.max_abs_re == 0.0
+
     @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
     def test_solved_bifurcation_points_need_no_root_solve(self, key, solved_rect, root_solves):
         # the triple zeros of the level form are the d points, and the
@@ -256,35 +263,38 @@ class TestConditions:
         assert dset == sorted(sol.points["d"], key=point_key)
         assert root_solves == []
 
-    def test_given_disconnected_verdict_rejected(self):
+    def test_given_disconnected_verdict_rejected(self, root_solves):
+        # the verdict stored by a first is_connected rejects T; T' is not solved again
         T = t3(2.0)
+        assert not is_connected(T)
+        root_solves.clear()
         with pytest.raises(ValueError):
-            check_chebotarev_conditions(T, verdict=is_connected(T))
+            check_chebotarev_conditions(T)
+        assert T.derivative() not in root_solves
 
     @pytest.mark.parametrize("T", [star(5), t4(2.0)], ids=["star5", "t4a2"])
     def test_given_factorization_is_used(self, T, factorization_work):
-        # the factorization stored by a first call serves the conditions:
-        # nothing is split, checked or root-solved again
+        # the factorization and the verdict stored by first calls serve the
+        # conditions: nothing is split, checked or root-solved again
         expected = check_chebotarev_conditions(ComplexPoly(T.coeffs))
         verdict = is_connected(T)
-        fac = factorize(T, verdict=verdict)
+        fac = factorize(T)
         factorization_work.clear()
-        assert check_chebotarev_conditions(T, verdict=verdict) == expected
+        assert check_chebotarev_conditions(T) == expected
         assert factorization_work == []
         assert factorize(T) is fac
+        assert is_connected(T) is verdict
 
     @pytest.mark.parametrize("T", [star(5), t4(2.0)], ids=["star5", "t4a2"])
-    def test_given_verdict_is_used(self, T, monkeypatch):
-        import chebotarev.analysis as analysis_module
-
+    def test_given_verdict_is_used(self, T, root_solves):
+        # after a first is_connected, the conditions look the verdict up:
+        # T' is not solved again
+        expected = check_chebotarev_conditions(ComplexPoly(T.coeffs))
         verdict = is_connected(T)
-        expected = check_chebotarev_conditions(T)
-
-        def no_is_connected(*args, **kwargs):
-            raise AssertionError("is_connected called although verdict was given")
-
-        monkeypatch.setattr(analysis_module, "is_connected", no_is_connected)
-        assert check_chebotarev_conditions(T, verdict=verdict) == expected
+        root_solves.clear()
+        assert check_chebotarev_conditions(T) == expected
+        assert T.derivative() not in root_solves
+        assert is_connected(T) is verdict
 
     def test_report_serializes(self):
         import json

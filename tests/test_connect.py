@@ -69,15 +69,50 @@ class TestCriterion:
         assert abs(bad.point - 7 / 6) < 1e-9
         assert bad.margin > 1e-3
 
-    def test_monotone_in_tolerance(self):
-        T = t3(0.5)
-        assert is_connected(T, tol=1e-7)
-        assert is_connected(T, tol=1e-3)
-        assert is_connected(T, tol=1.0)
-
     def test_degree_one_rejected(self):
         with pytest.raises(ValueError):
             is_connected(ComplexPoly([0, 1]))
+
+
+class TestStoredVerdict:
+    """``is_connected`` stores its verdict on the polynomial object, so the
+    later stages that ask about the same ``T`` only look it up."""
+
+    @staticmethod
+    def _fresh(solved_rect, key):
+        # the session's solved polynomials may carry a stored verdict already
+        T = solved_rect(*key).poly
+        return ComplexPoly(T.coeffs, T.level)
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_second_call_returns_the_same_object(self, key, solved_rect, root_solves):
+        T = self._fresh(solved_rect, key)
+        assert is_connected(T) is is_connected(T)
+        assert T._verdict is is_connected(T)
+        assert root_solves == [T.derivative()]
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_new_polynomials_carry_no_stored_verdict(self, key, solved_rect):
+        T = self._fresh(solved_rect, key)
+        is_connected(T)
+        for other in (T + 0, T.monic(), T.derivative(), ComplexPoly(T.coeffs, T.level)):
+            assert other._verdict is None
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_stored_verdict_leaves_identity_alone(self, key, solved_rect):
+        T = self._fresh(solved_rect, key)
+        plain = ComplexPoly(T.coeffs)
+        before = (T == plain, hash(T), repr(T))
+        is_connected(T)
+        assert (T == plain, hash(T), repr(T)) == before == (True, hash(plain), repr(plain))
+        assert plain._verdict is None
+
+    def test_degree_one_stores_nothing(self):
+        T = ComplexPoly([0, 1])
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                is_connected(T)
+            assert T._verdict is None
 
 
 class TestGridOracle:

@@ -434,6 +434,19 @@ class TestStoredFactorization:
             assert value > 0 and err < 1e-7
         assert splits == [T]
 
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_construct_and_certify_solves_nothing(self, key, solved_rect, root_solves):
+        # the level form gives every critical point on T = +-1, so neither the
+        # conditions nor the Green integrals root a polynomial, T' included
+        sol = solved_rect(*key)
+        T = self._fresh(solved_rect, key)
+        root_solves.clear()
+        assert check_chebotarev_conditions(T).passed
+        radius = 2.5 + max(abs(p) for pts in sol.points.values() for p in pts)
+        for k in range(8):
+            green_via_integral(T, radius * np.exp(2j * np.pi * (k + 0.3) / 8))
+        assert root_solves == []
+
     def test_refused_polynomial_stores_nothing(self):
         T = star(18)
         for _ in range(2):
@@ -462,8 +475,8 @@ class TestStoredFactorization:
 @pytest.mark.parametrize("name", POLYNOMIAL_FIXTURES + [f"rect_{key}" for key in RECT_IDS]
                          + ["T16", "T24"])
 def test_stored_result_does_not_depend_on_the_first_caller(name, solved_rect):
-    # the stored result is whatever the first call computed, from the roots
-    # of T' or from the witnesses of a connectivity verdict; both give the same
+    # the stored result is whatever the first call computed, with or without
+    # a verdict stored on T before it; both give the same
     def build():
         if name.startswith("rect_"):
             return ComplexPoly(solved_rect(*RECTANGLES[RECT_IDS.index(name[5:])]).poly.coeffs)
@@ -471,5 +484,7 @@ def test_stored_result_does_not_depend_on_the_first_caller(name, solved_rect):
             return chebyshev(int(name[1:]))
         return fixture_poly(name)
 
-    from_roots, from_verdict = build(), build()
-    assert factorize(from_roots) == factorize(from_verdict, verdict=is_connected(from_verdict))
+    fresh, checked = build(), build()
+    is_connected(checked)
+    assert checked._verdict is not None and fresh._verdict is None
+    assert factorize(fresh) == factorize(checked)
