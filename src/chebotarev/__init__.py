@@ -47,7 +47,6 @@ from .errors import (
     NotATree,
     PathTooClose,
     PowerSumViolation,
-    RemainderTooLarge,
 )
 from .factor import Factorization, factorize
 from .poly import (

@@ -317,7 +317,7 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0) -> list:
     levels.append(float(np.pi))
     arcs = [_arc(samples, levels) for samples in np.array(rows).T.tolist()]
     doubles = [c.center for c in plus_clusters + minus_clusters if c.multiplicity == 2]
-    return _conjoin(arcs, doubles, scale)
+    return _conjoin(arcs, doubles)
 
 
 def _from_end(arc, end):
@@ -327,18 +327,17 @@ def _from_end(arc, end):
     return arc.samples[::-1], arc.levels[::-1], arc.conjoined_through[::-1]
 
 
-def _conjoin(arcs, doubles, scale):
+def _conjoin(arcs, doubles):
     """Join the two arcs at each double zero in ``doubles`` where they are anti-parallel.
 
-    A joined arc runs from its end that comes first in
-    :func:`~chebotarev.poly.point_key` order, with its samples, levels and
-    conjoined points in order along it, so it does not depend on which of
-    the two chains leaving the double zero took which column.  Returns the
-    arcs sorted by their ends.
+    An arc ends at a double zero when its end sample is that centre.  A joined
+    arc runs from its end that comes first in :func:`~chebotarev.poly.point_key`
+    order, with its samples, levels and conjoined points in order along it, so
+    it does not depend on which of the two chains leaving the double zero took
+    which column.  Returns the arcs sorted by their ends.
     """
     for q in doubles:
-        incident = [(arc, end) for arc in arcs for end in (0, -1)
-                    if abs(arc.samples[end] - q) <= 1e-9 * scale]
+        incident = [(arc, end) for arc in arcs for end in (0, -1) if arc.samples[end] == q]
         if len(incident) != 2:
             continue
         (a, ea), (b, eb) = incident

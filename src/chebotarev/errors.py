@@ -9,10 +9,6 @@ class NoConvergence(ChebotarevError):
     """An iteration hit its cap before meeting its tolerance."""
 
 
-class RemainderTooLarge(ChebotarevError):
-    """Polynomial division left a remainder above the allowed bound."""
-
-
 class InconsistentFactorization(ChebotarevError):
     """The recovered factors fail to reproduce the input polynomial."""
 

@@ -22,7 +22,7 @@ R of multiplicity (k - 1) // 2; the other critical points, where T is not
 +-1, are the zeros of ``Q = R / prod (z - c)^((k - 1) // 2)``.  A solved
 polynomial carries its level form, the zeros and multiplicities it was built
 from, and :func:`factorize` then takes them from there without root finding
-when Q is constant; the reproduction checks run either way.
+when Q is constant; the reproduction checks run either way and judge R.
 """
 
 from dataclasses import dataclass
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connect import is_connected
-from .errors import InconsistentFactorization, RemainderTooLarge
-from .poly import (STRUCTURE_TOL, ComplexPoly, cluster_roots, divide_exact, point_key,
+from .errors import InconsistentFactorization
+from .poly import (STRUCTURE_TOL, ComplexPoly, cluster_roots, point_key, quotient,
                    structured_roots, vanishes)
 
 #: Coefficient-residual tolerance for the reproduction checks.
@@ -100,7 +100,10 @@ def factorize(T: ComplexPoly, seed: int = 0) -> Factorization:
 
 
 def _split(T: ComplexPoly, clusters: list, free: tuple) -> Factorization:
-    """The factorization on the zeros ``clusters`` and critical points ``free``, stored on T."""
+    """The factorization on the zeros ``clusters`` and critical points ``free``, stored on T.
+
+    R is the quotient of T' by n U; the reproduction check of T' judges it.
+    """
     clusters = sorted(clusters, key=lambda c: point_key(c.center))
     n = T.degree
     tau = T.leading
@@ -135,13 +138,7 @@ def _split(T: ComplexPoly, clusters: list, free: tuple) -> Factorization:
     square_part = ComplexPoly.from_roots(u_roots, tau)
 
     dT = T.derivative()
-    try:
-        cofactor = divide_exact(dT, n * square_part)
-    except RemainderTooLarge as exc:
-        raise InconsistentFactorization(f"derivative division failed: {exc}") from exc
-    if abs(cofactor.leading - 1.0) > 1e-6:
-        raise InconsistentFactorization("derivative cofactor is not monic")
-    cofactor = cofactor.monic()
+    cofactor = quotient(dT, n * square_part).monic()
 
     # cross-check the division against the multiplicity bookkeeping
     for c in clusters:

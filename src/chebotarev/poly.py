@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentFactorization, NoConvergence, PowerSumViolation, RemainderTooLarge
+from .errors import InconsistentFactorization, NoConvergence, PowerSumViolation
 
 MAX_DEGREE = 64
 
@@ -204,32 +204,8 @@ def level_polynomial(plus, minus) -> ComplexPoly:
     return ComplexPoly((plus_side + 1.0).coeffs, LevelForm(tau, plus, minus))
 
 
-def divide_exact(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
-    """Divide ``p`` by ``q`` assuming the division is exact up to rounding.
-
-    Raises :class:`RemainderTooLarge` when any remainder coefficient exceeds
-    ``1e-9 * (1 + max |p coeff|)`` -- the signal that an upstream
-    factorization is inconsistent.
-    """
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    bound = 1e-9 * (1.0 + max(abs(c) for c in p.coeffs))
-    dp, dq = p.degree, q.degree
-    if dp < dq or p.is_zero():
-        if all(abs(c) <= bound for c in p.coeffs):
-            return ComplexPoly.zero()
-        raise RemainderTooLarge(
-            f"divisor degree {dq} exceeds dividend degree {dp} with nonzero dividend"
-        )
-    out, rem = _long_division(p, q)
-    worst = max(abs(r) for r in rem)
-    if worst > bound:
-        raise RemainderTooLarge(f"remainder magnitude {worst:.3e} exceeds bound {bound:.3e}")
-    return out
-
-
-def _long_division(p: ComplexPoly, q: ComplexPoly):
-    """The quotient of ``p`` by ``q`` (``deg p >= deg q``) and the remainder coefficients."""
+def quotient(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
+    """The quotient of ``p`` by ``q`` (``deg p >= deg q``); the remainder is dropped."""
     dp, dq = p.degree, q.degree
     rem = list(p.coeffs)
     out = [0j] * (dp - dq + 1)
@@ -239,7 +215,7 @@ def _long_division(p: ComplexPoly, q: ComplexPoly):
         out[k] = c
         for j in range(dq + 1):
             rem[k + j] -= c * q.coeffs[j]
-    return ComplexPoly(tuple(out)), rem
+    return ComplexPoly(tuple(out))
 
 
 def powers(z: np.ndarray, n: int) -> np.ndarray:
@@ -571,9 +547,8 @@ def structured_roots(p: ComplexPoly, critical, seed: int = 0) -> list:
     ``STRUCTURE_TOL (1 + max |point|)`` of each other make a zero of
     multiplicity m + 1, and a count past the degree of ``p`` raises
     :class:`InconsistentFactorization`.  :func:`find_roots` finds the simple
-    zeros from the quotient of ``p`` by these, whose remainder a caller
-    checks if it needs to, as :func:`~chebotarev.factor.factorize` does.
-    :func:`refine_multiple_root` then sharpens every centre.
+    zeros from the :func:`quotient` of ``p`` by these, with no remainder check,
+    and :func:`refine_multiple_root` sharpens every centre.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -586,6 +561,6 @@ def structured_roots(p: ComplexPoly, critical, seed: int = 0) -> list:
     divisor = ComplexPoly.from_roots([z for z, k in zeros for _ in range(k)], p.leading)
     if divisor.degree < p.degree:
         zeros += [(refine_multiple_root(p, r, 1), 1)
-                  for r in find_roots(_long_division(p, divisor)[0], seed=seed)]
+                  for r in find_roots(quotient(p, divisor), seed=seed)]
     clusters = [RootCluster(z, k, (z,) * k) for z, k in zeros]
     return sorted(clusters, key=lambda c: point_key(c.center))

@@ -19,7 +19,7 @@ from chebotarev import (
     min_deviation,
     verify_cosh_representation,
 )
-from chebotarev.poly import divide_exact, point_key
+from chebotarev.poly import point_key, quotient
 
 from conftest import (POLYNOMIAL_FIXTURES, RECT_IDS, RECTANGLES, cheb2, cross, fixture_poly,
                       star, t3, t4)
@@ -324,8 +324,11 @@ class TestConditionPointsFromTheFactorization:
         # the route the factorization replaced: root Q, the cofactor divided
         # by the (k - 1) // 2-fold zeros it has at each zero of T^2 - 1
         fac = factorize(fixture_poly(name))
-        q = divide_exact(fac.cofactor, ComplexPoly.from_roots(
-            [c.center for c in fac.clusters for _ in range((c.multiplicity - 1) // 2)]))
+        divisor = ComplexPoly.from_roots(
+            [c.center for c in fac.clusters for _ in range((c.multiplicity - 1) // 2)])
+        q = quotient(fac.cofactor, divisor)
+        size = 1.0 + max(abs(c) for c in fac.cofactor.coeffs)
+        assert max(abs(c) for c in (q * divisor - fac.cofactor).coeffs) <= 1e-9 * size
         expected = [c.center for c in fac.clusters for _ in range(c.multiplicity - 2)]
         if q.degree >= 1:
             expected += [r for r in find_roots(q) for _ in range(2)]

@@ -648,19 +648,19 @@ class TestConjoinedOrientation:
         real_conjoin = arcs_module._conjoin
         calls = []
 
-        def spy(arcs, doubles, scale):
-            calls.append((list(arcs), doubles, scale))
-            return real_conjoin(arcs, doubles, scale)
+        def spy(arcs, doubles):
+            calls.append((list(arcs), doubles))
+            return real_conjoin(arcs, doubles)
 
         monkeypatch.setattr(arcs_module, "_conjoin", spy)
         traced = trace(solved_rect(6).poly, steps=256)
-        chains, doubles, scale = calls[0]
+        chains, doubles = calls[0]
         # the two chains leaving the double zero of T - 1 at the origin
         i, j = [k for k, a in enumerate(chains) if abs(a.start_point) < 1e-12]
         swapped = list(chains)
         swapped[i], swapped[j] = chains[j], chains[i]
-        assert real_conjoin(list(chains), doubles, scale) == traced
-        assert real_conjoin(swapped, doubles, scale) == traced
+        assert real_conjoin(list(chains), doubles) == traced
+        assert real_conjoin(swapped, doubles) == traced
 
 
 def _csv_reference(arcs):

@@ -285,12 +285,21 @@ class TestMainExitMapping:
 
     def test_package_error_exits_3(self, monkeypatch, tmp_path, capsys):
         def inconsistent(*args, **kwargs):
-            raise InconsistentFactorization("derivative cofactor is not monic")
+            raise InconsistentFactorization("branch points are not pairwise distinct")
 
         monkeypatch.setattr(cli_module, "factorize", inconsistent)
         assert run("verify", FIXTURES / "star5.json", "--out", tmp_path) == 3
-        assert capsys.readouterr().err == "error: derivative cofactor is not monic\n"
+        assert capsys.readouterr().err == "error: branch points are not pairwise distinct\n"
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "trace"])
+    def test_refused_factorization_exits_3(self, command, tmp_path, capsys):
+        # z^18 is past the coefficient wall: its square is not reproduced
+        z18 = tmp_path / "z18.json"
+        z18.write_text(json.dumps({"coeffs": [0] * 18 + [1]}))
+        assert run(command, z18, "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err.startswith("error: T^2 - 1 reproduction residual ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestTraceCommand:

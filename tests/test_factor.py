@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import chebotarev.factor as factor_module
 from chebotarev import (
     ComplexPoly,
     InconsistentFactorization,
     LevelForm,
     PathTooClose,
+    RootCluster,
     check_chebotarev_conditions,
     dist_to_interval,
     factorize,
@@ -199,8 +201,8 @@ class TestFactorizationLadder:
     def test_high_multiplicities_far_from_the_origin(self):
         # a quadruple, a triple and two double zeros of T - 1 out near |z| = 2:
         # dividing them out of T - 1 leaves a remainder of 7.6e-5 against
-        # coefficients up to 2.7e4, over divide_exact's 1e-9 relative bound,
-        # so the simple zeros come from the quotient and _split judges the rest
+        # coefficients up to 2.7e4, over a 1e-9 relative bound, so the simple
+        # zeros come from the quotient and _split's reproduction checks judge it
         pts = [0.7 - 1.217j, 1.334 - 0.583j, 1.716 - 0.763j, -1.796 + 1.012j,
                -1.726 + 1.629j, -0.388 + 1.233j, -1.969 + 0.193j]
         roots = pts[:3] + [pts[3]] * 3 + [pts[4]] * 2 + [pts[5]] * 2 + [pts[6]] * 4
@@ -384,6 +386,20 @@ class TestLevelForm:
             assert abs(a.center - b.center) < 1e-15
         for a, b in zip(other.branch_points, fac.branch_points):
             assert abs(a - b) < 1e-15
+
+    @pytest.mark.parametrize("key", [(7, 1), (8, 1), (9, 2)], ids=["n7", "n8", "n9s2"])
+    def test_moved_double_zero_fails_the_reproduction_check(self, key, solved_rect):
+        # 1e-6 off a double zero, n U no longer divides T'; the reproduction
+        # checks judge the split, and T^2 - 1 is the first product that fails
+        T = solved_rect(*key).poly
+        clusters = T.level.clusters()
+        k = next(i for i, c in enumerate(clusters) if c.multiplicity == 2)
+        moved = clusters[k].center + 1e-6
+        clusters[k] = RootCluster(moved, 2, (moved, moved))
+        fresh = ComplexPoly(T.coeffs)
+        with pytest.raises(InconsistentFactorization, match=r"T\^2 - 1 reproduction residual"):
+            factor_module._split(fresh, clusters, ())
+        assert fresh._factorization is None
 
     @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
     def test_level_form_leaves_identity_alone(self, key, solved_rect):
