@@ -226,36 +226,37 @@ def powers(z: np.ndarray, n: int) -> np.ndarray:
     return np.cumprod(P, axis=1, out=P)
 
 
-def _hankel(a: np.ndarray) -> np.ndarray:
-    """``H[i, k] = a[i + k]``, zero past the end of ``a``."""
-    n = len(a) - 1
-    idx = np.arange(n + 1)
-    return np.concatenate([a, np.zeros(n, dtype=a.dtype)])[idx[:, None] + idx[None, :]]
-
-
-def _eval_sweep(H: np.ndarray, z: np.ndarray, shift=None):
+def _eval_sweep(a: np.ndarray, z: np.ndarray, shift=None):
     """``p``, ``p'`` and a rounding-error bound for ``p`` at every point of ``z``.
 
-    ``H`` is :func:`_hankel` of the coefficients of ``p``.  With the powers
-    ``Z[i, k] = z_i**k``, ``R = Z @ H`` holds every Horner partial
-    ``r_k(z) = a_k + z r_{k+1}(z)``, so ``p = r_0``, ``p' = sum z**(k-1) r_k``
-    (the Horner quotient at ``z``) and ``2 eps sum |z|**k |r_k|`` is Horner's
-    running error bound (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 5.1).  The numpy calls do not grow with the degree.
+    ``a`` holds the coefficients of ``p``, ascending.  One Horner pass runs
+    over the whole array ``z`` in place: from ``r = a_n``, ``d = 0`` and
+    ``e = |a_n|``, each step ``k = n-1 .. 0`` sets ``d = d z + r``, then
+    ``r = r z + a_k`` and ``e = e |z| + |r|``.  So ``r`` ends as ``p``, ``d``
+    as ``p'`` (the Horner quotient at ``z``) and ``2 eps e`` is Horner's
+    running error bound ``2 eps sum |z|**k |r_k|`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 5.1).
 
-    ``shift``, when given, holds one constant per point, added to the
-    constant coefficient of ``p`` at that point.  Only ``r_0`` depends on the
-    constant coefficient, so the shift enters column 0 of ``R`` alone and one
-    product serves polynomials that differ only there.
+    ``shift``, when given, broadcasts against ``z`` and is added to ``r``
+    after ``a_0``, so one pass serves polynomials that differ only in the
+    constant coefficient.  ``e`` then also takes ``|r_1 z + a_0|``, the
+    size of the sum that this last addition rounds.
     """
-    Z = powers(z, H.shape[0] - 1)
-    R = Z @ H
-    if shift is not None:
-        R[:, 0] += shift
-    W = Z[:, :-1] * R[:, 1:]
-    p = R[:, 0]
-    bound = np.abs(p) + np.abs(z) * np.abs(W).sum(axis=1)
-    return p, W.sum(axis=1), _EPS * (2.0 * bound)
+    r = np.full(z.shape, a[-1], dtype=complex)
+    d = np.zeros_like(r)
+    e = np.full(z.shape, abs(a[-1]))
+    az, mag = np.abs(z), np.empty(z.shape)
+    for k in range(len(a) - 2, -1, -1):
+        d *= z
+        d += r
+        r *= z
+        r += a[k]
+        e *= az
+        if not k and shift is not None:
+            e += np.abs(r, out=mag)
+            r += shift
+        e += np.abs(r, out=mag)
+    return r, d, _EPS * (2.0 * e)
 
 
 def find_roots(p: ComplexPoly, seed: int = 0) -> list:
@@ -314,8 +315,9 @@ def level_roots(T: ComplexPoly, levels, starts) -> list:
     and do not take the eigenvalues of :func:`find_roots`.
 
     The level polynomials share every coefficient but the constant, so each
-    sweep evaluates all levels in one product against the Hankel matrix of
-    monic ``T``, with ``-c / tau`` added to column 0 (:func:`_eval_sweep`).
+    sweep evaluates all levels in one Horner pass over the coefficients of
+    monic ``T``, with ``-c / tau`` added to the constant one
+    (:func:`_eval_sweep`).
     Each level settles by the test of :func:`_aberth` and then leaves the
     block.  Returns one entry per level: its roots as returned by the
     settled iteration, in start order, or ``None`` where the iterate hit the
@@ -335,19 +337,20 @@ def level_roots(T: ComplexPoly, levels, starts) -> list:
         raise ValueError("starts must be finite")
     turn = 0.5 + _GOLDEN_ANGLE * np.arange(T.degree)
     z = z + _NUDGE * (1.0 + np.abs(z)) * np.exp(1j * turn)
-    block = _aberth(_hankel(a / tau), z, shift)
+    block = _aberth(a / tau, z, shift)
     finite = np.isfinite(block).all(axis=1)
     return [row if ok else None for row, ok in zip(block, finite)]
 
 
-def _aberth(H, z, shift):
+def _aberth(a, z, shift):
     """Aberth-Ehrlich sweeps from the rows of ``z`` until every root settles.
 
     The solver of :func:`level_roots`; cold solves take eigenvalues
-    (:func:`find_roots`).  ``H`` is the Hankel matrix of a monic polynomial
-    (:func:`_hankel`), ``z`` a ``(K, n)`` block of starts and ``shift`` each
-    row's change of the constant coefficient; the whole block is evaluated
-    in one matrix product per sweep (:func:`_eval_sweep`).  A root has
+    (:func:`find_roots`).  ``a`` holds the coefficients of a monic
+    polynomial, ``z`` a ``(K, n)`` block of starts and ``shift`` each row's
+    change of the constant coefficient; each sweep evaluates the whole
+    block in one Horner pass (:func:`_eval_sweep`) and takes the
+    reciprocals of the root differences in place.  A root has
     settled when its correction is below ``1e-13 * (1 + |z|)`` or ``|p(z)|``
     is within 8 times Horner's running error bound; a row whose roots have
     all settled is frozen and leaves the sweeps.  A row that reaches the cap
@@ -361,19 +364,19 @@ def _aberth(H, z, shift):
     rows = np.arange(len(block))
     with np.errstate(all="ignore"):
         for _ in range(_MAX_SWEEPS):
-            pv, dv, bound = _eval_sweep(H, block.ravel(), np.repeat(shift[rows], n))
+            pv, dv, bound = _eval_sweep(a, block, shift[rows, None])
             dv = np.where(dv == 0, 1e-300, dv)
-            w = (pv / dv).reshape(-1, n)
+            w = pv / dv
             diff = block[:, :, None] - block[:, None, :]
             diff.reshape(len(block), -1)[:, ::n + 1] = np.inf
-            s = (1.0 / diff).sum(axis=2)
+            s = np.divide(1.0, diff, out=diff).sum(axis=2)
             den = 1.0 - w * s
             den = np.where(np.abs(den) < 1e-300, 1e-300, den)
             corr = w / den
             block = block - corr
             scale = 1.0 + np.abs(block)
             done = ((np.abs(corr) <= 1e-13 * scale)
-                    | (np.abs(pv) <= 8.0 * bound).reshape(-1, n)).all(axis=1)
+                    | (np.abs(pv) <= 8.0 * bound)).all(axis=1)
             if np.isfinite(block).all():
                 if not np.count_nonzero(done):
                     continue
@@ -533,7 +536,7 @@ def vanishes(p: ComplexPoly, points: np.ndarray) -> np.ndarray:
 
     ``|p|`` there must be within ``max(64 *`` Horner's running error bound, :data:`LEVEL_FLOOR`).
     """
-    values, _, bound = _eval_sweep(_hankel(np.array(p.coeffs)), points)
+    values, _, bound = _eval_sweep(np.array(p.coeffs), points)
     return np.abs(values) <= np.maximum(64.0 * bound, LEVEL_FLOOR)
 
 

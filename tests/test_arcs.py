@@ -8,6 +8,7 @@ from chebotarev import poly as poly_module
 from chebotarev import (
     Arc,
     ComplexPoly,
+    InconsistentFactorization,
     MatchingAmbiguity,
     NotATree,
     arcs_to_csv,
@@ -167,6 +168,42 @@ class TestWarmStartedLevels:
             arcs = trace(t4(2.0), steps=128, seed=seed)
             pairings.add(tuple((key(a.start_point), key(a.end_point)) for a in arcs))
         assert len(pairings) == 1
+
+
+class TestTracerEnvelope:
+    """Which ``z^n`` and ``T_n`` the tracer handles today, rung by rung."""
+
+    @pytest.mark.parametrize("steps", [128, 256])
+    @pytest.mark.parametrize("n", range(4, 14))
+    def test_monomial_traces_to_n_arcs_that_are_not_a_tree(self, n, steps):
+        # known limit (ROADMAP item 3): the n chains through the crossing at
+        # 0 pair up by their last digits, so the graph is not a tree; this
+        # test changes when crossings become graph vertices
+        arcs = trace(star(n), steps=steps)
+        assert len(arcs) == n
+        assert not build_graph(arcs).is_tree
+
+    @pytest.mark.parametrize("steps", [128, 256])
+    @pytest.mark.parametrize("n", range(14, 18))
+    def test_monomial_matching_stays_ambiguous(self, n, steps):
+        # known limit (ROADMAP item 3): the crossing at 0 defeats the matcher
+        with pytest.raises(MatchingAmbiguity, match="still ambiguous"):
+            trace(star(n), steps=steps)
+
+    @pytest.mark.parametrize("steps", [128, 256])
+    def test_monomial_18_does_not_factorize(self, steps):
+        # known limit (ROADMAP item 1): z^18 fails _split's reproduction check
+        with pytest.raises(InconsistentFactorization, match="reproduction residual"):
+            trace(star(18), steps=steps)
+
+    @pytest.mark.parametrize("steps", [128, 256])
+    @pytest.mark.parametrize("n", range(24, 33))
+    def test_chebyshev_traces_to_one_arc(self, n, steps):
+        # known limit (ROADMAP item 12): at 256 steps the chains of T_31 do
+        # not conjoin through its double zero cos(3 pi / 31) in monomial
+        # noise, which leaves 2 arcs where min_arcs is 1
+        expected = 2 if (n, steps) == (31, 256) else 1
+        assert len(trace(chebyshev(n), steps=steps)) == expected
 
 
 class TestFindCrossings:

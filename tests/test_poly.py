@@ -323,7 +323,7 @@ class TestSweepEvaluation:
             r = r * z + c
             e = e * np.abs(z) + np.abs(r)
         bound = poly_module._EPS * (2.0 * e)
-        values, slopes, bounds = poly_module._eval_sweep(poly_module._hankel(coeffs), z)
+        values, slopes, bounds = poly_module._eval_sweep(coeffs, z)
         assert np.allclose(bounds, bound, rtol=1e-12, atol=0)
         # p and p' agree with Horner's scheme to the classical gamma_2n bound
         powers = np.abs(z)[:, None] ** np.arange(degree + 1)
@@ -334,6 +334,36 @@ class TestSweepEvaluation:
         assert np.all(np.abs(slopes - ComplexPoly(derivative)(z))
                       <= 2 * degree * eps * (powers[:, :-1] @ np.abs(derivative)))
 
+
+    @pytest.mark.parametrize("n", [5, 9, 24])
+    def test_shift_is_added_to_the_constant_coefficient(self, n):
+        # the level polynomials (T - c) / tau of level_roots: at the roots of
+        # each level, and 1e-9 and 0.1 off them, every shifted value is
+        # within its bound of the compensated value of p + shift
+        T = _chebyshev(n)
+        a = np.array(T.coeffs) / T.leading
+        levels = np.cos(np.linspace(0.1, 3.0, 6))
+        roots = np.array([find_roots(T - c) for c in levels])
+        z = np.concatenate([roots, roots + 1e-9, roots + 0.1j], axis=1)
+        shift = -levels / T.leading
+        values, _, bounds = poly_module._eval_sweep(a, z, shift[:, None])
+        for row, s, got, bound in zip(z, shift, values, bounds):
+            shifted = ComplexPoly([a[0] + s, *a[1:]])
+            exact = np.array([compensated_horner(shifted, complex(w)) for w in row])
+            assert np.all(np.abs(got - exact) <= bound)
+
+    @pytest.mark.parametrize("n", range(8, 65))
+    def test_running_bound_holds_on_chebyshev(self, n):
+        # off the zeros by 1e-9, where the value is mostly rounding noise, on
+        # a circle just outside [-1, 1] and on [-1, 1] itself
+        T = _chebyshev(n)
+        zeros = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))
+        z = np.concatenate([zeros + 1e-9, zeros + 1e-9j,
+                            1.01 * np.exp(2j * np.pi * np.arange(64) / 64),
+                            np.linspace(-1.0, 1.0, 65)])
+        values, _, bounds = poly_module._eval_sweep(np.array(T.coeffs), z)
+        exact = np.array([compensated_horner(T, complex(w)) for w in z])
+        assert np.all(np.abs(values - exact) <= bounds)
 
 class TestNonFiniteIterate:
     def test_stops_at_first_non_finite_sweep(self, monkeypatch):
