@@ -451,14 +451,54 @@ def build_graph(arcs, expect_tree: bool = False) -> ContinuumGraph:
 def arcs_to_csv(arcs) -> str:
     """CSV dump: one row per sample, columns arc_id, theta, re, im.
 
-    Each arc's rows are written by one ``%`` format of its stacked values.
+    Each distinct level is formatted once, keyed on its bit pattern so that
+    ``-0.0`` stays ``-0``; all rows are written by one ``%`` format.
     """
-    parts = ["arc_id,theta,re,im\n"]
-    for aid, arc in enumerate(arcs):
-        s = np.array(arc.samples, dtype=complex)
-        values = np.column_stack([arc.levels, s.real, s.imag]).ravel().tolist()
-        parts.append((f"{aid},%.12g,%.12g,%.12g\n" * len(s)) % tuple(values))
-    return "".join(parts)
+    samples = np.array([z for a in arcs for z in a.samples], dtype=complex)
+    levels = np.array([t for a in arcs for t in a.levels], dtype=float)
+    keys, index = np.unique(levels.view(np.int64), return_inverse=True)
+    texts = np.array(["%.12g" % t for t in keys.view(float).tolist()], dtype=object)
+    values = [None] * (3 * len(levels))
+    values[0::3] = texts[index.ravel()].tolist()
+    values[1::3] = samples.real.tolist()
+    values[2::3] = samples.imag.tolist()
+    rows = "".join(f"{aid},%s,%.12g,%.12g\n" * len(a.samples) for aid, a in enumerate(arcs))
+    return "arc_id,theta,re,im\n" + rows % tuple(values)
+
+
+def _digit_words():
+    """``uint32`` words of 0 .. 9999 and of .000 .. .999, zero-byte padded."""
+    k = np.arange(10**4, dtype=np.uint16)[:, None]
+    place = (10 ** np.arange(3, -1, -1)).astype(np.uint16)
+    digits = (k // place % 10 + ord("0")).astype(np.uint8)
+    whole = np.where((k >= place) | (place == 1), digits, 0).astype(np.uint8)
+    frac = np.column_stack([np.full(1000, ord("."), np.uint8), digits[:1000, 1:]])
+    return whole.view(np.uint32).ravel(), frac.view(np.uint32).ravel()
+
+
+_WHOLE, _FRAC = _digit_words()
+_SLOT = np.frombuffer(b"\0\0%s", np.uint32)[0]  # for a value formatted one by one
+
+
+def _fixed3(values, seps):
+    """``"%.3f" % v`` of each value after its separator byte, as one string.
+
+    ``rint(|v| * 1000)`` is exact unless ``|v| * 1000`` lies within 1e-6 of a
+    half-integer (its rounding error is below 1.2e-9); those values, NaN,
+    infinities and ``|v| >= 1e4`` are formatted one by one."""
+    a = np.abs(values)
+    p = np.where(a < 1e4, a, 1e4) * 1000.0
+    m = np.rint(p)
+    exact = (m < 1e7) & (np.abs(p - m) < 0.5 - 1e-6)
+    m = np.where(exact, m, 0).astype(np.int64)
+    rows = np.zeros((len(values), 12), np.uint8)
+    rows[:, 0] = seps
+    rows[:, 3] = np.where(exact & np.signbit(values), ord("-"), 0)
+    words = rows.view(np.uint32)
+    words[:, 1] = np.where(exact, _WHOLE[m // 1000], _SLOT)
+    words[:, 2] = np.where(exact, _FRAC[m % 1000], 0)
+    text = rows[rows != 0].tobytes().decode("ascii")
+    return text % tuple("%.3f" % v for v in values[~exact].tolist())
 
 
 def arcs_to_svg(arcs, c_points=(), d_points=(), z_points=()) -> str:
@@ -467,8 +507,8 @@ def arcs_to_svg(arcs, c_points=(), d_points=(), z_points=()) -> str:
     Arcs are polylines in arc-id order; prescribed points are filled
     circles, bifurcation points triangles, tangency points crosses.  The
     viewBox derives from the bounding box of everything drawn, and its
-    longer side is ``SVG_SIZE`` units.  Each polyline's points are written
-    by one ``%`` format.
+    longer side is ``SVG_SIZE`` units.  The polylines' points are written
+    by one exact ``%.3f`` kernel (:func:`_fixed3`) over all coordinates.
     """
     samples = [np.array(a.samples, dtype=complex) for a in arcs]
     marks = [complex(p) for p in list(c_points) + list(d_points) + list(z_points)]
@@ -497,9 +537,14 @@ def arcs_to_svg(arcs, c_points=(), d_points=(), z_points=()) -> str:
         f'height="{height:.1f}" viewBox="0 0 {width:.6g} {height:.6g}">',
         f'<rect x="0" y="0" width="{width:.6g}" height="{height:.6g}" fill="#ffffff"/>',
     ]
+    lengths = np.array([len(s) for s in samples], dtype=int)
+    drawn = pts[:lengths.sum()]
+    seps = np.full((len(drawn), 2), [ord(" "), ord(",")], np.uint8)
+    seps[(np.cumsum(lengths) - lengths)[lengths > 0], 0] = ord("\n")  # arc starts
+    xy = np.column_stack([(drawn.real - x0) * scale, height - (drawn.imag - y0) * scale])
+    pieces = iter(_fixed3(xy.ravel(), seps.ravel()).split("\n")[1:])
     for s in samples:
-        xy = np.column_stack([(s.real - x0) * scale, height - (s.imag - y0) * scale])
-        coords = " ".join(["%.3f,%.3f"] * len(s)) % tuple(xy.ravel().tolist())
+        coords = next(pieces) if len(s) else ""
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="#1b5f8a" stroke-width="1.6"/>'
         )

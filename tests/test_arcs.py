@@ -1,9 +1,14 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebotarev import arcs as arcs_module
+from chebotarev import cli
 from chebotarev import poly as poly_module
 from chebotarev import (
     Arc,
@@ -14,11 +19,14 @@ from chebotarev import (
     arcs_to_csv,
     arcs_to_svg,
     build_graph,
+    condition_points,
     dist_to_interval,
     factorize,
     find_crossings,
     grid_oracle,
     junction_angles,
+    solve,
+    spec_from_dict,
     trace,
 )
 from chebotarev.poly import point_key
@@ -769,6 +777,13 @@ def _arc(samples, levels):
                start_point=samples[0], end_point=samples[-1])
 
 
+def _nudged(value, ulps):
+    """``value`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
 class TestWritersMatchPerSampleFormatting:
     """The writers against per-sample f-string references of the same formats."""
 
@@ -795,3 +810,76 @@ class TestWritersMatchPerSampleFormatting:
         assert arcs_to_csv([]) == "arc_id,theta,re,im\n"
         with pytest.raises(ValueError, match="nothing to draw"):
             arcs_to_svg([])
+
+    def test_signed_zero_levels(self):
+        # 0.0 and -0.0 are equal as values but print as "0" and "-0"
+        one = _arc([1j, 2j, 3j, 4j], [0.0, -0.0, 0.0, -0.0])
+        two = [_arc([1j, 2j], [0.0, 1.0]), _arc([3j, 4j], [-0.0, 1.0])]
+        for arcs in ([one], two, two[::-1], [one] + two):
+            text = arcs_to_csv(arcs)
+            assert text == _csv_reference(arcs)
+            assert ",0,0," in text and ",-0,0," in text
+
+    def test_svg_coordinates_at_half_thousandths(self):
+        # a frame fixes the view box, and the middle arc's x coordinates land
+        # on and next to decimal half-thousandths, where rint(1000 x) can part
+        # from "%.3f"
+        frame = _arc([0j, complex(10.0, 10.0)], [0.0, math.pi])
+        pad = 0.08 * 10.0
+        x0 = 0.0 - pad
+        scale = 720 / ((10.0 + pad) - x0)
+        targets = (60 + np.arange(40) * 15.25 + 0.0005) / scale + x0
+        re = np.concatenate([targets + k * np.spacing(targets) for k in range(-3, 4)])
+        assert 0 < re.min() and re.max() < 10  # inside the frame
+        xs = (re - x0) * scale
+        m = np.rint(xs * 1000).astype(int)
+        naive = [f"{q // 1000}.{q % 1000:03d}" for q in m.tolist()]
+        assert sum(a != "%.3f" % x for a, x in zip(naive, xs.tolist())) >= 10
+        arcs = [frame, _arc((re + 5j).tolist(), np.linspace(0, math.pi, len(re)).tolist())]
+        assert arcs_to_svg(arcs) == _svg_reference(arcs)
+
+    def test_fixed3_at_the_traps(self):
+        values = [-0.0004, -0.0, 0.0, 0.0005, -0.0005, 0.0625, 0.1875, 1.0005, -2.0015,
+                  9999.9994, 9999.9996, -9999.9996, 1e4, 123456.7895, 5e-324, -5e-324,
+                  math.nan, -math.nan, math.inf, -math.inf]
+        seps = np.array([ord(" "), ord(",")] * 10, np.uint8)
+        expected = "".join(chr(c) + "%.3f" % v for c, v in zip(seps, values))
+        assert arcs_module._fixed3(np.array(values), seps) == expected
+        assert expected.startswith(" -0.000,-0.000 0.000,0.001 -0.001,0.062 0.188,")
+
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.builds(_nudged, st.integers(-2 * 10**7 - 20, 2 * 10**7 + 20).map(lambda k: k / 2000),
+                  st.integers(-4, 4)),
+    ), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_fixed3_matches_percent_format(self, values):
+        seps = np.full(len(values), ord(" "), np.uint8)
+        expected = "".join(" " + "%.3f" % v for v in values)
+        assert arcs_module._fixed3(np.array(values, dtype=float), seps) == expected
+
+    def test_cli_outputs_on_the_trace_benchmark_inputs(self, tmp_path):
+        # the ten inputs of the trace benchmark: the solved rectangles'
+        # coefficients, two fixture polynomials, T_16 and T_24, at 256 steps
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        coeffs = {name: solve(spec_from_dict(json.loads((fixtures / f"{name}.json")
+                                                        .read_text()))).poly.coeffs
+                  for name in ("rect_n5", "rect_n6", "rect_n7", "rect_n8",
+                               "rect_n9_system1", "rect_n9_system2")}
+        coeffs.update({f"cheb{n}": np.polynomial.chebyshev.cheb2poly([0] * n + [1])
+                       for n in (16, 24)})
+        paths = {name: fixtures / f"{name}.json" for name in ("star5", "t4_alpha2")}
+        for name, c in coeffs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(
+                {"coeffs": [[complex(a).real, complex(a).imag] for a in c]}))
+        for name, path in paths.items():
+            out = tmp_path / name
+            assert cli.main(["trace", str(path), "--out", str(out), "--steps", "256"]) == 0
+            T = cli._read_poly(json.loads(path.read_text()))
+            arcs = trace(T, steps=256)
+            cset, dset = condition_points(factorize(T))
+            points = dict(c_points=cset, d_points=list(dict.fromkeys(dset)),
+                          z_points=[q for a in arcs for q in a.conjoined_through])
+            assert (out / "arcs.csv").read_text() == _csv_reference(arcs)
+            assert (out / "continuum.svg").read_text() == _svg_reference(arcs, **points)
