@@ -38,7 +38,7 @@ ROUTE_MARGIN = 0.06
 def capacity(T: ComplexPoly) -> float:
     """Logarithmic capacity of the inverse image of [-1, 1] under T."""
     n = T.degree
-    if n < 1 or T.is_zero():
+    if n < 1:
         raise ValueError("capacity needs degree >= 1")
     return float((2.0 * abs(T.leading)) ** (-1.0 / n))
 
@@ -49,7 +49,7 @@ def min_deviation(T: ComplexPoly) -> float:
     Equals ``2 * capacity(T) ** n`` identically; both are read off tau.
     """
     n = T.degree
-    if n < 1 or T.is_zero():
+    if n < 1:
         raise ValueError("min_deviation needs degree >= 1")
     return float(1.0 / abs(T.leading))
 
@@ -61,7 +61,7 @@ def green_function(T: ComplexPoly, z) -> float:
     with ``|q| >= 1``.  Nonnegative; zero exactly on the inverse image.
     """
     n = T.degree
-    if n < 1 or T.is_zero():
+    if n < 1:
         raise ValueError("green function needs degree >= 1")
     w = complex(T(z))
     if abs(w) > 1e100:

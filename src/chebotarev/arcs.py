@@ -30,10 +30,11 @@ digits of the level roots, though not the seed.  The endpoints are the
 zeros of T^2 - 1 from :func:`~chebotarev.factor.factorize`, which takes
 them from a solved polynomial's level form when that form passes its
 checks.  A zero of T^2 - 1 of multiplicity kappa collects kappa arc ends
-meeting at equal angles 2*pi/kappa; at double zeros the two incident arcs
-are conjoined into one analytic arc when their tangents are anti-parallel,
-and the joined arc runs from its end that comes first in
-:func:`~chebotarev.poly.point_key` order.
+meeting at equal angles 2*pi/kappa.  Near a double zero q,
+T -/+ 1 = c_2 (z - q)^2 + ... with c_2 != 0, so its two arc ends leave q in
+opposite directions and are one analytic arc through q: the two incident
+arcs are conjoined, and the joined arc runs from its end that comes first
+in :func:`~chebotarev.poly.point_key` order.
 """
 
 import itertools
@@ -236,17 +237,6 @@ def _advance(rows, levels, T, theta_a, theta_b, scale, depth=0):
     levels.append(float(theta_b))
 
 
-def _tangent_at_start(samples):
-    """Outgoing tangent angle at samples[0], extrapolated toward the endpoint."""
-    a1 = float(np.angle(samples[1] - samples[0]))
-    a2 = float(np.angle(samples[2] - samples[1]))
-    while a2 - a1 > np.pi:
-        a2 -= 2 * np.pi
-    while a1 - a2 > np.pi:
-        a2 += 2 * np.pi
-    return 1.5 * a1 - 0.5 * a2
-
-
 def trace(T: ComplexPoly, steps: int = 256, seed: int = 0) -> list:
     """Sweep the level parameter and chain the roots into analytic arcs.
 
@@ -265,7 +255,8 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0) -> list:
     one-row blocks with bisection (:func:`_advance`) and the next block
     starts after it.
     Chains whose shared endpoint is a double zero of T^2 - 1 are conjoined
-    when anti-parallel (:func:`_conjoin`).
+    (:func:`_conjoin`): a double zero is an interior point of one analytic
+    arc, which passes straight through it.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}")
@@ -328,7 +319,7 @@ def _from_end(arc, end):
 
 
 def _conjoin(arcs, doubles):
-    """Join the two arcs at each double zero in ``doubles`` where they are anti-parallel.
+    """Join the two arcs at each double zero in ``doubles`` into one arc.
 
     An arc ends at a double zero when its end sample is that centre.  A joined
     arc runs from its end that comes first in :func:`~chebotarev.poly.point_key`
@@ -345,9 +336,6 @@ def _conjoin(arcs, doubles):
             continue  # would close a loop; leave the arcs separate
         sa, la, ta = _from_end(a, ea)
         sb, lb, tb = _from_end(b, eb)
-        turn = _tangent_at_start(sa) - _tangent_at_start(sb) - np.pi
-        if abs(float(np.angle(np.exp(1j * turn)))) > 1e-2:
-            continue
         arcs.remove(a)
         arcs.remove(b)
         joined = _arc(sa[::-1] + sb[1:], la[::-1] + lb[1:], ta[::-1] + (q,) + tb)

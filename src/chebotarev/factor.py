@@ -82,7 +82,7 @@ def factorize(T: ComplexPoly, seed: int = 0) -> Factorization:
     """
     if T._factorization is not None:
         return T._factorization
-    if T.degree < 1 or T.is_zero():
+    if T.degree < 1:
         raise ValueError("factorize needs degree >= 1")
     if T.level is not None:
         try:

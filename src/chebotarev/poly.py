@@ -275,7 +275,7 @@ def find_roots(p: ComplexPoly, seed: int = 0) -> list:
     ``seed``, which callers still pass.  Warm solves from nearby roots go
     through :func:`level_roots`.
     """
-    if p.is_zero() or p.degree < 1:
+    if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     a = np.array(p.coeffs, dtype=complex)
     a = a / a[-1]

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -204,14 +205,16 @@ class TestTracerEnvelope:
         with pytest.raises(InconsistentFactorization, match="reproduction residual"):
             trace(star(18), steps=steps)
 
-    @pytest.mark.parametrize("steps", [128, 256])
+    @pytest.mark.parametrize("steps", [64, 128, 256, 512])
     @pytest.mark.parametrize("n", range(24, 33))
     def test_chebyshev_traces_to_one_arc(self, n, steps):
-        # known limit (ROADMAP item 12): at 256 steps the chains of T_31 do
-        # not conjoin through its double zero cos(3 pi / 31) in monomial
-        # noise, which leaves 2 arcs where min_arcs is 1
-        expected = 2 if (n, steps) == (31, 256) else 1
-        assert len(trace(chebyshev(n), steps=steps)) == expected
+        assert len(trace(chebyshev(n), steps=steps)) == 1
+
+    @pytest.mark.parametrize("steps", [64, 128, 256, 512])
+    def test_t3_alpha2_traces_to_min_arcs(self, steps):
+        T = fixture_poly("t3_alpha2")
+        assert factorize(T).min_arcs == 2
+        assert len(trace(T, steps=steps)) == 2
 
 
 class TestFindCrossings:
@@ -689,7 +692,9 @@ class TestConjoinedOrientation:
         through = [q.real for q in arc.conjoined_through]
         assert len(through) == n - 1 and through == sorted(through)
 
-    def test_swapped_chains_conjoin_to_the_same_arcs(self, solved_rect, monkeypatch):
+    @staticmethod
+    def _rect_n6_chains(solved_rect, monkeypatch):
+        """rect_n6 traced at 256 steps, with the chains and doubles ``_conjoin`` got."""
         real_conjoin = arcs_module._conjoin
         calls = []
 
@@ -700,12 +705,30 @@ class TestConjoinedOrientation:
         monkeypatch.setattr(arcs_module, "_conjoin", spy)
         traced = trace(solved_rect(6).poly, steps=256)
         chains, doubles = calls[0]
+        return real_conjoin, traced, chains, doubles
+
+    def test_swapped_chains_conjoin_to_the_same_arcs(self, solved_rect, monkeypatch):
+        real_conjoin, traced, chains, doubles = self._rect_n6_chains(solved_rect, monkeypatch)
         # the two chains leaving the double zero of T - 1 at the origin
         i, j = [k for k, a in enumerate(chains) if abs(a.start_point) < 1e-12]
         swapped = list(chains)
         swapped[i], swapped[j] = chains[j], chains[i]
         assert real_conjoin(list(chains), doubles) == traced
         assert real_conjoin(swapped, doubles) == traced
+
+    def test_bent_chains_still_conjoin_at_a_double_zero(self, solved_rect, monkeypatch):
+        # the two level-set branches leave a double zero in opposite
+        # directions, so the join must not depend on where the first
+        # traced samples point
+        real_conjoin, traced, chains, doubles = self._rect_n6_chains(solved_rect, monkeypatch)
+        i = next(k for k, a in enumerate(chains) if abs(a.start_point) < 1e-12)
+        old = chains[i].samples[1]
+        new = old * complex(math.cos(0.05), math.sin(0.05))
+        bent = list(chains)
+        bent[i] = replace(chains[i], samples=(chains[i].samples[0], new) + chains[i].samples[2:])
+        expected = [replace(a, samples=tuple(new if s == old else s for s in a.samples))
+                    for a in traced]
+        assert real_conjoin(bent, doubles) == expected
 
 
 def _csv_reference(arcs):
