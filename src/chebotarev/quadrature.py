@@ -9,6 +9,12 @@ The integrand's square root is continued analytically along the path: each
 refinement level takes the principal roots at all its nodes as one array in
 path order, flips a step's sign when the flipped root lies nearer the
 previous one, and signs each node by the cumulative product of the steps.
+Most legs converge at level 1, and the arrays are short, so per-call costs
+dominate: levels 0 and 1 and the hand-off grid are evaluated in one pass over
+their nodes laid end to end, each continued from the leg's anchor on its own,
+and finer levels only when refinement reaches them.  Every node gets the bits
+a pass of its own would give it.
+
 A path end within ``SINGULAR_TOL * (1 + max |r_j|)`` of a zero is a
 square-root singularity, removed by the substitution
 ``w = e + s**2 * (b - e)``, after which Gauss-Legendre panels converge fast.
@@ -19,9 +25,12 @@ is therefore immaterial to every consumer in this package, and all of them
 compare ``|Re|`` or minimize over a global sign.
 """
 
+import cmath
+import math
+
 import numpy as np
 
-from .errors import BranchJump, PathTooClose
+from .errors import BranchJump, NoConvergence, PathTooClose
 from .poly import ComplexPoly
 
 #: Refinement stops when two levels agree to this absolute tolerance.
@@ -46,45 +55,87 @@ def _product(zeros, w):
     return out
 
 
-def continue_branch(v, anchor=None):
+def continue_branch(v, anchor=None, starts=(0,)):
     """Continue the principal square roots ``v`` along their sequence.
 
-    Step i flips the sign when ``|v_i + v_{i-1}| < |v_i - v_{i-1}|``; the sign
-    of node i is the cumulative product of the step signs.  The first root is
-    compared with ``anchor``, a continued root just before it, when there is
-    one.  Raises :class:`BranchJump` when both signs are about equally near
-    a nonzero previous root.  Returns the continued roots.
+    ``v`` is one or more segments laid end to end, each starting at an index
+    of ``starts`` (the first at 0) and continued on its own.  Step i flips the
+    sign when ``|v_i + v_{i-1}| < |v_i - v_{i-1}|``; the sign of node i is the
+    product of the step signs since its segment began.  A segment's first
+    root is compared with ``anchor``, a continued root just before it, when
+    there is one, else with itself.  A step is ambiguous when both signs are
+    about equally near a nonzero previous root.  Returns the continued roots
+    and, per segment, whether any of its steps was ambiguous.
     """
-    prev = np.concatenate(([v[0] if anchor is None else anchor], v[:-1]))
+    prev = np.empty_like(v)
+    prev[1:] = v[:-1]
+    prev[starts] = v[starts] if anchor is None else anchor
     d_keep = np.abs(v - prev)
     d_flip = np.abs(v + prev)
     abs_prev = np.abs(prev)
-    if np.any((abs_prev > 0) & (np.abs(d_flip - d_keep) < 1e-6 * (np.abs(v) + abs_prev))):
-        raise BranchJump("square-root continuation ambiguous; refine sampling")
-    return np.cumprod(np.where(d_flip < d_keep, -1.0, 1.0)) * v
+    ambiguous = (abs_prev > 0) & (np.abs(d_flip - d_keep) < 1e-6 * (np.abs(v) + abs_prev))
+    sign = np.cumprod(np.where(d_flip < d_keep, -1.0, 1.0))
+    for start in starts[1:]:
+        # the running sign is +-1: multiplying the rest by its value just
+        # before the segment restarts it there, exactly
+        sign[start:] *= sign[start - 1]
+    return sign * v, np.logical_or.reduceat(ambiguous, starts)
+
+
+def _nodes(level):
+    """Gauss-Legendre nodes of refinement level ``level`` on [0, 1], in path order."""
+    panels = 2**level
+    width = 1.0 / panels
+    return (np.arange(panels)[:, None] * width + width * _GL_NODES).ravel()
 
 
 #: Hand-off grid on which a leg's square root is continued to its far end.
 #: A singular leg skips the zero at ``s = 0``.
 _HANDOFF = np.linspace(0.0, 1.0, 65)
 
+#: The nodes of levels 0 and 1 and the hand-off grid, laid end to end, for a
+#: regular (False) and a singular (True) leg, and where each of the three starts.
+_HEAD = {singular: np.concatenate((_nodes(0), _nodes(1), _HANDOFF[1:] if singular else _HANDOFF))
+         for singular in (False, True)}
+_HEAD_STARTS = np.array([0, 32, 96])
+#: The Gauss-Legendre weights of levels 0 and 1, laid end to end.
+_HEAD_WEIGHTS = np.concatenate((_GL_WEIGHTS, np.tile(_GL_WEIGHTS, 2)))
+
+_AMBIGUOUS = "square-root continuation ambiguous; refine sampling"
+
 
 def _leg(numer, zeros, a, b, singular, anchor):
     """Integrate ``numer(w) / sqrt(_product(zeros, w))`` from ``a`` to ``b``.
 
     Gauss-Legendre panels are halved until two levels agree to ``TOL``, at
-    most ``MAX_LEVEL`` times; each level continues the square root over all
+    most ``MAX_LEVEL`` times.  Each level continues the square root over all
     its nodes, in path order, from ``anchor`` (:func:`continue_branch`), and
-    one whose continuation is ambiguous is skipped, except the last.  A
-    ``singular`` leg starts at a zero and is integrated via
-    ``w = a + s**2 (b - a)``; its branch starts from the principal root at
-    the first node and the caller aligns the overall sign using the hand-off
-    value.  Returns ``(value, error_estimate, square root continued to b)``.
+    one whose continuation is ambiguous is skipped, except the last.  Levels
+    0 and 1 and the hand-off grid are evaluated in one pass over their
+    nodes laid end to end: one product, one square root and one
+    continuation, each segment continued from ``anchor`` on its own, and one
+    evaluation of the integrand at both levels.  Finer levels are evaluated
+    when refinement reaches them.  A ``singular`` leg starts at a zero and is
+    integrated via ``w = a + s**2 (b - a)``; its branch starts from the
+    principal root at the first node and the caller aligns the overall sign
+    using the hand-off value.  Raises :class:`BranchJump` when the hand-off
+    is ambiguous.  Returns ``(value, error_estimate, square root continued
+    to b)``.
     """
     delta = b - a
 
     def points(s):
         return a + s * s * delta if singular else a + s * delta
+
+    def integrand(s, w, root):
+        return numer(w) * 2.0 * s * delta / root if singular else numer(w) * delta / root
+
+    s = _HEAD[singular]
+    w = points(s)
+    root, ambiguous = continue_branch(np.sqrt(_product(zeros, w)), anchor, _HEAD_STARTS)
+    if ambiguous[2]:
+        raise BranchJump(_AMBIGUOUS)
+    head = integrand(s[:96], w[:96], root[:96])   # levels 0 and 1; an ambiguous one goes unused
 
     prev = None
     value = None
@@ -92,26 +143,31 @@ def _leg(numer, zeros, a, b, singular, anchor):
     for level in range(MAX_LEVEL + 1):
         panels = 2**level
         width = 1.0 / panels
-        s = (np.arange(panels)[:, None] * width + width * _GL_NODES).ravel()
-        w = points(s)
-        try:
-            root = continue_branch(np.sqrt(_product(zeros, w)), anchor)
-        except BranchJump:
+        if level < 2:
+            skip = ambiguous[level]
+            first, end = _HEAD_STARTS[level], _HEAD_STARTS[level + 1]
+            weights = _HEAD_WEIGHTS[first:end]
+            vals = head[first:end]
+        else:
+            weights = np.tile(_GL_WEIGHTS, panels)
+            s = _nodes(level)
+            w = points(s)
+            level_root, (skip,) = continue_branch(np.sqrt(_product(zeros, w)), anchor)
+            vals = None if skip else integrand(s, w, level_root)
+        if skip:
             if level == MAX_LEVEL:
-                raise
+                raise BranchJump(_AMBIGUOUS)
             continue
-        vals = numer(w) * 2.0 * s * delta / root if singular else numer(w) * delta / root
-        value = width * np.dot(np.tile(_GL_WEIGHTS, panels), vals)
+        value = width * np.dot(weights, vals)
         if prev is not None:
             err = abs(value - prev)
             if err < TOL:
                 break
         prev = value
-    handoff = points(_HANDOFF[1:] if singular else _HANDOFF)
-    carry = continue_branch(np.sqrt(_product(zeros, handoff)), anchor)[-1]
-    return value, err, carry
+    return value, err, root[-1]
 
 
+@np.errstate(all="ignore")   # a non-finite leg raises NoConvergence instead
 def path_integral(numer: ComplexPoly, zeros, waypoints):
     """Integrate ``numer(w) / sqrt(prod(w - r))``, ``r`` over ``zeros``, along a polyline.
 
@@ -119,8 +175,10 @@ def path_integral(numer: ComplexPoly, zeros, waypoints):
     last refinement differences over all legs.  A first or last waypoint
     within ``SINGULAR_TOL * (1 + max |r|)`` of a zero is a square-root
     singularity and gets the substitution; a path of two singular ends is
-    split at its midpoint.  Raises ``ValueError`` for fewer than two
-    waypoints or two equal consecutive ones.
+    split at its midpoint.  Raises ``ValueError`` for no zeros, fewer than
+    two waypoints, two equal consecutive ones, or a waypoint or zero that is
+    not finite, and :class:`NoConvergence` when a leg's value or error
+    estimate is not finite.
     """
     pts = [complex(w) for w in waypoints]
     if len(pts) < 2:
@@ -128,7 +186,11 @@ def path_integral(numer: ComplexPoly, zeros, waypoints):
     if any(a == b for a, b in zip(pts, pts[1:])):
         raise ValueError("consecutive waypoints must be distinct")
     zeros = tuple(complex(r) for r in zeros)
-    eps = SINGULAR_TOL * (1.0 + max((abs(r) for r in zeros), default=0.0))
+    if not zeros:
+        raise ValueError("the square root needs at least one zero")
+    if not all(map(cmath.isfinite, pts + list(zeros))):
+        raise ValueError("waypoints and zeros must be finite")
+    eps = SINGULAR_TOL * (1.0 + max(abs(r) for r in zeros))
     start_on_zero = any(abs(pts[0] - r) <= eps for r in zeros)
     end_on_zero = any(abs(pts[-1] - r) <= eps for r in zeros)
     if len(pts) == 2 and start_on_zero and end_on_zero:
@@ -150,6 +212,8 @@ def path_integral(numer: ComplexPoly, zeros, waypoints):
             carry = None
         else:
             value, err, carry = _leg(numer, zeros, a, b, False, carry)
+        if not (cmath.isfinite(value) and math.isfinite(err)):
+            raise NoConvergence(f"the leg from {a:.6g} to {b:.6g} has no finite value")
         total += value
         toterr += err
     return total, toterr

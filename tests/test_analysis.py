@@ -5,6 +5,7 @@ import pytest
 
 from chebotarev import (
     ComplexPoly,
+    NoConvergence,
     capacity,
     check_chebotarev_conditions,
     condition_points,
@@ -146,12 +147,11 @@ class TestHyperellipticIntegral:
             hyperelliptic_integral([-1.0, 1.0], [], [1.0, 1.0])
 
     def test_branch_ambiguity_detected(self):
-        from chebotarev import BranchJump
         from chebotarev.quadrature import continue_branch
 
         # previous root 2j is orthogonal to sqrt(4) = 2: both signs equidistant
-        with pytest.raises(BranchJump):
-            continue_branch(np.sqrt(np.array([4.0 + 0j])), anchor=2j)
+        _, ambiguous = continue_branch(np.sqrt(np.array([4.0 + 0j])), anchor=2j)
+        assert ambiguous.tolist() == [True]
 
     def test_near_cut_pass_reports_large_error(self, monkeypatch):
         # a segment grazing a branch point cannot be integrated reliably;
@@ -361,6 +361,15 @@ class TestGreenConsistency:
             assert abs(g_direct - g_integral) < 1e-6
             count += 1
         assert count >= 8
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(ValueError):
+            green_via_integral(star(5), np.nan)
+
+    def test_overflowing_integral_raises(self):
+        # prod(w - b_j) overflows at every node of the path
+        with pytest.raises(NoConvergence):
+            green_via_integral(star(5), 1e150)
 
     def test_integral_vanishes_at_branch_points(self, solved_rect):
         # the continuum's own branch points sit on it, where g = 0; each is a

@@ -3,15 +3,18 @@
 ``ScalarBranch`` and ``scalar_leg`` are the per-node implementation that
 ``quadrature.continue_branch`` and the array ``quadrature._leg`` replaced,
 kept here as the reference: one square root per Python call, its sign chosen
-against the previous continued root.
+against the previous continued root.  ``per_level_leg`` is the array leg
+that evaluated each refinement level and the hand-off grid in a pass of
+their own, the reference for the one-pass ``_leg``.
 """
 
 import numpy as np
 import pytest
 
-from chebotarev import BranchJump, ComplexPoly, path_integral
+from chebotarev import BranchJump, ComplexPoly, NoConvergence, path_integral
 from chebotarev import quadrature
-from chebotarev.quadrature import _GL_NODES, _GL_WEIGHTS, _HANDOFF, continue_branch
+from chebotarev.quadrature import (_GL_NODES, _GL_WEIGHTS, _HANDOFF, _HEAD, _HEAD_STARTS,
+                                   _product, continue_branch)
 
 ARRAY_LEG = quadrature._leg
 
@@ -75,6 +78,44 @@ def scalar_leg(numer, zeros, a, b, singular, anchor):
     tracker = ScalarBranch(sqrt_denom, anchor)
     for s in _HANDOFF[1:] if singular else _HANDOFF:
         carry = tracker.value(a + s * s * delta if singular else a + s * delta)
+    return value, err, carry
+
+
+def per_level_leg(numer, zeros, a, b, singular, anchor):
+    """The array leg with one pass per refinement level and one for the hand-off."""
+    delta = b - a
+
+    def points(s):
+        return a + s * s * delta if singular else a + s * delta
+
+    def continued(w):
+        root, (ambiguous,) = continue_branch(np.sqrt(_product(zeros, w)), anchor)
+        if ambiguous:
+            raise BranchJump("square-root continuation ambiguous; refine sampling")
+        return root
+
+    prev = None
+    value = None
+    err = np.inf
+    for level in range(quadrature.MAX_LEVEL + 1):
+        panels = 2**level
+        width = 1.0 / panels
+        s = (np.arange(panels)[:, None] * width + width * _GL_NODES).ravel()
+        w = points(s)
+        try:
+            root = continued(w)
+        except BranchJump:
+            if level == quadrature.MAX_LEVEL:
+                raise
+            continue
+        vals = numer(w) * 2.0 * s * delta / root if singular else numer(w) * delta / root
+        value = width * np.dot(np.tile(_GL_WEIGHTS, panels), vals)
+        if prev is not None:
+            err = abs(value - prev)
+            if err < quadrature.TOL:
+                break
+        prev = value
+    carry = continued(points(_HANDOFF[1:] if singular else _HANDOFF))[-1]
     return value, err, carry
 
 
@@ -152,21 +193,46 @@ def _scalar_walk(H, w, anchor):
     return np.array([state.value(x) for x in w])
 
 
+def _random_paths(rng):
+    """200 random integrands and polylines, some starting or ending on a
+    zero, some grazing one."""
+    cases = []
+    for _ in range(200):
+        _, zeros = _random_poly(rng, int(rng.integers(2, 10)))
+        numer = ComplexPoly(rng.normal(size=int(rng.integers(1, 4)))
+                            + 1j * rng.normal(size=1))
+        inner = [complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(rng.integers(0, 3))]
+        start = zeros[0] if rng.uniform() < 0.5 else complex(*rng.uniform(-1.5, 1.5, 2))
+        end = zeros[-1] if rng.uniform() < 0.5 else complex(*rng.uniform(-1.5, 1.5, 2))
+        if rng.uniform() < 0.3:
+            inner = list(_grazing_leg(rng, zeros[1]))
+        cases.append((numer, zeros, (start, *inner, end)))
+    return cases
+
+
+def _outcome(leg, *args):
+    """What ``leg`` returns, or the type of what it raises."""
+    try:
+        return leg(*args)
+    except BranchJump as exc:
+        return type(exc)
+
+
 class TestContinuationMatchesScalarWalk:
     def test_same_signs_and_same_jumps(self):
         rng = np.random.default_rng(20240607)
         jumps = flips = 0
         for _ in range(400):
             H, w, anchor = _random_walk(rng)
+            principal = np.sqrt(H(w))
+            new, ambiguous = continue_branch(principal, anchor)
             try:
                 ref = _scalar_walk(H, w, anchor)
             except BranchJump:
-                with pytest.raises(BranchJump):
-                    continue_branch(np.sqrt(H(w)), anchor)
+                assert ambiguous.tolist() == [True]
                 jumps += 1
                 continue
-            principal = np.sqrt(H(w))
-            new = continue_branch(principal, anchor)
+            assert ambiguous.tolist() == [False]
             ref_principal = np.array([np.sqrt(complex(H(x))) for x in w])
             assert np.array_equal(new == principal, ref == ref_principal)
             assert np.array_equal(new == -principal, ref == -ref_principal)
@@ -174,20 +240,27 @@ class TestContinuationMatchesScalarWalk:
         # the sample exercises both outcomes
         assert jumps > 20 and flips > 100
 
-    def test_path_integrals_match_scalar_legs(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        cases = []
-        for _ in range(200):
-            _, zeros = _random_poly(rng, int(rng.integers(2, 10)))
-            numer = ComplexPoly(rng.normal(size=int(rng.integers(1, 4)))
-                                + 1j * rng.normal(size=1))
-            inner = [complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(rng.integers(0, 3))]
-            start = zeros[0] if rng.uniform() < 0.5 else complex(*rng.uniform(-1.5, 1.5, 2))
-            end = zeros[-1] if rng.uniform() < 0.5 else complex(*rng.uniform(-1.5, 1.5, 2))
-            if rng.uniform() < 0.3:
-                inner = list(_grazing_leg(rng, zeros[1]))
-            cases.append((numer, zeros, (start, *inner, end)))
+    def test_segments_continue_on_their_own(self):
+        # walks laid end to end, each from the same anchor, give what each
+        # gives alone: the running sign and the ambiguity restart per segment
+        rng = np.random.default_rng(20240608)
+        jumps = 0
+        for _ in range(100):
+            H, w, anchor = _random_walk(rng)
+            cuts = np.sort(rng.choice(np.arange(1, len(w)), size=min(2, len(w) - 1),
+                                      replace=False))
+            parts = np.split(w, cuts)
+            new, ambiguous = continue_branch(np.sqrt(H(w)), anchor, np.concatenate(([0], cuts)))
+            for part, got, flag in zip(parts, np.split(new, cuts), ambiguous):
+                alone, (alone_flag,) = continue_branch(np.sqrt(H(part)), anchor)
+                assert flag == alone_flag
+                if not flag:
+                    assert np.array_equal(got, alone)
+                jumps += flag
+        assert 0 < jumps < 300
 
+    def test_path_integrals_match_scalar_legs(self, monkeypatch):
+        cases = _random_paths(np.random.default_rng(7))
         monkeypatch.setattr(quadrature, "MAX_LEVEL", 4)
 
         def run(leg):
@@ -207,6 +280,67 @@ class TestContinuationMatchesScalarWalk:
             assert (ref is None) == (new is None)
             if ref is not None:
                 assert abs(new[0] - ref[0]) <= 1e-12 * (1 + abs(ref[0]))
+
+
+class TestOnePassLeg:
+    """The one-pass ``_leg`` gives the per-level leg's results bit for bit."""
+
+    @pytest.mark.parametrize("max_level", [0, 1, 4])
+    def test_random_paths_match_per_level_legs(self, monkeypatch, max_level):
+        monkeypatch.setattr(quadrature, "MAX_LEVEL", max_level)
+        compared = []
+
+        def both(*args):
+            new = _outcome(ARRAY_LEG, *args)
+            assert new == _outcome(per_level_leg, *args)
+            compared.append(args[-1] is not None)
+            if new is BranchJump:
+                raise BranchJump("ambiguous")
+            return new
+
+        monkeypatch.setattr(quadrature, "_leg", both)
+        for numer, zeros, path in _random_paths(np.random.default_rng(7)):
+            try:
+                path_integral(numer, zeros, path)
+            except (BranchJump, NoConvergence):
+                pass
+        # at level 0 no leg has an error estimate, so only first legs run
+        assert len(compared) >= 200
+        assert max_level == 0 or sum(compared) > 100
+
+    @staticmethod
+    def _head_ambiguity(zeros, a, b, anchor):
+        w = a + _HEAD[False] * (b - a)
+        _, ambiguous = continue_branch(np.sqrt(_product(zeros, w)), anchor, _HEAD_STARTS)
+        return ambiguous.tolist()
+
+    @pytest.mark.parametrize("max_level", [0, 1, 4])
+    def test_ambiguous_levels_and_handoff(self, monkeypatch, max_level):
+        # an anchor orthogonal to the root at the first node of level 0, or
+        # at the start of the hand-off grid, leaves both signs equidistant
+        # there alone, as in _random_walk
+        monkeypatch.setattr(quadrature, "MAX_LEVEL", max_level)
+        rng = np.random.default_rng(11)
+        seen = {"level 0": 0, "hand-off": 0}
+        for _ in range(20):
+            H, zeros = _random_poly(rng, int(rng.integers(2, 10)))
+            numer = ComplexPoly(rng.normal(size=2) + 1j * rng.normal(size=2))
+            a, b = complex(*rng.uniform(-1.5, 1.5, 2)), complex(*rng.uniform(-1.5, 1.5, 2))
+            scale = rng.uniform(0.1, 10)
+            for case, s in (("level 0", _GL_NODES[0]), ("hand-off", 0.0)):
+                anchor = 1j * scale * np.sqrt(complex(H(a + s * (b - a))))
+                expected = [True, False, False] if case == "level 0" else [False, False, True]
+                if self._head_ambiguity(zeros, a, b, anchor) != expected:
+                    continue
+                seen[case] += 1
+                args = (numer, zeros, a, b, False, anchor)
+                new = _outcome(ARRAY_LEG, *args)
+                assert new == _outcome(per_level_leg, *args)
+                if case == "hand-off" or max_level == 0:
+                    assert new is BranchJump
+                else:
+                    assert new[1] < np.inf if max_level > 1 else new[1] == np.inf
+        assert min(seen.values()) >= 15
 
 
 
@@ -238,8 +372,22 @@ class TestPathEnds:
         # estimate covers the true error
         assert abs(abs(value.real) - (np.arccosh(2.0) - np.arccosh(1.0 + 1e-6))) < err
 
-    @pytest.mark.parametrize("waypoints", [[1.0], [1.0, 2.0, 2.0], [1.0, 1.0]],
-                             ids=["single", "repeated", "repeated-pair"])
-    def test_degenerate_paths_rejected(self, waypoints):
+    @pytest.mark.parametrize("zeros, waypoints", [
+        ([-1.0, 1.0], [1.0]),
+        ([-1.0, 1.0], [1.0, 2.0, 2.0]),
+        ([-1.0, 1.0], [1.0, 1.0]),
+        ([], [1.0, 2.0]),
+        ([-1.0, 1.0], [1.0, np.nan]),
+        ([-1.0, 1.0], [1.0, complex(2.0, np.inf)]),
+        ([-1.0, np.nan], [1.0, 2.0]),
+        ([-np.inf, 1.0], [1.0, 2.0]),
+    ], ids=["single", "repeated", "repeated-pair", "no-zeros", "nan-waypoint",
+            "infinite-waypoint", "nan-zero", "infinite-zero"])
+    def test_degenerate_paths_rejected(self, zeros, waypoints):
         with pytest.raises(ValueError):
-            path_integral(ComplexPoly([1.0]), [-1.0, 1.0], waypoints)
+            path_integral(ComplexPoly([1.0]), zeros, waypoints)
+
+    def test_overflowing_leg_raises(self):
+        # the product of the zeros' factors overflows at every node
+        with pytest.raises(NoConvergence):
+            path_integral(ComplexPoly([1.0]), [-1.0, 1.0] * 3, [1.0, 1e150])
