@@ -204,15 +204,16 @@ def _phi(fac: Factorization, base: complex, target: complex):
     return path_integral(fac.cofactor, fac.branch_points, route_path(base, target, obstacles))
 
 
-def verify_cosh_representation(T: ComplexPoly, fac: Factorization, z: complex, path) -> float:
+def verify_cosh_representation(T: ComplexPoly, z: complex, path) -> float:
     """Residual of the cosh representation at a point off the inverse image.
 
-    Integrates ``cofactor / sqrt(branch_poly)`` from a branch point along the
-    given polyline to ``z`` and returns
+    Integrates ``cofactor / sqrt(branch_poly)`` of ``factorize(T)`` from a
+    branch point along the given polyline to ``z`` and returns
     ``min over signs of | +-cosh(n * integral) - T(z) |``.
     The path must start at a branch point and keep every other branch point
     at distance > 0.05, else :class:`PathTooClose` is raised.
     """
+    fac = factorize(T)
     waypoints = [complex(w) for w in path]
     scale = 1.0 + max(abs(b) for b in fac.branch_points)
     start = [b for b in fac.branch_points if abs(waypoints[0] - b) <= SINGULAR_TOL * scale]

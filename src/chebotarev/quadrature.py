@@ -220,9 +220,12 @@ def path_integral(numer: ComplexPoly, zeros, waypoints):
 
 
 def point_segment_distance(p: complex, a: complex, b: complex) -> float:
-    """Euclidean distance from point ``p`` to the segment ``[a, b]``."""
+    """Distance from ``p`` to the segment ``[a, b]``; ValueError when ``|b - a|^2`` overflows."""
     ab = b - a
-    denom = abs(ab) ** 2
+    try:
+        denom = abs(ab) ** 2
+    except OverflowError:
+        raise ValueError(f"segment {a:.6g} to {b:.6g} is too long for double precision") from None
     if denom == 0:
         return abs(p - a)
     t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / denom

@@ -165,16 +165,21 @@ def on_zeros(p, points):
     return points[poly_module.vanishes(p, points)]
 
 
-def spy_everywhere(monkeypatch, real, calls=None):
+def spy_everywhere(monkeypatch, real, calls=None, returned=None):
     """Replace ``real`` in every chebotarev module that holds it; return the call list.
 
     The first arguments are appended to ``calls`` when given, else to a new list.
+    The positional arguments of each call that returned are appended to
+    ``returned`` when given.
     """
     calls = [] if calls is None else calls
 
     def spy(*args, **kwargs):
         calls.append(args[0])
-        return real(*args, **kwargs)
+        result = real(*args, **kwargs)
+        if returned is not None:
+            returned.append(args)
+        return result
 
     for name, module in list(sys.modules.items()):
         if name.startswith("chebotarev") and getattr(module, real.__name__, None) is real:

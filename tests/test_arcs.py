@@ -32,7 +32,7 @@ from chebotarev import (
 )
 from chebotarev.poly import point_key
 
-from conftest import cheb2, chebyshev, fixture_poly, star, t4, two_intervals
+from conftest import cheb2, chebyshev, fixture_poly, spy_everywhere, star, t4, two_intervals
 
 
 def _gaps(angles):
@@ -386,6 +386,18 @@ class TestBlockFallback:
             assert (a.start_point, a.end_point) == (b.start_point, b.end_point)
             assert a.levels == b.levels
             assert max(abs(x - y) for x, y in zip(a.samples, b.samples)) < 1e-9
+
+    def test_bisected_level_completes(self, monkeypatch):
+        # z^3 + 0.75 at 256 steps halves one level twice: the crossing at 0
+        # is taken by one-row solves at depth 2, and both halves return
+        T = ComplexPoly([0.75, 0, 0, 1])
+        returned = []
+        calls = spy_everywhere(monkeypatch, arcs_module._advance, returned=returned)
+        arcs = trace(T, steps=256)
+        assert len(calls) == len(returned) == 5
+        assert max(args[6] for args in returned if len(args) > 6) == 2
+        assert len(arcs) == factorize(T).min_arcs == 3
+        assert find_crossings(T) == [0j]
 
     def test_level_that_never_settles_raises_at_depth_20(self, monkeypatch):
         calls = []

@@ -249,33 +249,28 @@ class TestCoshRepresentation:
     def test_segment_polynomial_at_two(self):
         # closed form: cosh(2 arccosh 2) = 7
         T = cheb2()
-        fac = factorize(T)
-        assert verify_cosh_representation(T, fac, 2.0, [1.0, 2.0]) < 1e-7
+        assert verify_cosh_representation(T, 2.0, [1.0, 2.0]) < 1e-7
 
     def test_monomial_at_two(self):
         # substituting u = w^5 gives cosh(5 Phi(2)) = 2^5 = 32
         T = star(5)
-        fac = factorize(T)
-        assert verify_cosh_representation(T, fac, 2.0, [1.0, 2.0]) < 1e-6
+        assert verify_cosh_representation(T, 2.0, [1.0, 2.0]) < 1e-6
 
     def test_near_endpoint_continuity(self):
         T = cheb2()
-        fac = factorize(T)
         z = 1.001
-        assert verify_cosh_representation(T, fac, z, [1.0, z]) < 1e-5
+        assert verify_cosh_representation(T, z, [1.0, z]) < 1e-5
 
     def test_path_too_close_rejected(self):
         T = star(5)
-        fac = factorize(T)
         waypoint = 0.99 * np.exp(1j * np.pi / 5)
         with pytest.raises(PathTooClose):
-            verify_cosh_representation(T, fac, 2.0, [1.0, waypoint, 2.0])
+            verify_cosh_representation(T, 2.0, [1.0, waypoint, 2.0])
 
     def test_path_must_start_on_branch_point(self):
         T = cheb2()
-        fac = factorize(T)
         with pytest.raises(ValueError):
-            verify_cosh_representation(T, fac, 2.0, [0.5, 2.0])
+            verify_cosh_representation(T, 2.0, [0.5, 2.0])
 
 
 class TestRandomStructuredPolynomials:
@@ -400,6 +395,52 @@ class TestLevelForm:
         with pytest.raises(InconsistentFactorization, match=r"T\^2 - 1 reproduction residual"):
             factor_module._split(fresh, clusters, ())
         assert fresh._factorization is None
+
+    @pytest.mark.parametrize("size", [1e-9, 1e-6, 1e-3, 1e-1])
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_moved_multiple_zero_fails_the_reproduction_check(self, key, size, solved_rect):
+        # every double and triple zero, moved in 8 directions: the counts
+        # still hold, and T^2 - 1 = B U^2 is the product that fails
+        T = solved_rect(*key).poly
+        clusters = T.level.clusters()
+        for k, c in enumerate(clusters):
+            if c.multiplicity < 2:
+                continue
+            for j in range(8):
+                moved = c.center + size * np.exp(2j * np.pi * j / 8)
+                edited = list(clusters)
+                edited[k] = RootCluster(moved, c.multiplicity, (moved,) * c.multiplicity)
+                fresh = ComplexPoly(T.coeffs)
+                with pytest.raises(InconsistentFactorization, match=r"T\^2 - 1 reproduction"):
+                    factor_module._split(fresh, edited, ())
+                assert fresh._factorization is None
+
+    @pytest.mark.parametrize("edit", ["drop a simple zero", "add a simple zero",
+                                      "triple as double", "triple as quadruple"])
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_miscounted_level_form_falls_back(self, key, edit, solved_rect):
+        # the multiplicities sum to 2n -+ 1: _split refuses the level form and
+        # stores nothing, and factorize splits on the critical points instead
+        T = solved_rect(*key).poly
+        plus, minus = list(T.level.plus), list(T.level.minus)
+        side, i = next((side, i) for side in (plus, minus)
+                       for i, (_, m) in enumerate(side) if m == (1 if "simple" in edit else 3))
+        if edit == "drop a simple zero":
+            del side[i]
+        elif edit == "add a simple zero":
+            side.append((5.0 + 0j, 1))
+        else:
+            side[i] = (side[i][0], 2 if edit == "triple as double" else 4)
+        total = sum(m for _, m in plus + minus)
+        assert abs(total - 2 * T.degree) == 1
+        wrong = ComplexPoly(T.coeffs, LevelForm(T.level.tau, tuple(plus), tuple(minus)))
+        # a simple zero holds no critical point, a triple zero two
+        message = (f"sum to {total}, not {2 * T.degree}" if "simple" in edit
+                   else "not every critical point")
+        with pytest.raises(InconsistentFactorization, match=message):
+            factor_module._split(wrong, wrong.level.clusters(), ())
+        assert wrong._factorization is None
+        assert factorize(wrong) == factorize(ComplexPoly(T.coeffs))
 
     @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
     def test_level_form_leaves_identity_alone(self, key, solved_rect):

@@ -15,6 +15,7 @@ from chebotarev import (
     ProblemSpec,
     SignConfig,
     SolverOptions,
+    default_initial,
     enumerate_sign_configs,
     find_roots,
     level_polynomial,
@@ -516,3 +517,36 @@ class TestResolution:
         assert pts[("c", 4)] == -pts[("c", 1)]
         assert pts[("c", 3)] == -pts[("c", 1)].conjugate()
         assert pts[("d", 2)] == -pts[("d", 1)]
+
+
+class TestDefaultInitial:
+    """Start values of free points declared without ``initial``."""
+
+    def test_tangency_points_spread_along_the_longest_chord(self):
+        doc = json.loads((FIXTURES / "rect_n8.json").read_text())
+        corners = [1 + 0.15j, 0.9 - 0.2j, -1.3 + 0.1j, -0.8 - 0.3j]
+        doc["vars"][:4] = [{"role": "c", "index": k, "status": "fixed", "value": [c.real, c.imag]}
+                           for k, c in enumerate(corners, 1)]
+        for var in doc["vars"]:
+            if var["role"] == "z" and var["status"] != "linked":
+                var["status"] = "free_complex"
+                del var["initial"]
+        spec = spec_from_dict(doc)
+        pts = resolve_points(spec, default_initial(spec))
+        # c1 and c3 are the most distant pair; three double signs make quarters
+        start, end = corners[0], corners[2]
+        for k in (1, 2):
+            assert pts[("z", k)] == pytest.approx(start + k / 4 * (end - start), abs=1e-15)
+        assert pts[("z", 3)] == -pts[("z", 1)]
+        assert pts[("d", 1)] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("status, value", [("free_imag", 1.0), ("free_complex", 0.5 + 0.7j)])
+    def test_free_point_starts_at_its_value(self, status, value):
+        doc = json.loads((FIXTURES / "rect_n5.json").read_text())
+        doc["vars"][0].update(status=status, value=[value.real, value.imag])
+        del doc["vars"][0]["initial"]
+        spec = spec_from_dict(doc)
+        pts = resolve_points(spec, default_initial(spec))
+        assert pts[("c", 1)] == value
+        assert pts[("c", 4)] == -value
+        assert pts[("d", 1)] == 0.6
