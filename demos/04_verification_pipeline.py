@@ -48,7 +48,7 @@ print(f"\n3. stationarity: max |Re Phi| = {report.max_abs_re:.2e} over "
       f"(quadrature error <= {report.max_quad_error:.1e}) -> passed = {report.passed}")
 
 # 4. the cosh identity at a point off the continuum
-residual = verify_cosh_representation(T, 2.0, [1.0, 2.0])
+residual = verify_cosh_representation(T, [1.0, 2.0])
 print(f"\n4. cosh identity at z = 2: residual {residual:.2e}")
 
 # 5. Green function, closed form vs quadrature (T keeps the factorization

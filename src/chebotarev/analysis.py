@@ -204,8 +204,8 @@ def _phi(fac: Factorization, base: complex, target: complex):
     return path_integral(fac.cofactor, fac.branch_points, route_path(base, target, obstacles))
 
 
-def verify_cosh_representation(T: ComplexPoly, z: complex, path) -> float:
-    """Residual of the cosh representation at a point off the inverse image.
+def verify_cosh_representation(T: ComplexPoly, path) -> float:
+    """Residual of the cosh representation at the end ``z`` of ``path``, off the inverse image.
 
     Integrates ``cofactor / sqrt(branch_poly)`` of ``factorize(T)`` from a
     branch point along the given polyline to ``z`` and returns
@@ -223,7 +223,7 @@ def verify_cosh_representation(T: ComplexPoly, z: complex, path) -> float:
 
     phi, _ = path_integral(fac.cofactor, fac.branch_points, waypoints)
     value = np.cosh(T.degree * phi)
-    target = T(z)
+    target = T(waypoints[-1])
     return float(min(abs(value - target), abs(-value - target)))
 
 

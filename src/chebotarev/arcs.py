@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connect import dist_to_interval
+from .connect import CROSSING, is_connected
 from .errors import MatchingAmbiguity, NotATree
 from .factor import factorize
 from .poly import ComplexPoly, cluster_roots, find_roots, label_pairs, level_roots, point_key
@@ -66,10 +66,7 @@ def _arc(samples, levels, through=()):
 
 
 def _expanded(clusters):
-    out = []
-    for c in clusters:
-        out.extend([c.center] * c.multiplicity)
-    return out
+    return [c.center for c in clusters for _ in range(c.multiplicity)]
 
 
 #: Fewest level steps :func:`trace` takes; every chain has ``steps + 1`` samples.
@@ -240,8 +237,8 @@ def _advance(rows, levels, T, theta_a, theta_b, scale, depth=0):
 def trace(T: ComplexPoly, steps: int = 256, seed: int = 0) -> list:
     """Sweep the level parameter and chain the roots into analytic arcs.
 
-    The arcs end on the refined root clusters of ``factorize(T)``, split by
-    the sign of ``T`` at each center, so arcs terminate on multiple zeros at
+    The arcs end on the refined root clusters of ``factorize(T)``, on T = 1
+    or T = -1 as its ``signs`` say, so arcs terminate on multiple zeros at
     full accuracy.  The interior levels are solved in blocks of ``_BLOCK``
     by :func:`~chebotarev.poly.level_roots`, started on the curves: the
     first block on the first-order Puiseux branches leaving the zeros of
@@ -260,14 +257,10 @@ def trace(T: ComplexPoly, steps: int = 256, seed: int = 0) -> list:
     """
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}")
-    n = T.degree
     fac = factorize(T, seed=seed)
-    plus_clusters = [c for c in fac.clusters if T(c.center).real >= 0]
-    minus_clusters = [c for c in fac.clusters if T(c.center).real < 0]
-    plus_roots = _expanded(plus_clusters)
-    minus_roots = _expanded(minus_clusters)
-    if len(plus_roots) != n or len(minus_roots) != n:
-        raise ValueError("level sets do not have full degree; leading coefficient issue?")
+    plus_clusters = [c for c, sign in zip(fac.clusters, fac.signs) if sign == 1]
+    minus_clusters = [c for c, sign in zip(fac.clusters, fac.signs) if sign == -1]
+    plus_roots, minus_roots = _expanded(plus_clusters), _expanded(minus_clusters)
     scale = 1.0 + max(abs(r) for r in plus_roots + minus_roots)
 
     rows, levels = [np.array(plus_roots)], [0.0]
@@ -353,11 +346,12 @@ def junction_angles(T: ComplexPoly, vertex: complex, seed: int = 0) -> list:
     Measured by solving the level equation at two small offsets from the
     vertex level and extrapolating each incident direction to radius zero.
     Returns the sorted list of angles; successive gaps are 2*pi/kappa for a
-    zero of multiplicity kappa, read off the nearest cluster of ``factorize``.
+    zero of multiplicity kappa, read off the nearest cluster of ``factorize``,
+    as is the level, 1 or -1, it lies on.
     """
     vertex = complex(vertex)
-    sign = 1.0 if T(vertex).real >= 0 else -1.0
-    near = min(factorize(T, seed=seed).clusters, key=lambda c: abs(c.center - vertex))
+    fac = factorize(T, seed=seed)
+    near, sign = min(zip(fac.clusters, fac.signs), key=lambda cv: abs(cv[0].center - vertex))
     kappa = near.multiplicity
     if abs(near.center - vertex) > 1e-6 * (1.0 + abs(vertex)) or kappa < 2:
         raise ValueError("vertex must be a multiple zero of T^2 - 1")
@@ -387,10 +381,12 @@ def find_crossings(T: ComplexPoly, seed: int = 0) -> list:
 
     These are places where arcs cross without branching; they are not zeros
     of T^2 - 1 and therefore not graph vertices.  They are the centres of the
-    free critical point clusters of ``factorize(T)`` whose image lies within
-    1e-7 of [-1, 1].
+    free critical point clusters of ``factorize(T)`` whose points the stored
+    verdict of :func:`~chebotarev.connect.is_connected` classed as crossings.
     """
-    return [c.center for c in factorize(T, seed=seed).free if dist_to_interval(T(c.center)) < 1e-7]
+    free = factorize(T, seed=seed).free
+    kinds = {w.point: w.kind for w in is_connected(T, seed=seed).witnesses} if free else {}
+    return [c.center for c in free if all(kinds[p] == CROSSING for p in c.raw_members)]
 
 
 @dataclass(frozen=True)

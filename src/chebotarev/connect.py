@@ -29,13 +29,26 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .poly import _EPS, ComplexPoly, find_roots, label_pairs, point_key, powers
+from .poly import _EPS, ComplexPoly, _eval_sweep, find_roots, label_pairs, point_key, powers
 
 #: Lipschitz safety factor for the grid membership threshold.
 LIPSCHITZ_FACTOR = 1.5
 
 #: Smallest image-plane distance to [-1, 1] that still makes a grid cell a member.
 TOL_MEMBER = 1e-9
+
+#: Least tolerance on ``|T -+ 1|`` at a critical point on a zero of ``T -+ 1``: a
+#: solve's residual leaves up to 7.4e-11 on rect_n9_system1's split multiple zeros.
+LEVEL_FLOOR = 1e-7
+
+#: Least distance of an image off [-1, 1] that disconnects, relative to ``1 + max |coeff|``.
+CONNECT_TOL = 1e-7
+
+#: Greatest distance of an image off [-1, 1] at an interior crossing.
+CROSSING_TOL = 1e-7
+
+#: The classes of :class:`Witness`, in the order of :func:`is_connected`'s rules.
+PLUS, MINUS, OUTSIDE, CROSSING, UNDECIDED = "plus", "minus", "outside", "crossing", "undecided"
 
 #: Cell-centre rows of the grid raster evaluated together in one band.
 _BAND = 32
@@ -62,11 +75,12 @@ def dist_to_interval(w):
 
 @dataclass(frozen=True)
 class Witness:
-    """A critical point, its image, and the image's distance to [-1, 1]."""
+    """A critical point, its image, the image's distance to [-1, 1], and its class."""
 
     point: complex
     image: complex
     margin: float
+    kind: str
 
 
 @dataclass(frozen=True)
@@ -81,28 +95,32 @@ class ConnectivityVerdict:
 def is_connected(T: ComplexPoly, seed: int = 0) -> ConnectivityVerdict:
     """Critical-point criterion for connectivity of the inverse image, once per polynomial.
 
-    Connected iff every zero of T' has its image within
-    ``1e-7 (1 + max |coeff|)`` of [-1, 1]; the tolerance scales with the
-    coefficients because constructed polynomials place critical values
-    exactly on the boundary +-1.  The verdict is stored on ``T`` (arithmetic
-    drops it, as it drops ``level``): a later call on the same object
-    returns it with no root solve.
+    Each zero ``c`` of T' is classed once, by the first rule that holds:
+    :data:`PLUS` / :data:`MINUS` where ``|T(c) -+ 1| <= max(64 beta,
+    LEVEL_FLOOR)`` with Horner's running error bound ``beta`` for T at ``c``;
+    :data:`OUTSIDE` at least ``CONNECT_TOL (1 + max |coeff|)`` from [-1, 1]
+    (constructed polynomials place critical values exactly on +-1);
+    :data:`CROSSING` within :data:`CROSSING_TOL`; :data:`UNDECIDED` between.
+    Connected iff none is :data:`OUTSIDE`.  The verdict is stored on ``T``
+    (arithmetic drops it, as it drops ``level``): a later call on the same
+    object returns it with no root solve.
     """
     if T._verdict is not None:
         return T._verdict
     if T.degree < 2:
         raise ValueError("connectivity criterion needs degree >= 2")
-    tol = 1e-7 * (1.0 + max(abs(c) for c in T.coeffs))
-    crits = find_roots(T.derivative(), seed=seed)
+    tol = CONNECT_TOL * (1.0 + max(abs(c) for c in T.coeffs))
+    crits = sorted(find_roots(T.derivative(), seed=seed), key=point_key)
+    _, _, bound = _eval_sweep(np.array(T.coeffs), np.array(crits))
     witnesses = []
-    ok = True
-    for c in sorted(crits, key=point_key):
+    for c, floor in zip(crits, np.maximum(64.0 * bound, LEVEL_FLOOR).tolist()):
         image = T(c)
         margin = dist_to_interval(image)
-        witnesses.append(Witness(c, image, margin))
-        if margin >= tol:
-            ok = False
-    verdict = ConnectivityVerdict(ok, tuple(witnesses))
+        kind = (PLUS if abs(image - 1.0) <= floor else MINUS if abs(image + 1.0) <= floor
+                else OUTSIDE if margin >= tol else CROSSING if margin < CROSSING_TOL
+                else UNDECIDED)
+        witnesses.append(Witness(c, image, margin, kind))
+    verdict = ConnectivityVerdict(all(w.kind != OUTSIDE for w in witnesses), tuple(witnesses))
     object.__setattr__(T, "_verdict", verdict)
     return verdict
 

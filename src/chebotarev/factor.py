@@ -22,17 +22,15 @@ R of multiplicity (k - 1) // 2; the other critical points, where T is not
 +-1, are the zeros of ``Q = R / prod (z - c)^((k - 1) // 2)``.  A solved
 polynomial carries its level form, the zeros and multiplicities it was built
 from, and :func:`factorize` then takes them from there without root finding
-when Q is constant; either way :func:`_split` checks the counts and both products.
+when Q is constant; either way :func:`_split` checks the counts, both products
+and the level of each zero.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .connect import is_connected
+from .connect import MINUS, PLUS, is_connected
 from .errors import InconsistentFactorization
-from .poly import (STRUCTURE_TOL, ComplexPoly, cluster_roots, point_key, quotient,
-                   structured_roots, vanishes)
+from .poly import STRUCTURE_TOL, ComplexPoly, cluster_roots, point_key, quotient, structured_roots
 
 #: Coefficient-residual tolerance for the reproduction checks.
 RESIDUAL_TOL = 1e-9
@@ -46,10 +44,11 @@ class Factorization:
     (``branch_points``); ``square_part`` carries the leading coefficient of
     the input; ``cofactor`` is monic of degree ``min_arcs - 1``.  The two
     residuals are the relative coefficient residuals of the rebuilt products
-    ``B * U^2`` against ``T^2 - 1`` and ``n R U`` against ``T'``.
-    ``clusters`` holds the sorted root clusters of ``T - 1`` and ``T + 1``.
-    ``free`` clusters at :data:`~chebotarev.poly.STRUCTURE_TOL` the critical
-    points where T is not +-1: m of them make an m-fold zero of Q.
+    ``B * U^2`` against ``T^2 - 1`` and ``n R U`` against ``T'``.  ``clusters``
+    holds the sorted root clusters of ``T - 1`` and ``T + 1``, ``signs`` the
+    value of T, 1 or -1, on each.  ``free`` clusters at
+    :data:`~chebotarev.poly.STRUCTURE_TOL` the critical points where T is
+    not +-1: m of them make an m-fold zero of Q.
     """
 
     min_arcs: int
@@ -60,6 +59,7 @@ class Factorization:
     level_residual: float
     derivative_residual: float
     clusters: tuple
+    signs: tuple
     free: tuple
 
 
@@ -69,16 +69,15 @@ def factorize(T: ComplexPoly, seed: int = 0) -> Factorization:
     A polynomial that carries its :class:`~chebotarev.poly.LevelForm` (every
     ``Solution.poly`` does) is split on those known zeros and
     multiplicities, with no root finding, when Q is constant.  Otherwise, or
-    when the level form fails a check, :func:`~chebotarev.poly.vanishes`
-    sorts the critical points of T, the witnesses of
-    :func:`~chebotarev.connect.is_connected` (stored on ``T`` too, so the
-    roots of T' are found once per object), onto T = 1, onto T = -1 or into
-    ``free``, and :func:`~chebotarev.poly.structured_roots` finds the zeros
-    of T -+ 1.  A structure that fails a check raises
-    :class:`InconsistentFactorization` and stores nothing.  The checked
-    result is stored on ``T`` (arithmetic drops it, as it drops ``level``):
-    a later call on the same object returns it with no split, check or root
-    solve.
+    when the level form fails a check, the critical points of T, the
+    witnesses of :func:`~chebotarev.connect.is_connected` (stored on ``T``
+    too, so the roots of T' are found once per object), go onto T = 1, onto
+    T = -1 or into ``free`` by the class that verdict gave each, and
+    :func:`~chebotarev.poly.structured_roots` finds the zeros of T -+ 1.  A
+    structure that fails a check raises :class:`InconsistentFactorization`
+    and stores nothing.  The checked result is stored on ``T`` (arithmetic
+    drops it, as it drops ``level``): a later call on the same object
+    returns it with no split, check or root solve.
     """
     if T._factorization is not None:
         return T._factorization
@@ -86,28 +85,27 @@ def factorize(T: ComplexPoly, seed: int = 0) -> Factorization:
         raise ValueError("factorize needs degree >= 1")
     if T.level is not None:
         try:
-            return _split(T, T.level.clusters(), ())
+            return _split(T, *T.level.clusters(), ())
         except InconsistentFactorization:
             pass
     witnesses = is_connected(T, seed=seed).witnesses if T.degree > 1 else ()
-    critical = np.array([w.point for w in witnesses], dtype=complex)
-    plus_poly, minus_poly = T - 1.0, T + 1.0
-    plus, minus = vanishes(plus_poly, critical), vanishes(minus_poly, critical)
-    clusters = (structured_roots(plus_poly, critical[plus], seed=seed)
-                + structured_roots(minus_poly, critical[minus], seed=seed))
-    free = cluster_roots(critical[~(plus | minus)], tol=STRUCTURE_TOL)
-    return _split(T, clusters, tuple(free))
+    on = {kind: [w.point for w in witnesses if w.kind == kind] for kind in (PLUS, MINUS)}
+    free = cluster_roots([w.point for w in witnesses if w.kind not in on], tol=STRUCTURE_TOL)
+    return _split(T, structured_roots(T - 1.0, on[PLUS], seed=seed),
+                  structured_roots(T + 1.0, on[MINUS], seed=seed), tuple(free))
 
 
-def _split(T: ComplexPoly, clusters: list, free: tuple) -> Factorization:
-    """The factorization on the zeros ``clusters`` and critical points ``free``, stored on T.
+def _split(T: ComplexPoly, plus: list, minus: list, free: tuple) -> Factorization:
+    """The factorization on the zeros ``plus`` of T - 1 and ``minus`` of T + 1, stored on T.
 
-    Checks the counts of zeros and critical points, that the branch points are
-    distinct, and that T^2 - 1 = B U^2 and T' = n R U.
+    Checks the counts of zeros and critical points (the others are ``free``),
+    that the branch points are distinct, that T^2 - 1 = B U^2 and T' = n R U,
+    and that Re T is >= 0 on the zeros ``plus`` and < 0 on ``minus``.
     """
-    clusters = sorted(clusters, key=lambda c: point_key(c.center))
+    tagged = sorted([(c, 1) for c in plus] + [(c, -1) for c in minus],
+                    key=lambda cv: point_key(cv[0].center))
+    clusters = [c for c, _ in tagged]
     n = T.degree
-    tau = T.leading
     p2 = T * T - 1.0
     # the counts imply the rest: multiplicities summing to 2n have an even number of odd ones, and
     # n + 1 + F clusters (F free critical points) cannot all be even: 1 <= ell <= n, deg U = n - ell
@@ -128,16 +126,18 @@ def _split(T: ComplexPoly, clusters: list, free: tuple) -> Factorization:
 
     branch_poly = ComplexPoly.from_roots(branch_points, 1.0)
     u_roots = [c.center for c in clusters for _ in range(c.multiplicity // 2)]
-    square_part = ComplexPoly.from_roots(u_roots, tau)
+    square_part = ComplexPoly.from_roots(u_roots, T.leading)
 
     dT = T.derivative()
     cofactor = quotient(dT, n * square_part).monic()
 
     level_residual = _check_reproduction(p2, branch_poly * (square_part * square_part), "T^2 - 1")
     derivative_residual = _check_reproduction(dT, n * (cofactor * square_part), "T'")
+    if any((T(c.center).real >= 0) != (sign == 1) for c, sign in tagged):
+        raise InconsistentFactorization("a zero of T - 1 or T + 1 is on the other level")
 
-    fac = Factorization(ell, branch_poly, square_part, cofactor, branch_points,
-                        level_residual, derivative_residual, tuple(clusters), free)
+    fac = Factorization(ell, branch_poly, square_part, cofactor, branch_points, level_residual,
+                        derivative_residual, tuple(clusters), tuple(s for _, s in tagged), free)
     object.__setattr__(T, "_factorization", fac)
     return fac
 

@@ -34,11 +34,6 @@ _MAX_SWEEPS = 500
 #: critical points on one multiple zero; ``factorize`` those off +-1 too.
 STRUCTURE_TOL = 2e-4
 
-#: Least tolerance on ``|p|`` at a critical point on a zero of ``p``: a
-#: solve's residual leaves ``|T -+ 1|`` up to 7.4e-11 at the critical points
-#: on the split multiple zeros of rect_n9_system1, which must still count.
-LEVEL_FLOOR = 1e-7
-
 
 def _as_coeff_tuple(coeffs):
     cs = tuple(complex(c) for c in coeffs)
@@ -66,8 +61,8 @@ class LevelForm:
     minus: tuple
 
     def clusters(self):
-        """One exact :class:`RootCluster` per zero, those of ``T - 1`` first."""
-        return [RootCluster(p, m, (p,) * m) for p, m in self.plus + self.minus]
+        """One exact :class:`RootCluster` per zero: a list for ``T - 1``, one for ``T + 1``."""
+        return tuple([RootCluster(p, m, (p,) * m) for p, m in s] for s in (self.plus, self.minus))
 
 
 @dataclass(frozen=True)
@@ -531,22 +526,13 @@ def refine_multiple_root(p: ComplexPoly, center: complex, multiplicity: int) -> 
     return z
 
 
-def vanishes(p: ComplexPoly, points: np.ndarray) -> np.ndarray:
-    """Which of ``points`` lie on zeros of ``p``: the one on-level test.
-
-    ``|p|`` there must be within ``max(64 *`` Horner's running error bound, :data:`LEVEL_FLOOR`).
-    """
-    values, _, bound = _eval_sweep(np.array(p.coeffs), points)
-    return np.abs(values) <= np.maximum(64.0 * bound, LEVEL_FLOOR)
-
-
 def structured_roots(p: ComplexPoly, critical, seed: int = 0) -> list:
     """Roots of ``p`` as multiplicity clusters, the multiple ones read off ``p'``.
 
     A zero of ``p`` of multiplicity k is a zero of ``p'`` of multiplicity
     k - 1.  ``critical`` holds the zeros of ``p'`` that lie on zeros of
-    ``p``, already sorted there by :func:`vanishes`, as
-    :func:`~chebotarev.factor.factorize` does.  m of them within
+    ``p``, as :func:`~chebotarev.factor.factorize` takes them from the
+    classes of :func:`~chebotarev.connect.is_connected`.  m of them within
     ``STRUCTURE_TOL (1 + max |point|)`` of each other make a zero of
     multiplicity m + 1, and a count past the degree of ``p`` raises
     :class:`InconsistentFactorization`.  :func:`find_roots` finds the simple

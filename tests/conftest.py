@@ -10,7 +10,8 @@ import pytest
 
 import chebotarev.factor as factor_module
 import chebotarev.poly as poly_module
-from chebotarev import ComplexPoly, PointVar, ProblemSpec, SignConfig, solve
+from chebotarev import ComplexPoly, PointVar, ProblemSpec, SignConfig, is_connected, solve
+from chebotarev.connect import PLUS
 
 
 def star(n=5):
@@ -159,10 +160,10 @@ def solved_rect():
     return get
 
 
-def on_zeros(p, points):
-    """The ``points`` that lie on zeros of ``p``, sorted there by ``poly.vanishes``."""
-    points = np.array(points, dtype=complex)
-    return points[poly_module.vanishes(p, points)]
+def on_zeros(p):
+    """The critical points of ``p`` that lie on zeros of ``p``: those that
+    ``is_connected`` classes on ``T = 1`` for ``T = p + 1``."""
+    return [w.point for w in is_connected(p + 1.0).witnesses if w.kind == PLUS]
 
 
 def spy_everywhere(monkeypatch, real, calls=None, returned=None):

@@ -16,7 +16,6 @@ from chebotarev import (
     check_chebotarev_conditions,
     dist_to_interval,
     factorize,
-    find_roots,
     green_function,
     green_via_integral,
     grid_oracle,
@@ -266,10 +265,9 @@ def test_criterion_10_power_sum_identity(solved_rect):
     worst = 0.0
     for n, system in [(5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (9, 2)]:
         sol = solved_rect(n, system)
-        critical = find_roots(sol.poly.derivative())
         plus_poly, minus_poly = sol.poly - 1.0, sol.poly + 1.0
-        plus = _expand(structured_roots(plus_poly, on_zeros(plus_poly, critical)))
-        minus = _expand(structured_roots(minus_poly, on_zeros(minus_poly, critical)))
+        plus = _expand(structured_roots(plus_poly, on_zeros(plus_poly)))
+        minus = _expand(structured_roots(minus_poly, on_zeros(minus_poly)))
         gap = np.max(np.abs(power_sums(plus, n - 1) - power_sums(minus, n - 1)))
         worst = max(worst, float(gap))
 

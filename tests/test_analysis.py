@@ -134,7 +134,7 @@ class TestHyperellipticIntegral:
 
     @pytest.mark.parametrize("integrate", [
         lambda path: hyperelliptic_integral([-1.0, 1.0], [], path),
-        lambda path: verify_cosh_representation(cheb2(), 2.0, path),
+        lambda path: verify_cosh_representation(cheb2(), path),
     ], ids=["hyperelliptic", "cosh"])
     def test_start_between_singular_and_regular_rejected(self, integrate):
         # 1e-6 off the zero 1 is too far for a singular end and too near for

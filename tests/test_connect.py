@@ -16,8 +16,9 @@ from chebotarev import (
 )
 
 import chebotarev.connect as connect_module
-from chebotarev import factorize
-from chebotarev.connect import LIPSCHITZ_FACTOR, TOL_MEMBER, count_components
+from chebotarev import factorize, find_crossings
+from chebotarev.connect import (CONNECT_TOL, CROSSING, CROSSING_TOL, LIPSCHITZ_FACTOR, MINUS,
+                                OUTSIDE, PLUS, TOL_MEMBER, UNDECIDED, count_components)
 from chebotarev.poly import powers
 
 from conftest import (POLYNOMIAL_FIXTURES, RECT_IDS, RECTANGLES, cheb2, chebyshev, cross,
@@ -113,6 +114,92 @@ class TestStoredVerdict:
             with pytest.raises(ValueError):
                 is_connected(T)
             assert T._verdict is None
+
+
+def _class_inputs():
+    """The polynomial fixtures, T_n, T_n + 0.5 and T_n / (1 - 10^-k) for n <= 16.
+
+    k = 7 is left out: there T_9 ... T_16 mix points on +-1 with undecided
+    ones, and all but T_15 fail a check of the split (ROADMAP item 17).
+    """
+    for name in POLYNOMIAL_FIXTURES:
+        yield pytest.param(lambda name=name: fixture_poly(name), id=name)
+    for n in range(2, 17):
+        yield pytest.param(lambda n=n: chebyshev(n), id=f"T{n}")
+        yield pytest.param(lambda n=n: chebyshev(n) + 0.5, id=f"T{n}+0.5")
+        for k in (2, 4, 6, 8, 10) if n >= 4 else ():
+            yield pytest.param(lambda n=n, k=k: chebyshev(n) * (1.0 / (1.0 - 10.0 ** -k)),
+                               id=f"T{n}/(1-1e-{k})")
+
+
+def _check_classes(T):
+    """The class table of ``is_connected`` against the factorization and the crossings."""
+    verdict = is_connected(T)
+    tol = CONNECT_TOL * (1.0 + max(abs(c) for c in T.coeffs))
+    for w in verdict.witnesses:
+        # exactly one class, and the margin rules of the classes off +-1
+        assert w.kind in (PLUS, MINUS, OUTSIDE, CROSSING, UNDECIDED)
+        assert w.kind != OUTSIDE or w.margin >= tol
+        assert w.kind != CROSSING or w.margin < CROSSING_TOL
+        assert w.kind != UNDECIDED or CROSSING_TOL <= w.margin < tol
+    fac = factorize(T)
+    for kind, sign in ((PLUS, 1), (MINUS, -1)):
+        assert (sum(w.kind == kind for w in verdict.witnesses)
+                == sum(c.multiplicity - 1 for c, s in zip(fac.clusters, fac.signs) if s == sign))
+    kinds = {w.point: w.kind for w in verdict.witnesses}
+    classes = [{kinds[p] for p in c.raw_members} for c in fac.free]
+    assert all(CROSSING not in k or k == {CROSSING} for k in classes)
+    assert find_crossings(T) == [c.center for c, k in zip(fac.free, classes) if k == {CROSSING}]
+    assert verdict.connected == all(w.kind != OUTSIDE for w in verdict.witnesses)
+
+
+class TestCriticalPointClasses:
+    """Each critical point gets one class from ``is_connected``; the
+    factorization, the crossings and the verdict read it."""
+
+    @pytest.mark.parametrize("make", _class_inputs())
+    def test_classes_agree_with_every_reader(self, make):
+        _check_classes(make())
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_solved_rectangle_classes(self, key, solved_rect):
+        T = ComplexPoly(solved_rect(*key).poly.coeffs)
+        _check_classes(T)
+        assert all(w.kind in (PLUS, MINUS) for w in is_connected(T).witnesses)
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6])
+    def test_off_the_levels_past_the_tolerance_is_outside(self, delta):
+        # every critical value of T4 (1 + delta) is delta off +-1: over
+        # LEVEL_FLOOR, and at least the tolerance 1e-7 (1 + 8 (1 + delta)) = 9e-7
+        verdict = is_connected(chebyshev(4) * (1.0 + delta))
+        assert {w.kind for w in verdict.witnesses} == {OUTSIDE}
+        assert not verdict
+
+    def test_off_the_levels_under_the_tolerance_is_a_known_limit(self):
+        # known limit (ROADMAP item 1): T4 (1 + 5e-7) is disconnected, but
+        # 5e-7 is under the tolerance 9e-7 and over CROSSING_TOL, so every
+        # critical point is undecided, which the verdict counts as connected
+        verdict = is_connected(chebyshev(4) * (1.0 + 5e-7))
+        assert {w.kind for w in verdict.witnesses} == {UNDECIDED}
+        assert verdict
+
+    @pytest.mark.parametrize("eps,kind,crossings", [(5e-8, CROSSING, [0j]),
+                                                    (1.5e-7, UNDECIDED, [])])
+    def test_crossing_moved_off_the_interval(self, eps, kind, crossings):
+        # z^5 + i eps maps its quadruple critical point 0 to i eps: a crossing
+        # within CROSSING_TOL = 1e-7, no crossing past it, and short of the
+        # tolerance 2e-7 not outside
+        T = star(5) + 1j * eps
+        assert {w.kind for w in is_connected(T).witnesses} == {kind}
+        assert find_crossings(T) == crossings
+
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_shift_under_the_floor_stays_on_the_levels(self, key, solved_rect):
+        # 3e-9 off +-1 at every multiple zero, 40 times the largest solve
+        # residual seen (7.4e-11), is still on the levels under LEVEL_FLOOR
+        T = ComplexPoly(solved_rect(*key).poly.coeffs) + 3e-9
+        assert all(w.kind in (PLUS, MINUS) for w in is_connected(T).witnesses)
+        assert factorize(T).min_arcs == 3
 
 
 class TestGridOracle:

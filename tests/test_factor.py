@@ -249,28 +249,35 @@ class TestCoshRepresentation:
     def test_segment_polynomial_at_two(self):
         # closed form: cosh(2 arccosh 2) = 7
         T = cheb2()
-        assert verify_cosh_representation(T, 2.0, [1.0, 2.0]) < 1e-7
+        assert verify_cosh_representation(T, [1.0, 2.0]) < 1e-7
 
     def test_monomial_at_two(self):
         # substituting u = w^5 gives cosh(5 Phi(2)) = 2^5 = 32
         T = star(5)
-        assert verify_cosh_representation(T, 2.0, [1.0, 2.0]) < 1e-6
+        assert verify_cosh_representation(T, [1.0, 2.0]) < 1e-6
 
     def test_near_endpoint_continuity(self):
         T = cheb2()
         z = 1.001
-        assert verify_cosh_representation(T, z, [1.0, z]) < 1e-5
+        assert verify_cosh_representation(T, [1.0, z]) < 1e-5
+
+    @pytest.mark.parametrize("end", [3.0, 3j, 1.5 + 0.5j])
+    def test_compared_with_T_at_the_path_end(self, end):
+        # cosh(2 Phi(z)) = +-(2 z^2 - 1) at the end z of the path, past a waypoint
+        T = cheb2()
+        assert verify_cosh_representation(T, [1.0, 0.5 * (1.0 + end), end]) < 1e-7
+        assert verify_cosh_representation(T, [1.0, 0.5 * (1.0 + end)]) < 1e-7
 
     def test_path_too_close_rejected(self):
         T = star(5)
         waypoint = 0.99 * np.exp(1j * np.pi / 5)
         with pytest.raises(PathTooClose):
-            verify_cosh_representation(T, 2.0, [1.0, waypoint, 2.0])
+            verify_cosh_representation(T, [1.0, waypoint, 2.0])
 
     def test_path_must_start_on_branch_point(self):
         T = cheb2()
         with pytest.raises(ValueError):
-            verify_cosh_representation(T, 2.0, [0.5, 2.0])
+            verify_cosh_representation(T, [0.5, 2.0])
 
 
 class TestRandomStructuredPolynomials:
@@ -342,7 +349,7 @@ class TestLevelForm:
                 assert abs(T(p) - value) < 1e-9
         points = sorted((p for pts in sol.points.values() for p in pts),
                         key=lambda w: (w.real, w.imag))
-        assert sorted((c.center for c in level.clusters()),
+        assert sorted((c.center for side in level.clusters() for c in side),
                       key=lambda w: (w.real, w.imag)) == points
 
     @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
@@ -387,13 +394,14 @@ class TestLevelForm:
         # 1e-6 off a double zero, n U no longer divides T'; the reproduction
         # checks judge the split, and T^2 - 1 is the first product that fails
         T = solved_rect(*key).poly
-        clusters = T.level.clusters()
-        k = next(i for i, c in enumerate(clusters) if c.multiplicity == 2)
-        moved = clusters[k].center + 1e-6
-        clusters[k] = RootCluster(moved, 2, (moved, moved))
+        levels = T.level.clusters()
+        side, k = next((side, i) for side, clusters in enumerate(levels)
+                       for i, c in enumerate(clusters) if c.multiplicity == 2)
+        moved = levels[side][k].center + 1e-6
+        levels[side][k] = RootCluster(moved, 2, (moved, moved))
         fresh = ComplexPoly(T.coeffs)
         with pytest.raises(InconsistentFactorization, match=r"T\^2 - 1 reproduction residual"):
-            factor_module._split(fresh, clusters, ())
+            factor_module._split(fresh, *levels, ())
         assert fresh._factorization is None
 
     @pytest.mark.parametrize("size", [1e-9, 1e-6, 1e-3, 1e-1])
@@ -402,18 +410,19 @@ class TestLevelForm:
         # every double and triple zero, moved in 8 directions: the counts
         # still hold, and T^2 - 1 = B U^2 is the product that fails
         T = solved_rect(*key).poly
-        clusters = T.level.clusters()
-        for k, c in enumerate(clusters):
-            if c.multiplicity < 2:
-                continue
-            for j in range(8):
-                moved = c.center + size * np.exp(2j * np.pi * j / 8)
-                edited = list(clusters)
-                edited[k] = RootCluster(moved, c.multiplicity, (moved,) * c.multiplicity)
-                fresh = ComplexPoly(T.coeffs)
-                with pytest.raises(InconsistentFactorization, match=r"T\^2 - 1 reproduction"):
-                    factor_module._split(fresh, edited, ())
-                assert fresh._factorization is None
+        levels = T.level.clusters()
+        for side, clusters in enumerate(levels):
+            for k, c in enumerate(clusters):
+                if c.multiplicity < 2:
+                    continue
+                for j in range(8):
+                    moved = c.center + size * np.exp(2j * np.pi * j / 8)
+                    edited = [list(level) for level in levels]
+                    edited[side][k] = RootCluster(moved, c.multiplicity, (moved,) * c.multiplicity)
+                    fresh = ComplexPoly(T.coeffs)
+                    with pytest.raises(InconsistentFactorization, match=r"T\^2 - 1 reproduction"):
+                        factor_module._split(fresh, *edited, ())
+                    assert fresh._factorization is None
 
     @pytest.mark.parametrize("edit", ["drop a simple zero", "add a simple zero",
                                       "triple as double", "triple as quadruple"])
@@ -438,9 +447,30 @@ class TestLevelForm:
         message = (f"sum to {total}, not {2 * T.degree}" if "simple" in edit
                    else "not every critical point")
         with pytest.raises(InconsistentFactorization, match=message):
-            factor_module._split(wrong, wrong.level.clusters(), ())
+            factor_module._split(wrong, *wrong.level.clusters(), ())
         assert wrong._factorization is None
         assert factorize(wrong) == factorize(ComplexPoly(T.coeffs))
+
+    @pytest.mark.parametrize("edit", ["negated", "swapped"])
+    @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
+    def test_level_form_on_the_wrong_levels_falls_back(self, key, edit, solved_rect):
+        # the zeros of T^2 - 1 are right but some sit on the other level: -T
+        # with the level form of T, or the first zero of T - 1 swapped with
+        # the first of T + 1.  Only the level check refuses the form, and
+        # factorize splits on the critical points instead
+        T = solved_rect(*key).poly
+        plus, minus = list(T.level.plus), list(T.level.minus)
+        if edit == "negated":
+            coeffs = [-c for c in T.coeffs]
+        else:
+            coeffs, plus[0], minus[0] = T.coeffs, minus[0], plus[0]
+        wrong = ComplexPoly(coeffs, LevelForm(T.level.tau, tuple(plus), tuple(minus)))
+        with pytest.raises(InconsistentFactorization, match="on the other level"):
+            factor_module._split(wrong, *wrong.level.clusters(), ())
+        assert wrong._factorization is None
+        fac = factorize(wrong)
+        assert fac == factorize(ComplexPoly(coeffs))
+        assert all((wrong(c.center).real > 0) == (s == 1) for c, s in zip(fac.clusters, fac.signs))
 
     @pytest.mark.parametrize("key", RECTANGLES, ids=RECT_IDS)
     def test_level_form_leaves_identity_alone(self, key, solved_rect):

@@ -407,7 +407,7 @@ class TestClusterRoots:
         inner = ComplexPoly([1 - a * a, 2.0])
         T = (-1.0 / den) * (ComplexPoly([-1.0, 1.0]) * inner * inner) + (-1.0)
         p = T * T - 1.0
-        clusters = structured_roots(p, critical=on_zeros(p, find_roots(p.derivative())))
+        clusters = structured_roots(p, critical=on_zeros(p))
         by_mult = {}
         for c in clusters:
             by_mult.setdefault(c.multiplicity, []).append(c.center)
@@ -432,7 +432,7 @@ class TestClusterRoots:
 
     def test_multiplicity_sum_equals_degree(self):
         p = ComplexPoly.from_roots([0.3, 0.3, 0.3, -1, 2, 1j])
-        clusters = structured_roots(p, critical=on_zeros(p, find_roots(p.derivative())))
+        clusters = structured_roots(p, critical=on_zeros(p))
         assert sum(c.multiplicity for c in clusters) == p.degree
 
     def test_multiplicities_past_the_degree_raise(self):
@@ -440,7 +440,7 @@ class TestClusterRoots:
         # floor of 1e-7 takes both critical points for zeros
         p = 1e-8 * ComplexPoly.from_roots([0.0, 1.0, 2.0])
         with pytest.raises(InconsistentFactorization, match="4 zeros .* degree 3"):
-            structured_roots(p, critical=on_zeros(p, find_roots(p.derivative())))
+            structured_roots(p, critical=on_zeros(p))
 
 
 def _flood(k, neighbours):
@@ -544,7 +544,7 @@ class TestRefinement:
     def test_multiple_root_recovered_to_machine_precision(self):
         z0 = 0.3 + 0.4j
         p = ComplexPoly.from_roots([z0, z0, z0, -1.0, 2.0])
-        clusters = structured_roots(p, critical=on_zeros(p, find_roots(p.derivative())))
+        clusters = structured_roots(p, critical=on_zeros(p))
         triple = next(c for c in clusters if c.multiplicity == 3)
         assert abs(triple.center - z0) < 1e-12
 
@@ -552,7 +552,7 @@ class TestRefinement:
         z0 = 0.3 + 0.4j
         p = ComplexPoly.from_roots([z0, z0, z0, -1.0, 2.0])
         dp = p.derivative()
-        dclusters = structured_roots(dp, critical=on_zeros(dp, find_roots(dp.derivative())))
+        dclusters = structured_roots(dp, critical=on_zeros(dp))
         assert any(c.multiplicity == 2 and abs(c.center - z0) < 1e-7 for c in dclusters)
 
 

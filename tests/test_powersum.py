@@ -17,7 +17,6 @@ from chebotarev import (
     SolverOptions,
     default_initial,
     enumerate_sign_configs,
-    find_roots,
     level_polynomial,
     residual,
     solution_to_dict,
@@ -382,11 +381,10 @@ class TestSolvedLevelSets:
         # recover the level roots from the coefficients alone (multiplicity
         # aware, so triple roots carry full precision) and check the sums
         sol = solved_rect(n, system)
-        critical = find_roots(sol.poly.derivative())
         plus_poly, minus_poly = sol.poly - 1.0, sol.poly + 1.0
-        plus = [c.center for c in structured_roots(plus_poly, on_zeros(plus_poly, critical))
+        plus = [c.center for c in structured_roots(plus_poly, on_zeros(plus_poly))
                 for _ in range(c.multiplicity)]
-        minus = [c.center for c in structured_roots(minus_poly, on_zeros(minus_poly, critical))
+        minus = [c.center for c in structured_roots(minus_poly, on_zeros(minus_poly))
                  for _ in range(c.multiplicity)]
         sp = power_sums(plus, n - 1)
         sm = power_sums(minus, n - 1)
@@ -406,11 +404,10 @@ class TestLevelExtractionRoundTrip:
             from chebotarev import ComplexPoly
 
             T = ComplexPoly.from_roots(roots, tau) + 1.0
-            critical = find_roots(T.derivative())
             plus = [(c.center, c.multiplicity)
-                    for c in structured_roots(T - 1.0, critical=on_zeros(T - 1.0, critical))]
+                    for c in structured_roots(T - 1.0, critical=on_zeros(T - 1.0))]
             minus = [(c.center, c.multiplicity)
-                     for c in structured_roots(T + 1.0, critical=on_zeros(T + 1.0, critical))]
+                     for c in structured_roots(T + 1.0, critical=on_zeros(T + 1.0))]
             rebuilt = level_polynomial(plus, minus)
             assert abs(rebuilt.level.tau - tau) < 1e-7 * (1 + abs(tau))
             scale = 1.0 + max(abs(c) for c in T.coeffs)
