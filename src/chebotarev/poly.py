@@ -191,9 +191,14 @@ def level_polynomial(plus, minus) -> ComplexPoly:
         raise ValueError(f"the level sets share the point {minus_roots[0]:.6g}")
     tau = -2.0 / prod
     plus_side = ComplexPoly.from_roots(plus_roots, tau)
-    minus_side = ComplexPoly.from_roots(minus_roots, tau)
-    worst = max(abs(c) for c in (plus_side + 2.0 - minus_side).coeffs)
-    bound = 1e-8 * (1.0 + max(abs(c) for c in minus_side.coeffs))
+    minus_side = np.array(ComplexPoly.from_roots(minus_roots, tau).coeffs)
+    # tau prod plus + 2 - tau prod minus, rounded as ComplexPoly's + and - round it
+    gap = np.zeros(max(len(plus_side.coeffs), len(minus_side)), dtype=complex)
+    gap[:len(plus_side.coeffs)] = plus_side.coeffs
+    gap[0] += 2.0
+    gap[:len(minus_side)] -= minus_side
+    worst = float(np.abs(gap).max())
+    bound = 1e-8 * (1.0 + float(np.abs(minus_side).max()))
     if not worst <= bound:
         raise PowerSumViolation(f"level products differ by {worst:.3e} (bound {bound:.3e})")
     return ComplexPoly((plus_side + 1.0).coeffs, LevelForm(tau, plus, minus))

@@ -24,7 +24,10 @@ Every point is real-affine in the real unknowns x, so each
 :class:`ProblemSpec` is compiled once into ``points = p0 + A @ x`` and the
 weights w (role weight times sign).  The residual is then the w-weighted
 sum of ``points**k`` and its Jacobian ``((w k) points**(k-1))^T @ A``, with
-no Python loop over the points.
+no Python loop over the points.  Both read one table of ``points**k``, so
+a trial point of :func:`solve` costs one evaluation.  The solved products
+stay on ``ComplexPoly.from_roots``: its ``np.convolve`` (BLAS dot products)
+fixes their last bits, which an array replica rounds differently.
 """
 
 import itertools
@@ -35,7 +38,7 @@ import numpy as np
 
 from .analysis import capacity
 from .errors import DegenerateSolution, NoConvergence
-from .poly import ComplexPoly, cluster_roots, level_polynomial
+from .poly import ComplexPoly, level_polynomial, point_key
 
 #: Multiplicity of each role's points as zeros of T^2 - 1, and so their
 #: weight in the power sums: endpoints c, bifurcation points d, tangency points z.
@@ -263,19 +266,28 @@ def resolve_points(spec: ProblemSpec, x) -> dict:
     return {v.key: complex(p) for v, p in zip(spec.vars, _points(spec, x))}
 
 
+def _evaluate(spec: ProblemSpec, x):
+    """``(residual, P)`` at ``x`` with ``P[j, k] = points[j]**k``, k = 0 .. n-1;
+    the residual is the re/im view of the complex power sums."""
+    P = _points(spec, x)[:, None] ** np.arange(spec.config.degree)
+    # rows added in ``vars`` order, which fixes the rounding of the sums
+    return (spec.w[:, None] * P[:, 1:]).sum(axis=0).view(float), P
+
+
+def _jacobian(spec: ProblemSpec, P) -> np.ndarray:
+    ks = np.arange(1, spec.config.degree)
+    dS = ((spec.w[:, None] * ks) * P[:, :-1]).T @ spec.A
+    return np.column_stack([dS.real, dS.imag]).reshape(2 * len(ks), -1)
+
+
 def residual(spec: ProblemSpec, x) -> np.ndarray:
     """The 2(n-1) real components of the weighted power sums, k = 1 .. n-1."""
-    ks = np.arange(1, spec.config.degree)
-    # rows added in ``vars`` order, which fixes the rounding of the sums
-    total = (spec.w[:, None] * _points(spec, x)[:, None] ** ks).sum(axis=0)
-    return np.column_stack([total.real, total.imag]).ravel()
+    return _evaluate(spec, x)[0]
 
 
 def jacobian(spec: ProblemSpec, x) -> np.ndarray:
     """Analytic derivative of :func:`residual` w.r.t. the assignment vector."""
-    ks = np.arange(1, spec.config.degree)
-    dS = ((spec.w[:, None] * ks) * _points(spec, x)[:, None] ** (ks - 1)).T @ spec.A
-    return np.column_stack([dS.real, dS.imag]).reshape(2 * len(ks), -1)
+    return _jacobian(spec, _evaluate(spec, x)[1])
 
 
 def default_initial(spec: ProblemSpec) -> np.ndarray:
@@ -347,17 +359,23 @@ def _signed_points(config: SignConfig, points) -> tuple:
 
 
 def _check_distinct(values):
-    for cl in cluster_roots(list(values), scale=1.0, tol=DISTINCT_TOL):
-        if cl.multiplicity > 1:
-            a, b = cl.raw_members[:2]
-            raise DegenerateSolution(f"points {a:.8g} and {b:.8g} collided")
+    """Raise :class:`DegenerateSolution` naming the first pair, in
+    :func:`point_key` order, of points within ``DISTINCT_TOL``."""
+    pts = sorted(values, key=point_key)
+    arr = np.array(pts)
+    i, j = np.nonzero(np.triu(np.abs(arr[:, None] - arr) <= DISTINCT_TOL, 1))
+    if len(i):
+        raise DegenerateSolution(f"points {pts[i[0]]:.8g} and {pts[j[0]]:.8g} collided")
 
 
 def solve(spec: ProblemSpec, initial=None) -> Solution:
     """Damped Gauss-Newton on the power-sum residual.
 
     Levenberg damping starts at ``options.damping`` and moves by factors of
-    10 on rejected / accepted steps.  Raises :class:`NoConvergence` when the
+    10 on rejected / accepted steps.  Each trial point is evaluated once:
+    its table of powers gives the residual and, once the step is accepted,
+    the Jacobian.  The identity is formed once per call and the current
+    residual norm once per iterate.  Raises :class:`NoConvergence` when the
     iteration cap is hit above tolerance or the residual is not finite,
     :class:`DegenerateSolution` when solved points collide,
     :class:`PowerSumViolation` when the level products disagree, and
@@ -375,25 +393,27 @@ def solve(spec: ProblemSpec, initial=None) -> Solution:
         raise ValueError("initial vector must be finite")
     tol = spec.residual_tol
     lam = spec.options.damping
-    r = residual(spec, x)
+    eye = np.eye(len(x))
+    r, P = _evaluate(spec, x)
 
     for _ in range(spec.options.max_iter):
         if np.max(np.abs(r)) < tol:
             break
-        J = jacobian(spec, x)
+        J = _jacobian(spec, P)
         A = J.T @ J
         g = J.T @ r
+        norm = np.linalg.norm(r)
         accepted = False
         for _ in range(30):
             try:
-                delta = np.linalg.solve(A + lam * np.eye(len(x)), -g)
+                delta = np.linalg.solve(A + lam * eye, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             x_new = x + delta
-            r_new = residual(spec, x_new)
-            if np.linalg.norm(r_new) < np.linalg.norm(r):
-                x, r = x_new, r_new
+            r_new, P_new = _evaluate(spec, x_new)
+            if np.linalg.norm(r_new) < norm:
+                x, r, P = x_new, r_new, P_new
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True
                 break

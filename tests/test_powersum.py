@@ -24,11 +24,29 @@ from chebotarev import (
     spec_from_dict,
     structured_roots,
 )
-from chebotarev.powersum import _signed_points, jacobian, power_sums, resolve_points, unknown_layout
+from chebotarev.powersum import (
+    DISTINCT_TOL,
+    _check_distinct,
+    _signed_points,
+    jacobian,
+    power_sums,
+    resolve_points,
+    unknown_layout,
+)
 
-from conftest import INTEGER_FIELDS, on_zeros, rect_spec, t4
+from conftest import INTEGER_FIELDS, RECT_IDS, RECTANGLES, on_zeros, rect_spec, t4
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+#: Solves of each rectangle fixture from perturbed starts, frozen before the
+#: residual and the Jacobian of ``solve`` shared one power table.  Each
+#: ``start`` is ``default_initial(spec) * (1 + s * N(0, 1))`` with the draws of
+#: ``np.random.default_rng(3)``: three at s = 5%, the size of the benchmark's
+#: ``construct`` starts, and four at s = 30%, the starts of
+#: ``chebotarev solve --sweep 4 --seed 3``.  A case holds the solution's
+#: assignment, residual, tau and coefficients, or the error type and message.
+PERTURBED = json.loads((Path(__file__).resolve().parent / "golden" / "solve_perturbed.json")
+                       .read_text())
+PERTURBED_CASES = [(name, k) for name, cases in PERTURBED.items() for k in range(len(cases))]
 
 
 class TestSignConfig:
@@ -289,13 +307,85 @@ class TestSolve:
         config = SignConfig(5, (1, 1, -1, -1), (-1, 1), ())
         vars_ = [PointVar("c", i, "fixed", value=0.0) for i in range(1, 5)]
         vars_ += [PointVar("d", i, "fixed", value=0.0) for i in (1, 2)]
-        with pytest.raises(DegenerateSolution):
+        with pytest.raises(DegenerateSolution, match=r"^points 0\+0j and 0\+0j collided$"):
             solve(ProblemSpec(config, vars_))
+
+    def test_collision_chain_raises(self):
+        # A-B and B-C are each within DISTINCT_TOL but A-C is not: single-linkage
+        # clustering put all three in one cluster, and the pair test still sees A-B
+        step = 0.8 * DISTINCT_TOL
+        a, b, c = 0.5, 0.5 + step, 0.5 + 2 * step
+        config = SignConfig(5, (1, 1, -1, -1), (-1, 1), ())
+        values = {("c", 1): c, ("c", 2): a, ("c", 3): -0.5, ("c", 4): 0.25j,
+                  ("d", 1): b, ("d", 2): -0.25j}
+        vars_ = [PointVar(role, i, "fixed", value=v) for (role, i), v in values.items()]
+        loose = SolverOptions(residual_tol=math.inf)
+        with pytest.raises(DegenerateSolution, match=r"^points 0\.5\+0j and 0\.5000008\+0j collided$"):
+            solve(ProblemSpec(config, vars_, loose))
+        _check_distinct([a, c, -0.5, 0.25j, -0.25j])  # A-C alone is apart
+
+    def test_singular_step_retries_with_ten_times_the_damping(self, monkeypatch):
+        real = np.linalg.solve
+        matrices = []
+
+        def fail_first(M, rhs):
+            matrices.append(M.copy())
+            if len(matrices) == 1:
+                raise np.linalg.LinAlgError("planted")
+            return real(M, rhs)
+
+        spec = rect_spec(5)
+        monkeypatch.setattr("chebotarev.powersum.np.linalg.solve", fail_first)
+        sol = solve(spec, [0.4, 0.6])
+        monkeypatch.undo()
+        J = jacobian(spec, [0.4, 0.6])
+        lam = spec.options.damping
+        assert np.array_equal(matrices[0], J.T @ J + lam * np.eye(2))
+        assert np.array_equal(matrices[1], J.T @ J + 10.0 * lam * np.eye(2))
+        assert abs(sol.point("c", 1).imag - math.sqrt(5.0 / 27.0)) < 1e-10
+        assert abs(sol.point("d", 1) - 2.0 / 3.0) < 1e-10
+        assert abs(sol.point("d", 2) + 2.0 / 3.0) < 1e-10
 
     def test_capacity_and_tau_consistent(self):
         sol = solve(rect_spec(5))
         n = sol.config.degree
         assert abs(sol.capacity - (2 * abs(sol.tau)) ** (-1 / n)) < 1e-14
+
+
+class TestPerturbedStarts:
+    @pytest.mark.parametrize("name, k", PERTURBED_CASES,
+                             ids=[f"{name}-{k}" for name, k in PERTURBED_CASES])
+    def test_solve_matches_frozen_golden(self, name, k):
+        case = PERTURBED[name][k]
+        spec = spec_from_dict(json.loads((FIXTURES / f"{name}.json").read_text()))
+        try:
+            sol = solve(spec, np.array(case["start"]))
+        except (NoConvergence, DegenerateSolution, PowerSumViolation) as exc:
+            got = {"error": [type(exc).__name__, str(exc)]}
+        else:
+            got = {
+                "assignment": list(sol.assignment),
+                "residual_inf_norm": sol.residual_inf_norm,
+                "tau": [sol.tau.real, sol.tau.imag],
+                "coeffs": [[c.real, c.imag] for c in sol.poly.coeffs],
+            }
+        expected = {key: v for key, v in case.items() if key not in ("perturbation", "start")}
+        assert got == expected
+
+
+class TestSolutionDocumentRoundTrip:
+    @pytest.mark.parametrize("n, system", RECTANGLES, ids=RECT_IDS)
+    def test_fixed_points_reproduce_the_solution(self, n, system, solved_rect):
+        # solution_to_dict, then every point fixed at its written value
+        sol = solved_rect(n, system)
+        doc = json.loads(json.dumps(solution_to_dict(sol)))
+        fixed = {key: doc[key] for key in ("n", "nu", "alpha", "gamma", "beta")}
+        fixed["vars"] = [{"role": role, "index": i, "status": "fixed", "value": p}
+                         for role in ("c", "d", "z") for i, p in enumerate(doc[role], 1)]
+        spec = spec_from_dict(fixed)
+        assert spec.A.shape[1] == 0
+        assert np.max(np.abs(residual(spec, []))) < spec.residual_tol
+        assert np.array(solve(spec).poly.coeffs).tobytes() == np.array(sol.poly.coeffs).tobytes()
 
 
 class TestBuildPolynomial:
